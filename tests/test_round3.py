@@ -631,17 +631,14 @@ def test_streaming_hll_estimates_track_exact_distinct(ray_session, tmp_path):
             ind / f"chunk-{i:04d}.parquet",
         )
 
-    def pre(ds):
-        def per_batch(tbl):
-            x = np.asarray(tbl.column("user_id").to_numpy(zero_copy_only=False)).astype(np.int64)
-            bucket, rho = hll_bucket_rho(x.astype(np.uint64), 8)
-            return (
-                tbl.drop_columns("user_id")
-                .append_column("bucket", pa.array(bucket, pa.int64()))
-                .append_column("rho", pa.array(rho, pa.int64()))
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl):
+        x = np.asarray(tbl.column("user_id").to_numpy(zero_copy_only=False)).astype(np.int64)
+        bucket, rho = hll_bucket_rho(x.astype(np.uint64), 8)
+        return (
+            tbl.drop_columns("user_id")
+            .append_column("bucket", pa.array(bucket, pa.int64()))
+            .append_column("rho", pa.array(rho, pa.int64()))
+        )
 
     job = StreamingWindowedJob(
         input_dir=str(ind),

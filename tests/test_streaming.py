@@ -20,7 +20,7 @@ import ray.data as rd
 
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec, windowed_aggregate
-from vaero_ray.streaming import CheckpointStore, StreamingWindowedJob
+from vaero_ray.streaming import CheckpointStore, StreamingWindowedJob, step
 
 
 def _split_stream(tbl: pa.Table, n_files: int, d: str) -> list[str]:
@@ -182,17 +182,28 @@ def test_late_rows_dropped_and_lateness_window(tmp_path, ray_session):
     assert int(out2["n"].sum()) == 3  # all rows counted
 
 
-def test_metrics_written(stream_dir, tmp_path, ray_session):
+def test_metrics_written(stream_dir, tmp_path, monkeypatch, ray_session):
     stream_d, _ = stream_dir
     job = _job(stream_d, f"{tmp_path}/m")
     job.run(max_epochs=2, finalize=False)
+    # an epoch above the small-epoch bound takes the Ray Data step
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", -1)
+    job.run(max_epochs=1, finalize=False)
     lines = open(f"{tmp_path}/m/ckpt/metrics.jsonl").read().strip().splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     import json
 
-    rec = json.loads(lines[-1])
-    for field in ("epoch", "rows_in", "rows_late", "rows_out", "state_rows", "watermark_us", "wall_s"):
-        assert field in rec
+    recs = [json.loads(line) for line in lines]
+    for rec in recs:
+        for field in ("epoch", "rows_in", "rows_late", "rows_out", "state_rows", "watermark_us", "wall_s",
+                      "step", "bytes_in", "state_bytes_in"):
+            assert field in rec
+    assert [r["step"] for r in recs] == ["task", "task", "dataset"]
+    files = sorted(os.path.join(stream_d, f) for f in os.listdir(stream_d))[:3]
+    assert [r["bytes_in"] for r in recs] == [step.footer_stats([f])[1] for f in files]
+    assert recs[0]["state_bytes_in"] == 0
+    for prev, rec in zip(recs, recs[1:]):
+        assert (rec["state_bytes_in"] > 0) == (prev["state_rows"] > 0)
 
 
 def test_streaming_sliding_matches_batch(stream_dir, tmp_path, ray_session):

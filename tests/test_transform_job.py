@@ -86,3 +86,22 @@ def test_streaming_transform_resume(stream, tmp_path, ray_session):
         _norm(a.committed_output("b0_s3").to_pandas()),
         _norm(b2.committed_output("b0_s3").to_pandas()),
     )
+
+
+def test_windowed_branch_sink_needs_window_timestamp_key(tmp_path):
+    """A rel branch ending in .window() replaces the event-time column;
+    a sink still keyed on it is rejected when the job is built."""
+
+    def graph(**sink_kw):
+        Vaero.reset()
+        src = Vaero().source("parquet", path="unused")
+        src.window(keys=["role"], aggs=[[None, "count", "n"]], size_s=600).sink("s3", **sink_kw)
+        return Vaero.start()
+
+    with pytest.raises(ValueError, match=r"timestamp_key 'timestamp'.*window_start"):
+        StreamingTransformJob(f"{tmp_path}/in", f"{tmp_path}/out", f"{tmp_path}/ckpt", graph=graph())
+    with pytest.raises(ValueError, match=r"timestamp_key 'ts'"):
+        StreamingTransformJob(f"{tmp_path}/in", f"{tmp_path}/out", f"{tmp_path}/ckpt", graph=graph(timestamp_key="ts"))
+    StreamingTransformJob(
+        f"{tmp_path}/in", f"{tmp_path}/out", f"{tmp_path}/ckpt", graph=graph(timestamp_key="window_start")
+    )

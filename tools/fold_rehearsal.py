@@ -71,23 +71,20 @@ def main() -> None:
     shutil.rmtree(args.work, ignore_errors=True)
     os.makedirs(args.work)
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
+    def pre(tbl: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        def per_batch(tbl: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    # int64 conv key: the canonical frame is all-int64
-                    "conv": pc.cast(
-                        pc.utf8_slice_codeunits(tbl.column("conv_id"), 5, 13), pa.int64()
-                    ),
-                    "ts": tbl.column("ts"),
-                    "turn_idx": tbl.column("turn_idx").cast(pa.int64()),
-                    "tlen": pc.cast(pc.utf8_length(tbl.column("text")), pa.int64()),
-                }
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+        return pa.table(
+            {
+                # int64 conv key: the canonical frame is all-int64
+                "conv": pc.cast(
+                    pc.utf8_slice_codeunits(tbl.column("conv_id"), 5, 13), pa.int64()
+                ),
+                "ts": tbl.column("ts"),
+                "turn_idx": tbl.column("turn_idx").cast(pa.int64()),
+                "tlen": pc.cast(pc.utf8_length(tbl.column("text")), pa.int64()),
+            }
+        )
 
     job = StreamingFoldJob(
         input_dir=args.input,

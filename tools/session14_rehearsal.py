@@ -259,20 +259,17 @@ def rehearse_streaming_auc():
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def per_batch(tbl: pa.Table) -> pa.Table:
-            role = tbl.column("role")
-            return pa.table(
-                {
-                    "conv": pc.cast(pc.utf8_slice_codeunits(
-                        tbl.column("conv_id"), 5, 13), pa.int64()),
-                    "ts": tbl.column("ts"),
-                    "u": pc.cast(pc.equal(role, "user"), pa.int64()),
-                    "tl": pc.cast(pc.equal(role, "tool"), pa.int64()),
-                }
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        role = tbl.column("role")
+        return pa.table(
+            {
+                "conv": pc.cast(pc.utf8_slice_codeunits(
+                    tbl.column("conv_id"), 5, 13), pa.int64()),
+                "ts": tbl.column("ts"),
+                "u": pc.cast(pc.equal(role, "user"), pa.int64()),
+                "tl": pc.cast(pc.equal(role, "tool"), pa.int64()),
+            }
+        )
 
     job = StreamingWindowedJob(
         input_dir=sorted_dir,

@@ -621,9 +621,7 @@ def q_streaming_tumbling_agg(sf_dir: str):
         num_partitions=4,
         # fixed-point per row BEFORE the partials: epoch-boundary-invariant
         # integer sums (see _value_to_cents)
-        transform=lambda ds: ds.map_batches(
-            _value_to_cents, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        transform=_value_to_cents,
     )
     job.run()
     return job.committed_output()
@@ -814,9 +812,7 @@ def q_streaming_session_stats(sf_dir: str):
         num_partitions=4,
         # fixed-point per row BEFORE the fragment partials (see
         # _value_to_cents): integer sums, invariant to epoch boundaries
-        transform=lambda ds: ds.map_batches(
-            _value_to_cents, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        transform=_value_to_cents,
     )
     job.run()
     return job.committed_output()
@@ -927,9 +923,7 @@ def q_streaming_dedup_events(sf_dir: str):
         # 5 partial columns keyed by event id: the native per-column
         # Ray aggregate would pay its fixed cost 5x per epoch
         merge_backend="bucketed",
-        transform=lambda ds: ds.map_batches(
-            _value_to_cents, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        transform=_value_to_cents,
     )
     job.run()
     return job.committed_output()
@@ -3107,9 +3101,7 @@ def q_streaming_activity_intervals(sf_dir: str):
         gap_s=0,
         allowed_lateness_s=0,  # arrival chunks are ts-sorted
         num_partitions=4,
-        transform=lambda ds: ds.map_batches(
-            derive_end, batch_format="pyarrow", zero_copy_batch=True
-        ),
+        transform=derive_end,
     )
     job.run()
     return job.committed_output()
@@ -3548,19 +3540,16 @@ def q_streaming_hll_distinct(sf_dir: str):
     ind = _stream_chunks(sf_dir, "events_uid_in", ["event_type", "ts", "user_id"])
     base = os.path.dirname(ind)
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def per_batch(tbl: pa.Table) -> pa.Table:
-            x = np.asarray(tbl.column("user_id").to_numpy(zero_copy_only=False)).astype(
-                np.int64
-            )
-            bucket, rho = hll_bucket_rho(x.astype(np.uint64), _HLL_P)
-            return (
-                tbl.drop_columns("user_id")
-                .append_column("bucket", pa.array(bucket, pa.int64()))
-                .append_column("rho", pa.array(rho, pa.int64()))
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        x = np.asarray(tbl.column("user_id").to_numpy(zero_copy_only=False)).astype(
+            np.int64
+        )
+        bucket, rho = hll_bucket_rho(x.astype(np.uint64), _HLL_P)
+        return (
+            tbl.drop_columns("user_id")
+            .append_column("bucket", pa.array(bucket, pa.int64()))
+            .append_column("rho", pa.array(rho, pa.int64()))
+        )
 
     out_d, ckpt_d = f"{base}/hll_out", f"{base}/hll_ckpt"
     shutil.rmtree(out_d, ignore_errors=True)
@@ -3606,25 +3595,22 @@ def q_streaming_funnel(sf_dir: str):
 
     NO_VIEW = 1 << 62  # absorbing under min
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def per_batch(tbl: pa.Table) -> pa.Table:
-            et = tbl.column("event_type")
-            ts = tbl.column("ts")
-            us = ts.cast(pa.timestamp("us")).cast(pa.int64())
-            view_us = pc.if_else(pc.equal(et, "view"), us, pa.scalar(NO_VIEW, pa.int64()))
-            pur_us = pc.if_else(
-                pc.equal(et, "purchase"), us, pa.scalar(-1, pa.int64())
-            )
-            return pa.table(
-                {
-                    "user_id": tbl.column("user_id"),
-                    "ts": ts,
-                    "view_us": view_us,
-                    "purchase_us": pur_us,
-                }
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        et = tbl.column("event_type")
+        ts = tbl.column("ts")
+        us = ts.cast(pa.timestamp("us")).cast(pa.int64())
+        view_us = pc.if_else(pc.equal(et, "view"), us, pa.scalar(NO_VIEW, pa.int64()))
+        pur_us = pc.if_else(
+            pc.equal(et, "purchase"), us, pa.scalar(-1, pa.int64())
+        )
+        return pa.table(
+            {
+                "user_id": tbl.column("user_id"),
+                "ts": ts,
+                "view_us": view_us,
+                "purchase_us": pur_us,
+            }
+        )
 
     out_d, ckpt_d = f"{base}/funnel_out", f"{base}/funnel_ckpt"
     shutil.rmtree(out_d, ignore_errors=True)
@@ -4930,18 +4916,15 @@ def q_streaming_topk_terms(sf_dir: str):
     )
     base = os.path.dirname(ind)
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def tokenize(tbl: pa.Table) -> pa.Table:
-            t = _prep(tbl)
-            txt = pc.utf8_lower(t.column("text").combine_chunks())
-            toks = pc.split_pattern(txt, " ")
-            if isinstance(toks, pa.ChunkedArray):
-                toks = toks.combine_chunks()
-            flat = pc.list_flatten(toks)
-            par = pc.list_parent_indices(toks)
-            return pa.table({"term": flat, "ts": t.column("ts").take(par)})
-
-        return ds.map_batches(tokenize, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        t = _prep(tbl)
+        txt = pc.utf8_lower(t.column("text").combine_chunks())
+        toks = pc.split_pattern(txt, " ")
+        if isinstance(toks, pa.ChunkedArray):
+            toks = toks.combine_chunks()
+        flat = pc.list_flatten(toks)
+        par = pc.list_parent_indices(toks)
+        return pa.table({"term": flat, "ts": t.column("ts").take(par)})
 
     out_d, ckpt_d = f"{base}/topk_terms_out", f"{base}/topk_terms_ckpt"
     shutil.rmtree(out_d, ignore_errors=True)
@@ -5572,15 +5555,12 @@ def q_streaming_value_quantile(sf_dir: str):
     ind = _stream_chunks(sf_dir, "value_quantile_in", ["ts", "value"])
     base = os.path.dirname(ind)
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def per_batch(tbl: pa.Table) -> pa.Table:
-            v = tbl.column("value").to_numpy(zero_copy_only=False)
-            cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-            return pa.table(
-                {"ts": tbl.column("ts"), "bin": pa.array(lhq_bins(cents), pa.int64())}
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        v = tbl.column("value").to_numpy(zero_copy_only=False)
+        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        return pa.table(
+            {"ts": tbl.column("ts"), "bin": pa.array(lhq_bins(cents), pa.int64())}
+        )
 
     out_d, ckpt_d = f"{base}/value_quantile_out", f"{base}/value_quantile_ckpt"
     shutil.rmtree(out_d, ignore_errors=True)
@@ -5892,19 +5872,16 @@ def q_streaming_user_ewma(sf_dir: str):
     ind = _stream_chunks(sf_dir, "ewma_in", ["ts", "event_id", "user_id", "value"])
     base = os.path.dirname(ind)
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def per_batch(tbl: pa.Table) -> pa.Table:
-            v = tbl.column("value").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "user_id": tbl.column("user_id"),
-                    "ts": tbl.column("ts"),
-                    "event_id": tbl.column("event_id"),
-                    "cents": pa.array(np.floor(v * 100.0 + 0.5).astype(np.int64), pa.int64()),
-                }
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        v = tbl.column("value").to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "user_id": tbl.column("user_id"),
+                "ts": tbl.column("ts"),
+                "event_id": tbl.column("event_id"),
+                "cents": pa.array(np.floor(v * 100.0 + 0.5).astype(np.int64), pa.int64()),
+            }
+        )
 
     out_d, ckpt_d = f"{base}/ewma_out", f"{base}/ewma_ckpt"
     shutil.rmtree(out_d, ignore_errors=True)
@@ -6175,22 +6152,19 @@ def q_streaming_user_state(sf_dir: str):
     ind = _stream_chunks(sf_dir, "cdc_in", ["ts", "event_id", "user_id", "value", "event_type"])
     base = os.path.dirname(ind)
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def per_batch(tbl: pa.Table) -> pa.Table:
-            v = tbl.column("value").to_numpy(zero_copy_only=False)
-            cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-            tomb = np.asarray(pc.equal(tbl.column("event_type"), "error"))
-            enc = np.where(tomb, np.int64(1), cents * 2)
-            return pa.table(
-                {
-                    "user_id": tbl.column("user_id"),
-                    "ts": tbl.column("ts"),
-                    "event_id": tbl.column("event_id"),
-                    "enc": pa.array(enc, pa.int64()),
-                }
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        v = tbl.column("value").to_numpy(zero_copy_only=False)
+        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        tomb = np.asarray(pc.equal(tbl.column("event_type"), "error"))
+        enc = np.where(tomb, np.int64(1), cents * 2)
+        return pa.table(
+            {
+                "user_id": tbl.column("user_id"),
+                "ts": tbl.column("ts"),
+                "event_id": tbl.column("event_id"),
+                "enc": pa.array(enc, pa.int64()),
+            }
+        )
 
     out_d, ckpt_d = f"{base}/cdc_out", f"{base}/cdc_ckpt"
     shutil.rmtree(out_d, ignore_errors=True)
@@ -6277,23 +6251,20 @@ def q_streaming_enriched_agg(sf_dir: str):
         )
     )
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def enrich(tbl: pa.Table) -> pa.Table:
-            k, s = _ray.get(lut_ref)
-            uid = tbl.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-            idx = np.minimum(np.searchsorted(k, uid), len(k) - 1)
-            ok = k[idx] == uid
-            seg = np.where(ok, s[idx], "UNKNOWN")
-            v = tbl.column("value").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "segment": pa.array(seg, pa.string()),
-                    "ts": tbl.column("ts"),
-                    "value": pa.array(np.floor(v * 100.0 + 0.5).astype(np.int64), pa.int64()),
-                }
-            )
-
-        return ds.map_batches(enrich, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        k, s = _ray.get(lut_ref)
+        uid = tbl.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        idx = np.minimum(np.searchsorted(k, uid), len(k) - 1)
+        ok = k[idx] == uid
+        seg = np.where(ok, s[idx], "UNKNOWN")
+        v = tbl.column("value").to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "segment": pa.array(seg, pa.string()),
+                "ts": tbl.column("ts"),
+                "value": pa.array(np.floor(v * 100.0 + 0.5).astype(np.int64), pa.int64()),
+            }
+        )
 
     ind = _stream_chunks(sf_dir, "enrich_in", ["ts", "user_id", "value"])
     base = os.path.dirname(ind)
@@ -13940,19 +13911,16 @@ def q_streaming_window_auc(sf_dir: str):
     shutil.rmtree(out_d, ignore_errors=True)
     shutil.rmtree(ckpt_d, ignore_errors=True)
 
-    def pre(ds: rd.Dataset) -> rd.Dataset:
-        def per_batch(tbl: pa.Table) -> pa.Table:
-            et = tbl.column("event_type")
-            return pa.table(
-                {
-                    "user_id": tbl.column("user_id"),
-                    "ts": tbl.column("ts"),
-                    "vc": pc.cast(pc.equal(et, "view"), pa.int64()),
-                    "pcv": pc.cast(pc.equal(et, "purchase"), pa.int64()),
-                }
-            )
-
-        return ds.map_batches(per_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def pre(tbl: pa.Table) -> pa.Table:
+        et = tbl.column("event_type")
+        return pa.table(
+            {
+                "user_id": tbl.column("user_id"),
+                "ts": tbl.column("ts"),
+                "vc": pc.cast(pc.equal(et, "view"), pa.int64()),
+                "pcv": pc.cast(pc.equal(et, "purchase"), pa.int64()),
+            }
+        )
 
     job = StreamingWindowedJob(
         input_dir=ind,

@@ -186,16 +186,18 @@ class JobRegistry:
 
         entry = self._read(job_id)
         wd = os.path.join(self.work_dir, f"{job_id:06d}")
-        job = StreamingTransformJob(
-            input_dir=input_dir,
-            out_dir=os.path.join(wd, "out"),
-            ckpt_dir=os.path.join(wd, "ckpt"),
-            graph=entry["task_graph"],
-            max_files_per_epoch=1,
-        )
         interval = max(float(entry.get("interval") or 0), 0.05)
         error: str | None = None
         try:
+            # built inside the try: a graph the job rejects (e.g. a sink
+            # timestamp_key missing from its branch output) lands in detail()
+            job = StreamingTransformJob(
+                input_dir=input_dir,
+                out_dir=os.path.join(wd, "out"),
+                ckpt_dir=os.path.join(wd, "ckpt"),
+                graph=entry["task_graph"],
+                max_files_per_epoch=1,
+            )
             while True:
                 cur = self._read(job_id)
                 if cur is None or not cur.get("alive", 0):

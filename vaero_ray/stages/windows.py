@@ -242,6 +242,36 @@ def _plan_partials(aggs: list[AggSpec]) -> tuple[list[tuple[str, str]], bool]:
     return sorted(set(pa_aggs)), need_count
 
 
+def partial_table(
+    tbl: pa.Table,
+    keys: list[str],
+    aggs: list[AggSpec],
+    ts_col: str = "ts",
+    size_s: int | None = 60,
+    window_col: str = "window_start",
+) -> pa.Table:
+    """Phase 1 on one table: assign tumbling windows, collapse the table
+    to one MERGEABLE partial row per (keys..., window) via pyarrow
+    ``group_by``. Partial columns: ``{col}_{fn}`` + ``__pcount``.
+    Partials of partials merge associatively (sum of sums, min of mins…) —
+    the property the streaming engine uses to carry open-window state
+    across epochs."""
+    group_cols = list(keys) + ([window_col] if size_s is not None else [])
+    pa_aggs_dedup, need_count = _plan_partials(aggs)
+    if size_s is not None:
+        tbl = assign_tumbling(tbl, ts_col, size_s, window_col)
+    gb_aggs = list(pa_aggs_dedup)
+    if need_count or not gb_aggs:
+        gb_aggs.append((group_cols[0], "count"))
+    out = tbl.group_by(group_cols).aggregate(gb_aggs)
+    if need_count or not pa_aggs_dedup:
+        out = out.rename_columns(
+            [c if c != f"{group_cols[0]}_count" else "__pcount" for c in out.column_names]
+        )
+    # canonical us timestamps in partials (stable across state round-trips)
+    return _canon_us_tbl(out)
+
+
 def partial_aggregate(
     ds: rd.Dataset,
     keys: list[str],
@@ -250,33 +280,11 @@ def partial_aggregate(
     size_s: int | None = 60,
     window_col: str = "window_start",
 ) -> rd.Dataset:
-    """Phase 1 (map_batches, NO shuffle): assign tumbling windows, collapse
-    each block to one MERGEABLE partial row per (keys..., window) via
-    pyarrow ``group_by``. Partial columns: ``{col}_{fn}`` + ``__pcount``.
-    Partials of partials merge associatively (sum of sums, min of mins…) —
-    the property the streaming engine uses to carry open-window state
-    across epochs."""
-    group_cols = list(keys) + ([window_col] if size_s is not None else [])
-    pa_aggs_dedup, need_count = _plan_partials(aggs)
+    """Phase 1 (map_batches, NO shuffle): ``partial_table`` per block."""
+    from functools import partial as _p
 
-    def partial(tbl: pa.Table) -> pa.Table:
-        if size_s is not None:
-            tbl = assign_tumbling(tbl, ts_col, size_s, window_col)
-        gb_aggs = list(pa_aggs_dedup)
-        if need_count or not gb_aggs:
-            gb_aggs.append((group_cols[0], "count"))
-        out = tbl.group_by(group_cols).aggregate(gb_aggs)
-        if need_count or not pa_aggs_dedup:
-            out = out.rename_columns(
-                [c if c != f"{group_cols[0]}_count" else "__pcount" for c in out.column_names]
-            )
-        # canonical us timestamps in partials (stable across state round-trips)
-        for i, name in enumerate(out.column_names):
-            if pa.types.is_timestamp(out.column(i).type):
-                out = out.set_column(i, name, out.column(i).cast(pa.timestamp("us")))
-        return out
-
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    fn = _p(partial_table, keys=keys, aggs=aggs, ts_col=ts_col, size_s=size_s, window_col=window_col)
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def merge_partials(
@@ -340,8 +348,9 @@ def _canon_us_tbl(tbl: pa.Table) -> pa.Table:
 
 def merge_partial_tables(tables: list[pa.Table], group_cols: list[str], aggs: list[AggSpec]) -> pa.Table:
     """Pure-table phase 2: merge partial tables (associative: sum of sums,
-    min of mins, max of maxes, sum of partial counts). The actor-pool
-    state store calls this to fold epoch partials into held state."""
+    min of mins, max of maxes, sum of partial counts). The streaming
+    one-task step (streaming/job.py window_step) merges live partials
+    with carried state through it."""
     pa_aggs_dedup, need_count = _plan_partials(list(aggs))
     plan: list[tuple[str, str]] = []
     for col, fn in pa_aggs_dedup:
@@ -361,8 +370,7 @@ def merge_partial_tables(tables: list[pa.Table], group_cols: list[str], aggs: li
 def finalize_table(tbl: pa.Table, group_cols: list[str], aggs: list[AggSpec]) -> pa.Table:
     """Pure-table phase 3: partial columns -> user-facing aliases; mean =
     sum/count; timestamps normalized to us. Used by the Dataset wrapper
-    below and directly by the actor-pool state store (which finalizes a
-    partition's closed windows inside the actor)."""
+    below and directly by the streaming one-task step."""
     cols: dict[str, pa.ChunkedArray | pa.Array] = {c: tbl.column(c) for c in group_cols}
     for a in aggs:
         if a.fn == "count":

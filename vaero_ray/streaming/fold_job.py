@@ -79,10 +79,10 @@ class StreamingFoldJob:
     allowed_lateness_s: int = 0
     num_partitions: int = 8
     max_files_per_epoch: int = 1
-    # row-preserving per-epoch transform on the live input (derive the
-    # int64 value column etc.; rows_in/rows_late accounting assumes the
-    # row count is preserved — same contract as stitch_job/session_job)
-    transform: Callable[[rd.Dataset], rd.Dataset] | None = None
+    # row-preserving per-epoch table function on the live input (derive
+    # the int64 value column etc.; rows_in/rows_late accounting assumes
+    # the row count is preserved — same contract as stitch_job/session_job)
+    transform: Callable[[pa.Table], pa.Table] | None = None
     extra_read_kw: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -207,7 +207,7 @@ class StreamingFoldJob:
             rows_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
             ds = _read_pq(files, **self.extra_read_kw)
             if self.transform is not None:
-                ds = self.transform(ds)
+                ds = ds.map_batches(self.transform, batch_format="pyarrow", zero_copy_batch=True)
             # one materialize: consumed by the watermark max AND the shuffle
             parts.append(
                 ds.map_batches(self._canon(0), batch_format="pyarrow", zero_copy_batch=True)

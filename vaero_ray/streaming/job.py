@@ -3,17 +3,21 @@ carried open-window state, and the exactly-once checkpointed sink.
 
 Model (SURVEY.md §2b, §3.4): the stream is a growing directory of Parquet
 files. Each epoch deterministically claims the next unconsumed files
-(sorted order), runs the SAME Ray Data stages as the batch engine —
+(sorted order) and runs one step —
 
-  read_parquet(epoch files)
-    -> stateless transform chain        (fused map_batches, zero-copy)
-    -> partial_aggregate                (per-block mergeable partials)
-    -> drop late partials               (windows closed at prev watermark)
-    -> union(carried state) -> merge    (the one shuffle; small: partials)
-    -> split closed/open on new watermark
+  read(epoch files)
+    -> stateless transform              (row-preserving table function)
+    -> partials                         (mergeable: one row per key x window)
+    -> union(carried state) -> merge
+    -> split late/closed/open on the previous and new watermark
          closed -> finalize -> deterministic per-partition Parquet + lineage
          open   -> state snapshot (same deterministic writer)
-    -> fsync'd atomic manifest commit   (checkpoint.py)
+    -> fsync'd atomic manifest commit   (checkpoint.py, in the job's process)
+
+A small epoch runs the step as one Ray task over pyarrow tables
+(``window_step``, see step.py); a larger one runs it as a Ray Data plan
+(``_dataset_step``: per-block partials, a merge shuffle, hash-partitioned
+writes). Both write the same bytes.
 
 Watermark: wm_k = max(wm_{k-1}, max event ts in epoch k - allowed_lateness).
 A window [s, s+size) closes when wm >= s+size; rows arriving for an
@@ -27,9 +31,10 @@ pure function of (epoch inputs, prev state). A SIGKILL anywhere before
 the manifest rename makes the rerun byte-identical (tests/test_streaming.py
 proves bit-identity under kill-resume).
 
-Scale: per-epoch shuffles move PARTIALS (one row per key x window per
-block), not events; state is hash-partitioned Parquet re-read lazily each
-epoch; the driver touches only lineage rows and manifests, never data.
+Scale: the Dataset plan's shuffles move PARTIALS (one row per key x
+window per block), not events; state is hash-partitioned Parquet re-read
+each epoch; the job's own process touches only footers, lineage rows and
+manifests, never data.
 """
 
 from __future__ import annotations
@@ -38,11 +43,11 @@ import glob
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray.data as rd
 
 from vaero_ray.io import read_parquet as _read_pq
@@ -50,14 +55,124 @@ from vaero_ray.io import read_parquet as _read_pq
 from vaero_ray.stages.windows import (
     AggSpec,
     US,
+    expand_pane_partials,
     finalize_partials,
+    finalize_table,
+    merge_partial_tables,
     merge_partials,
     partial_aggregate,
+    partial_table,
 )
+from vaero_ray.streaming import step
 from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
 from vaero_ray.streaming.sink import write_deterministic
 
 WM_FINAL = 1 << 62  # watermark value marking end-of-stream finalization
+WM_MIN = -(1 << 62)  # watermark before the first epoch
+
+
+def advance_watermark(prev_wm: int, epoch_max_ts: int | None, allowed_lateness_s: int, finalize: bool) -> int:
+    if finalize:
+        return WM_FINAL
+    if epoch_max_ts is None:
+        return prev_wm
+    return max(prev_wm, epoch_max_ts - allowed_lateness_s * US)
+
+
+def windows_ending_in(tbl: pa.Table, window_col: str, size_us: int, lo_us: int, hi_us: int) -> pa.Table:
+    """Rows of windows whose end lies in (lo_us, hi_us]: late windows end
+    at or before the previous watermark, closed ones between the previous
+    and the new watermark, open ones after the new watermark."""
+    wend = pc.add(pc.cast(tbl.column(window_col), pa.int64()), size_us)
+    return tbl.filter(pc.and_(pc.greater(wend, lo_us), pc.less_equal(wend, hi_us)))
+
+
+def _int64_partials(tbl: pa.Table, group_cols: list[str]) -> pa.Table:
+    # the native merge (Ray's Sum/Min/Max) widens integer partials to
+    # int64, the bucketed one (pandas) keeps their type; the table merge
+    # must emit the same types for the two steps to write the same bytes
+    for i, f in enumerate(tbl.schema):
+        if f.name not in group_cols and pa.types.is_integer(f.type) and f.type != pa.int64():
+            tbl = tbl.set_column(i, f.name, tbl.column(i).cast(pa.int64()))
+    return tbl
+
+
+def window_step(
+    *,
+    epoch: int,
+    files: list[str],
+    state_files: list[str],
+    prev_wm: int,
+    finalize: bool,
+    state_path: str,
+    keys: list[str],
+    aggs: list[AggSpec],
+    state_aggs: list[AggSpec],
+    ts_col: str,
+    size_s: int,
+    slide_s: int | None,
+    window_col: str,
+    allowed_lateness_s: int,
+    merge_backend: str,
+    num_partitions: int,
+    out_dir: str,
+    columns: list[str] | None,
+    transform: "Callable[[pa.Table], pa.Table] | None",
+) -> dict:
+    """One windowed epoch over pyarrow tables in one process (step.py):
+    read -> transform -> partials -> union previous state -> merge ->
+    late/closed/open split -> finalize -> hash-partitioned writes."""
+    group_cols = list(keys) + [window_col]
+    parts = []
+    if files:
+        tbl = step.read_table(files, columns)
+        if transform is not None:
+            tbl = transform(tbl)
+        if slide_s is None:
+            parts.append(partial_table(tbl, keys, state_aggs, ts_col, size_s, window_col))
+        else:
+            panes = partial_table(tbl, keys, state_aggs, ts_col, slide_s, "__pane")
+            parts.append(expand_pane_partials(panes, slide_s, size_s // slide_s, window_col=window_col))
+    if state_files:
+        parts.append(step.read_table(state_files))
+    if not parts:
+        return _window_result(advance_watermark(prev_wm, None, allowed_lateness_s, finalize))
+    if merge_backend == "native":
+        parts = [_int64_partials(p, group_cols) for p in parts]
+    merged = merge_partial_tables(parts, group_cols, state_aggs)
+    mx = pc.max(merged.column(f"{ts_col}_max"))
+    epoch_max_ts = mx.cast(pa.int64()).as_py() if mx.is_valid else None
+    new_wm = advance_watermark(prev_wm, epoch_max_ts, allowed_lateness_s, finalize)
+    split = partial(windows_ending_in, merged, window_col, size_s * US)
+    late = split(WM_MIN, prev_wm)
+    return _window_result(
+        new_wm,
+        epoch_max_ts,
+        rows_late=pc.sum(late.column("__pcount")).as_py() or 0,
+        partitions=step.write_partitions(
+            finalize_table(split(prev_wm, new_wm), group_cols, aggs), out_dir, epoch, keys[0], num_partitions
+        ),
+        state_partitions=step.write_partitions(
+            split(new_wm, WM_FINAL).select(sorted(merged.column_names)), state_path, epoch, keys[0], num_partitions
+        ),
+    )
+
+
+def _window_result(watermark_us, epoch_max_ts=None, rows_late=0, partitions=None, state_partitions=None) -> dict:
+    return {
+        "watermark_us": watermark_us,
+        "epoch_max_ts": epoch_max_ts,
+        "rows_late": rows_late,
+        "partitions": partitions or {},
+        "state_partitions": state_partitions or {},
+    }
+
+
+def _lineage(tbl: pa.Table) -> dict:
+    return {
+        str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
+        for r in tbl.to_pylist()
+    }
 
 
 @dataclass
@@ -72,24 +187,21 @@ class StreamingWindowedJob:
     slide_s: int | None = None  # sliding windows: emit one row per overlap
     window_col: str = "window_start"
     allowed_lateness_s: int = 0
-    # per-epoch ROW-PRESERVING transform on the live input (derive/cast
-    # columns, e.g. fixed-point money to int64 before the partials). Must
-    # keep the row count: rows_in comes from parquet metadata while late
-    # accounting sums post-transform partials, so collapsing/expanding
-    # rows corrupts rows_late silently.
-    transform: Callable[[rd.Dataset], rd.Dataset] | None = None
+    # per-epoch ROW-PRESERVING table function on the live input
+    # (derive/cast columns, e.g. fixed-point money to int64 before the
+    # partials). Must keep the row count: rows_in comes from parquet
+    # metadata while late accounting sums post-transform partials, so
+    # collapsing/expanding rows corrupts rows_late silently.
+    transform: Callable[[pa.Table], pa.Table] | None = None
     num_partitions: int = 8
     max_files_per_epoch: int = 1
     extra_read_kw: dict = field(default_factory=dict)
-    # "parquet": state snapshot re-read lazily per epoch (purely
-    # deterministic, zero resident memory). "actors": partitioned
-    # actor-pool state store (state stays in memory across epochs;
-    # snapshots only for recovery) — see state_actors.py.
-    state_backend: str = "parquet"
     # phase-2 merge: "native" (Ray aggregate — right for 1-2 agg
     # columns over few keys) or "bucketed" (one keyed.bucketed_keyed_agg
     # hash exchange — right for many partial columns / high-cardinality
-    # keys, e.g. dedup-by-id jobs; see windows.merge_partials)
+    # keys, e.g. dedup-by-id jobs; see windows.merge_partials). Epochs
+    # small enough for the one-task step (step.py) merge in pyarrow and
+    # keep the chosen backend's output types.
     merge_backend: str = "native"
     # called at the top of every epoch (reference re-checks secret
     # staleness each poll, execute.go:84-96); from_graph wires this to
@@ -109,12 +221,9 @@ class StreamingWindowedJob:
             AggSpec(self.ts_col, "max", "__wm_ts"),
             AggSpec(None, "count", "__force_pcount"),
         ]
-        self._actor_store = None
-        # committed epoch the actor pool mirrors: -2 = never synced by this
-        # object (always restore first), -1 = empty stream start
-        self._actors_synced_to: int = -2
-        if self.state_backend not in ("parquet", "actors"):
-            raise ValueError(f"unknown state_backend {self.state_backend!r}")
+        # tumbling and sliding windows both group merged partials by
+        # (keys..., window start)
+        self._group_cols = list(self.keys) + [self.window_col]
         if self.slide_s is not None and self.size_s % self.slide_s != 0:
             raise ValueError("size_s must be a multiple of slide_s")
 
@@ -132,15 +241,11 @@ class StreamingWindowedJob:
         # stateless expansion of each pane partial to its k containing
         # windows — replicates partials, never events (windows.py
         # sliding_windowed_aggregate rationale)
-        from functools import partial as _p
-
-        from vaero_ray.stages.windows import expand_pane_partials
-
         panes = partial_aggregate(
             ds, self.keys, self._state_aggs, self.ts_col, self.slide_s, "__pane"
         )
         return panes.map_batches(
-            _p(
+            partial(
                 expand_pane_partials,
                 slide_s=self.slide_s,
                 k=self.size_s // self.slide_s,
@@ -149,45 +254,6 @@ class StreamingWindowedJob:
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-
-    def _merge(self, unioned: rd.Dataset) -> rd.Dataset:
-        if self.slide_s is None:
-            return merge_partials(
-                unioned, self.keys, self._state_aggs, self.size_s, self.window_col,
-                backend=self.merge_backend, num_buckets=self.num_partitions,
-            )
-        return merge_partials(
-            unioned, list(self.keys) + [self.window_col], self._state_aggs, None,
-            backend=self.merge_backend, num_buckets=self.num_partitions,
-        )
-
-    def _finalize(self, closed: rd.Dataset) -> rd.Dataset:
-        if self.slide_s is None:
-            return finalize_partials(closed, self.keys, self.aggs, self.size_s, self.window_col)
-        return finalize_partials(closed, list(self.keys) + [self.window_col], self.aggs, None)
-
-    # -- actor-pool backend helpers ------------------------------------
-    def _actors(self):
-        if self._actor_store is None:
-            import hashlib
-
-            from vaero_ray.streaming.state_actors import ActorStateStore
-
-            job_id = hashlib.md5(os.path.abspath(self.ckpt_dir).encode()).hexdigest()[:10]
-            group_cols = list(self.keys) + [self.window_col]
-            self._actor_store = ActorStateStore(
-                job_id, self.num_partitions, group_cols, self._state_aggs
-            )
-        return self._actor_store
-
-    def _sync_actors(self, last_epoch: int, prev_state: dict) -> None:
-        """Reset actor state to the last COMMITTED snapshot's manifest
-        lineage unless the pool already mirrors it (fresh driver, prior
-        in-epoch failure, or a second job object sharing the pool all
-        resync here)."""
-        if self._actors_synced_to != last_epoch:
-            self._actors().restore_all(prev_state)
-            self._actors_synced_to = last_epoch
 
     @classmethod
     def from_graph(
@@ -215,18 +281,13 @@ class StreamingWindowedJob:
             resolver.resolve_into(plan.source.args)
             # per-epoch staleness re-check (reference: execute.go:84-96)
             kw.setdefault("secret_refresh", lambda: resolver.maybe_refresh(plan.source.args))
-        fused = plan.branches[branch].compile()
-
-        def transform(ds: rd.Dataset) -> rd.Dataset:
-            return ds.map_batches(fused, batch_format="pyarrow", zero_copy_batch=True)
-
         return cls(
             input_dir=input_dir,
             out_dir=out_dir,
             ckpt_dir=ckpt_dir,
             keys=keys,
             aggs=aggs,
-            transform=transform,
+            transform=plan.branches[branch].compile(),
             **kw,
         )
 
@@ -236,221 +297,141 @@ class StreamingWindowedJob:
         files = sorted(glob.glob(os.path.join(self.input_dir, "*.parquet")))
         return [f for f in files if f not in consumed]
 
-    def _prev(self) -> tuple[int, int, dict]:
-        """(next_epoch, prev_watermark_us, prev_state_partitions)
-
-        State comes from the manifest's exact lineage; older manifests
-        without state_partitions fall back to a glob of state_path."""
+    def _prev(self) -> tuple[int, int, list[str]]:
+        """(next_epoch, prev_watermark_us, prev_state_files), the state
+        from the last manifest's exact lineage."""
         last = self.store.last()
         if last is None:
-            return 0, -(1 << 62), {}
-        state_parts = last.state_partitions
-        if not state_parts and last.state_path and os.path.isdir(last.state_path):
-            files = sorted(
-                glob.glob(os.path.join(last.state_path, "**", "*.parquet"), recursive=True)
-            )
-            if files:
-                state_parts = {"legacy": {"rows": last.state_rows, "files": files, "sha256": []}}
-        return last.epoch + 1, last.watermark_us, state_parts
+            return 0, WM_MIN, []
+        return last.epoch + 1, last.watermark_us, last.state_files()
 
     # -- one epoch ------------------------------------------------------
     def run_epoch(self, finalize: bool = False) -> EpochManifest | None:
         t0 = time.perf_counter()
         if self.secret_refresh is not None:
             self.secret_refresh()
-        epoch, prev_wm, prev_state = self._prev()
+        epoch, prev_wm, state_files = self._prev()
         if prev_wm >= WM_FINAL:
             return None  # stream already finalized
         files = [] if finalize else self.pending_files()[: self.max_files_per_epoch]
         if not files and not finalize:
             return None  # nothing to do
-        if self.state_backend == "actors":
-            return self._run_epoch_actors(epoch, prev_wm, prev_state, files, finalize, t0)
 
-        size_us = self.size_s * US
-        parts: list[rd.Dataset] = []
-        rows_in = 0
-        if files:
-            rows_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-            ds = _read_pq(files, **self.extra_read_kw)
-            if self.transform is not None:
-                ds = self.transform(ds)
-            parts.append(self._live_partials(ds))
-        prev_state_files = [f for p in prev_state.values() for f in p["files"]]
-        if prev_state_files:
-            parts.append(_read_pq(prev_state_files))
-
-        cols = None
-        merged_tbl_ds = None
-        rows_late = 0
-        epoch_max_ts = None
-        if parts:
-            # normalize column order so union of state + live partials is valid
-            cols = sorted(parts[0].schema().names)
-            parts = [p.select_columns(cols) for p in parts]
-            unioned = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-            merged = self._merge(unioned)
-            # materialize ONCE: everything below consumes these small partial
-            # blocks repeatedly (late/closed/open splits + watermark max)
-            merged_tbl_ds = merged.materialize()
-
-            wm_col = f"{self.ts_col}_max"
-            mx = merged_tbl_ds.max(wm_col)
-            epoch_max_ts = None if mx is None else int(pa.scalar(mx).cast(pa.int64()).as_py())
-
-        # late = windows already closed at the PREVIOUS watermark
-        def split(tbl: pa.Table, lo_us: int, hi_us: int) -> pa.Table:
-            we = pc.add(pc.cast(tbl.column(self.window_col), pa.int64()), 0)
-            wend = pc.add(we, size_us)
-            keep = pc.and_(pc.greater(wend, lo_us), pc.less_equal(wend, hi_us))
-            return tbl.filter(keep)
-
-        new_wm = prev_wm
-        if epoch_max_ts is not None:
-            new_wm = max(prev_wm, epoch_max_ts - self.allowed_lateness_s * US)
-        if finalize:
-            new_wm = WM_FINAL
-
-        closed_lineage = pa.table({})
-        state_lineage = pa.table({})
-        rows_out = 0
-        state_rows = 0
-        state_path = None
-        if merged_tbl_ds is not None:
-            late_ds = merged_tbl_ds.map_batches(
-                lambda t: split(t, -(1 << 62), prev_wm), batch_format="pyarrow"
+        rows_in, bytes_in = step.footer_stats(files)
+        _, state_bytes_in = step.footer_stats(state_files)
+        state_path = self.store.state_path_for(epoch) if files or state_files else None
+        spec = dict(
+            epoch=epoch, files=files, state_files=state_files, prev_wm=prev_wm,
+            finalize=finalize, state_path=state_path,
+        )
+        small = step.is_small(bytes_in + state_bytes_in, self.extra_read_kw)
+        if small:
+            res = step.run_in_task(
+                window_step,
+                **spec,
+                keys=self.keys,
+                aggs=self.aggs,
+                state_aggs=self._state_aggs,
+                ts_col=self.ts_col,
+                size_s=self.size_s,
+                slide_s=self.slide_s,
+                window_col=self.window_col,
+                allowed_lateness_s=self.allowed_lateness_s,
+                merge_backend=self.merge_backend,
+                num_partitions=self.num_partitions,
+                out_dir=self.out_dir,
+                columns=self.extra_read_kw.get("columns"),
+                transform=self.transform,
             )
-            rows_late = int(late_ds.sum("__pcount") or 0)
-            closed = merged_tbl_ds.map_batches(
-                lambda t: split(t, prev_wm, new_wm), batch_format="pyarrow"
-            )
-            open_ds = merged_tbl_ds.map_batches(
-                lambda t: split(t, new_wm, 1 << 62), batch_format="pyarrow"
-            )
-            final = self._finalize(closed)
-            closed_lineage = write_deterministic(
-                final, self.out_dir, epoch, self.keys[0], self.num_partitions
-            )
-            rows_out = sum(closed_lineage.column("rows").to_pylist()) if closed_lineage.num_rows else 0
-            state_path = self.store.state_path_for(epoch)
-            state_lineage = write_deterministic(
-                open_ds.select_columns(cols), state_path, epoch, self.keys[0], self.num_partitions
-            )
-            state_rows = sum(state_lineage.column("rows").to_pylist()) if state_lineage.num_rows else 0
+        else:
+            res = self._dataset_step(**spec)
 
-        state_partitions = {
-            str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
-            for r in (state_lineage.to_pylist() if state_lineage.num_rows else [])
-        }
+        rows_out = sum(p["rows"] for p in res["partitions"].values())
+        state_rows = sum(p["rows"] for p in res["state_partitions"].values())
         manifest = EpochManifest(
             epoch=epoch,
             input_files=files,
-            watermark_us=new_wm,
+            watermark_us=res["watermark_us"],
             rows_in=rows_in,
-            rows_late=rows_late,
+            rows_late=res["rows_late"],
             rows_out=rows_out,
-            partitions={
-                str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
-                for r in (closed_lineage.to_pylist() if closed_lineage.num_rows else [])
-            },
+            partitions=res["partitions"],
             state_rows=state_rows,
             state_path=state_path,
-            state_partitions=state_partitions,
+            state_partitions=res["state_partitions"],
         )
         self.store.commit(manifest)
+        epoch_max_ts = res["epoch_max_ts"]
         self.store.append_metrics(
             {
                 "epoch": epoch,
+                "step": "task" if small else "dataset",
+                "bytes_in": bytes_in,
+                "state_bytes_in": state_bytes_in,
                 "rows_in": rows_in,
-                "rows_late": rows_late,
+                "rows_late": res["rows_late"],
                 "rows_out": rows_out,
                 "state_rows": state_rows,
-                "watermark_us": new_wm,
-                "watermark_lag_us": (epoch_max_ts - new_wm) if epoch_max_ts is not None else None,
-                "n_partitions_out": manifest.partitions and len(manifest.partitions) or 0,
-                "wall_s": round(time.perf_counter() - t0, 3),
-            }
-        )
-        return manifest
-
-    def _run_epoch_actors(
-        self,
-        epoch: int,
-        prev_wm: int,
-        prev_state: dict,
-        files: list[str],
-        finalize: bool,
-        t0: float,
-    ) -> EpochManifest:
-        """Actor-pool backend epoch: route partials to the state actors,
-        advance watermark, actors close+write+snapshot, commit."""
-        last_epoch = epoch - 1 if epoch > 0 else -1
-        self._sync_actors(last_epoch, prev_state)
-        self._actors_synced_to = -2  # dirty until this epoch commits
-        size_us = self.size_s * US
-        rows_in = 0
-        rows_late = 0
-        epoch_max_ts = None
-        if files:
-            rows_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-            ds = _read_pq(files, **self.extra_read_kw)
-            if self.transform is not None:
-                ds = self.transform(ds)
-            partials = self._live_partials(ds)
-            rows_late, epoch_max_ts = self._actors().route_partials(
-                partials, self.keys[0], prev_wm, size_us, self.window_col, f"{self.ts_col}_max", epoch
-            )
-
-        new_wm = prev_wm
-        if epoch_max_ts is not None:
-            new_wm = max(prev_wm, epoch_max_ts - self.allowed_lateness_s * US)
-        if finalize:
-            new_wm = WM_FINAL
-
-        group_cols = list(self.keys) + [self.window_col]
-        lineage = self._actors().close_and_write(
-            new_wm, size_us, self.window_col, self.out_dir, epoch, self.aggs, group_cols
-        )
-        rows_out = sum(r["rows"] for r in lineage)
-        state_path = self.store.state_path_for(epoch)
-        state_rows, state_lineage = self._actors().snapshot_all(state_path, epoch)
-
-        manifest = EpochManifest(
-            epoch=epoch,
-            input_files=files,
-            watermark_us=new_wm,
-            rows_in=rows_in,
-            rows_late=rows_late,
-            rows_out=rows_out,
-            partitions={
-                str(r["partition"]): {"rows": r["rows"], "files": r["files"], "sha256": r["sha256"]}
-                for r in lineage
-            },
-            state_rows=state_rows,
-            state_path=state_path,
-            state_partitions={
-                str(r["partition"]): {"rows": r["rows"], "files": r["files"], "sha256": r["sha256"]}
-                for r in state_lineage
-            },
-            extra={"state_backend": "actors"},
-        )
-        self.store.commit(manifest)
-        self._actors_synced_to = epoch
-        self.store.append_metrics(
-            {
-                "epoch": epoch,
-                "rows_in": rows_in,
-                "rows_late": rows_late,
-                "rows_out": rows_out,
-                "state_rows": state_rows,
-                "watermark_us": new_wm,
-                "watermark_lag_us": (epoch_max_ts - new_wm) if epoch_max_ts is not None else None,
+                "watermark_us": manifest.watermark_us,
+                "watermark_lag_us": (epoch_max_ts - manifest.watermark_us) if epoch_max_ts is not None else None,
                 "n_partitions_out": len(manifest.partitions),
                 "wall_s": round(time.perf_counter() - t0, 3),
-                "state_backend": "actors",
             }
         )
         return manifest
+
+    def _dataset_step(
+        self, epoch: int, files: list[str], state_files: list[str], prev_wm: int, finalize: bool, state_path: str
+    ) -> dict:
+        """window_step as a Ray Data plan: the form that scales past one
+        worker's heap."""
+        parts: list[rd.Dataset] = []
+        if files:
+            ds = _read_pq(files, **self.extra_read_kw)
+            if self.transform is not None:
+                ds = ds.map_batches(self.transform, batch_format="pyarrow", zero_copy_batch=True)
+            parts.append(self._live_partials(ds))
+        if state_files:
+            parts.append(_read_pq(state_files))
+        if not parts:
+            return _window_result(advance_watermark(prev_wm, None, self.allowed_lateness_s, finalize))
+
+        # normalize column order so union of state + live partials is valid
+        cols = sorted(parts[0].schema().names)
+        parts = [p.select_columns(cols) for p in parts]
+        unioned = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+        merged = merge_partials(
+            unioned, self._group_cols, self._state_aggs, None,
+            backend=self.merge_backend, num_buckets=self.num_partitions,
+        )
+        # materialize ONCE: everything below consumes these small partial
+        # blocks repeatedly (late/closed/open splits + watermark max)
+        merged = merged.materialize()
+        mx = merged.max(f"{self.ts_col}_max")
+        epoch_max_ts = None if mx is None else int(pa.scalar(mx).cast(pa.int64()).as_py())
+        new_wm = advance_watermark(prev_wm, epoch_max_ts, self.allowed_lateness_s, finalize)
+
+        def split(lo_us: int, hi_us: int) -> rd.Dataset:
+            fn = partial(
+                windows_ending_in, window_col=self.window_col, size_us=self.size_s * US, lo_us=lo_us, hi_us=hi_us
+            )
+            return merged.map_batches(fn, batch_format="pyarrow")
+
+        final = finalize_partials(split(prev_wm, new_wm), self._group_cols, self.aggs, None)
+        return _window_result(
+            new_wm,
+            epoch_max_ts,
+            rows_late=int(split(WM_MIN, prev_wm).sum("__pcount") or 0),
+            partitions=_lineage(
+                write_deterministic(final, self.out_dir, epoch, self.keys[0], self.num_partitions)
+            ),
+            state_partitions=_lineage(
+                write_deterministic(
+                    split(new_wm, WM_FINAL).select_columns(cols), state_path, epoch, self.keys[0],
+                    self.num_partitions,
+                )
+            ),
+        )
 
     # -- drive to completion -------------------------------------------
     def run(self, max_epochs: int | None = None, finalize: bool = True) -> list[EpochManifest]:

@@ -88,13 +88,13 @@ class StreamingSessionJob:
     num_partitions: int = 8
     max_files_per_epoch: int = 1
     extra_read_kw: dict = field(default_factory=dict)
-    # per-epoch ROW-PRESERVING transform on the live input (same hook as
+    # per-epoch ROW-PRESERVING table function on the live input (same hook as
     # job.py/stitch_job) — e.g. fixed-pointing money columns to integers
     # BEFORE the fragment partials so sums are order/shard-invariant.
     # Must keep the row count: late accounting is rows_in (parquet
     # metadata, pre-transform) minus kept rows (post-transform), so a
     # row-collapsing/expanding transform corrupts rows_late silently.
-    transform: "object | None" = None  # Callable[[rd.Dataset], rd.Dataset]
+    transform: "object | None" = None  # Callable[[pa.Table], pa.Table]
     secret_refresh: "object | None" = None  # Callable[[], None]
 
     def __post_init__(self):
@@ -308,7 +308,7 @@ class StreamingSessionJob:
             rows_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
             ds = _read_pq(files, **self.extra_read_kw)
             if self.transform is not None:
-                ds = self.transform(ds)
+                ds = ds.map_batches(self.transform, batch_format="pyarrow", zero_copy_batch=True)
             frag = self._fragment_block
             # ONE pass over the epoch's input: fragment partials are small
             # (bounded by open sessions + per-block fragment count), so

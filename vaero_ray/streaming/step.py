@@ -1,0 +1,88 @@
+"""Small-epoch step: one epoch as ONE Ray task over plain pyarrow.
+
+A streaming epoch runs either as a Ray Data plan (several executions and
+shuffles; the only form that scales past one worker's heap) or, when the
+epoch is small, as one Ray task that runs the same kernels — the compiled
+transform chain, the window partial/merge/finalize functions,
+``hash_bucket`` and the canonical writer — over pyarrow tables in one
+process. For a few thousand rows the Ray Data plan is almost all fixed
+cost: each execution and each shuffle costs more than the data it moves.
+
+An epoch is small when its claimed input files plus its carried state
+files hold at most ``SMALL_EPOCH_BYTES`` uncompressed bytes, summed from
+the parquet footers' row-group sizes. Both forms write byte-identical
+files, so an epoch may take either one and a resume may switch between
+them (tests/test_small_step.py). The task receives a plain spec (file
+lists, watermark, epoch, plan) — never the job object or its checkpoint
+store — and returns lineage and counters; the job commits.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+import ray
+
+from vaero_ray.stages.keyed import hash_bucket
+from vaero_ray.streaming.sink import write_partition_file
+
+# upper bound on an epoch's input + carried state (uncompressed parquet
+# bytes) for the one-task step; ~3x that is resident in the task at peak
+SMALL_EPOCH_BYTES = 64 << 20
+
+
+def footer_stats(files: list[str]) -> tuple[int, int]:
+    """(rows, uncompressed row-group bytes) of ``files``, from the footers."""
+    rows = nbytes = 0
+    for f in files:
+        md = pq.read_metadata(f)
+        rows += md.num_rows
+        nbytes += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+    return rows, nbytes
+
+
+def is_small(nbytes: int, read_kw: dict) -> bool:
+    """Whether an epoch of ``nbytes`` runs as one task. Read options other
+    than ``columns`` are Ray Data ``read_parquet`` arguments, which only
+    the Dataset plan honours."""
+    return nbytes <= SMALL_EPOCH_BYTES and set(read_kw) <= {"columns"}
+
+
+def read_table(files: list[str], columns: list[str] | None = None) -> pa.Table:
+    """``files`` as one table, read the way ``io.read_parquet`` reads
+    them: the first file's footer schema, metadata stripped and pruned to
+    ``columns``, is forced onto every file."""
+    schema = pq.read_schema(files[0]).remove_metadata()
+    if columns:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return pads.dataset(files, schema=schema, format="parquet").to_table()
+
+
+def write_partitions(tbl: pa.Table, base_dir: str, epoch: int, key: str, num_partitions: int) -> dict:
+    """One canonical file per non-empty hash partition of ``key``, the
+    same bytes ``sink.write_deterministic`` writes; returns the manifest
+    lineage ``{partition: {"rows", "files", "sha256"}}``. Each partition
+    converts to pandas on its own, as ``map_groups`` converts a group."""
+    if not tbl.num_rows:
+        return {}
+    buckets = np.asarray(hash_bucket(tbl.column(key).to_pandas(), num_partitions))
+    out = {}
+    for b in np.unique(buckets):
+        df = tbl.filter(pa.array(buckets == b)).to_pandas()
+        path, digest, rows = write_partition_file(df, base_dir, int(b), epoch)
+        out[str(int(b))] = {"rows": rows, "files": [path], "sha256": [digest]}
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _remote(fn):
+    return ray.remote(fn)
+
+
+def run_in_task(fn, **kw):
+    """``fn(**kw)`` as one Ray task; returns its result."""
+    return ray.get(_remote(fn).remote(**kw))

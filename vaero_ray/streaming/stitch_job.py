@@ -86,10 +86,10 @@ class StreamingStitchJob:
     # per-bucket fn (e.g. session aggregates) for other session-window
     # outputs — the buffering/close/commit machinery is shared.
     emitter: Callable[[pd.DataFrame], pd.DataFrame] | None = None
-    # per-epoch ROW-PRESERVING transform on the live input (column
+    # per-epoch ROW-PRESERVING table function on the live input (column
     # derivation/casts only — rows_in/rows_late accounting assumes the
     # transform keeps the row count; see session_job/job contract)
-    transform: Callable[[rd.Dataset], rd.Dataset] | None = None
+    transform: Callable[[pa.Table], pa.Table] | None = None
     num_partitions: int = 8
     max_files_per_epoch: int = 1
     extra_read_kw: dict = field(default_factory=dict)
@@ -139,7 +139,7 @@ class StreamingStitchJob:
             rows_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
             ds = _read_pq(files, **self.extra_read_kw)
             if self.transform is not None:
-                ds = self.transform(ds)
+                ds = ds.map_batches(self.transform, batch_format="pyarrow", zero_copy_batch=True)
             # materialize ONCE: the live side is consumed twice (watermark
             # max below + the union shuffle) and would otherwise re-read
             # and re-decode the epoch's files per consumer; one epoch's

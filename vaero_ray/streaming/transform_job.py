@@ -25,15 +25,66 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
+import pyarrow.compute as pc
 import ray.data as rd
 
 from vaero_ray.io import read_parquet as _read_pq
 
-from vaero_ray.planner import Plan, Planner
+from vaero_ray.planner import Branch, Plan, Planner, RelStep
 from vaero_ray.sinks.parquet_sink import PREFIX_COL, derive_prefix
+from vaero_ray.streaming import step
 from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
 from vaero_ray.streaming.sink import write_canonical_file
+
+
+def _sink_route(i: int, branch: Branch) -> tuple[str, str, str]:
+    """(branch key, sink timestamp_key, file-safe strftime prefix)."""
+    sink = branch.sink
+    ts_key = sink.args.get("timestamp_key", "timestamp") if sink else "timestamp"
+    fmt = (sink.args.get("filename_prefix", "%Y/%m/%d") if sink else "%Y/%m/%d").replace("/", "-")
+    return f"b{i}_{sink.op if sink else 'none'}", ts_key, fmt
+
+
+def _known_output_cols(branch: Branch) -> set[str] | None:
+    """Output columns of a branch whose last column-changing step is a
+    window aggregate, or None when they depend on the input schema."""
+    cols = None
+    for s in branch.steps:
+        if isinstance(s, RelStep) and s.op == "window":
+            a = s.args
+            cols = set(a["keys"]) | {alias for _, _, alias in a["aggs"]}
+            if a.get("size_s", 60) is not None:
+                cols.add(a.get("window_col", "window_start"))
+        elif not (isinstance(s, RelStep) and s.op in ("filter", "limit")):
+            cols = None  # transforms, joins and dedup: columns follow the input
+    return cols
+
+
+def write_prefix_file(df: pd.DataFrame, bdir: str, epoch: int) -> dict:
+    """One prefix group's canonical file, written DIRECTLY at its
+    prefix-derived path (concurrent prefix groups run in separate Ray
+    workers, so no shared intermediate is allowed); returns its lineage
+    row."""
+    pdir_safe = str(df[PREFIX_COL].iloc[0]).replace("/", "-")
+    final = os.path.join(bdir, pdir_safe, f"epoch-{epoch:08d}.parquet")
+    _, sha, rows = write_canonical_file(df.drop(columns=[PREFIX_COL]), final)
+    return {"partition": pdir_safe, "rows": rows, "path": final, "sha256": sha}
+
+
+def route_step(*, epoch: int, files: list[str], columns: list[str] | None, routes: list, out_dir: str) -> list:
+    """One route epoch over pyarrow tables in one process (step.py):
+    read -> each branch's compiled chain -> sink prefix -> one file per
+    (branch, prefix). ``routes`` holds (branch key, chain, timestamp_key,
+    prefix format) per branch; returns (branch key, lineage row) pairs."""
+    tbl = step.read_table(files, columns)
+    out = []
+    for bkey, fused, ts_key, fmt in routes:
+        staged = derive_prefix(fused(tbl), ts_key, fmt)
+        prefix = staged.column(PREFIX_COL)
+        for p in pc.unique(prefix).to_pylist():
+            df = staged.filter(pc.equal(prefix, p)).to_pandas()
+            out.append((bkey, write_prefix_file(df, os.path.join(out_dir, bkey), epoch)))
+    return out
 
 
 @dataclass
@@ -48,6 +99,15 @@ class StreamingTransformJob:
     def __post_init__(self):
         self.store = CheckpointStore(self.ckpt_dir)
         self.plan: Plan = Planner(self.graph).plan
+        for i, branch in enumerate(self.plan.branches):
+            _, ts_key, _ = _sink_route(i, branch)
+            cols = _known_output_cols(branch)
+            if cols is not None and ts_key not in cols:
+                raise ValueError(
+                    f"branch {i}: sink timestamp_key {ts_key!r} is not a column of the branch "
+                    f"output {sorted(cols)}; a .window() step replaces the event-time column, "
+                    "so point the sink's timestamp_key at its window column"
+                )
         self._secret_resolver = None
         if self.plan.source is not None and self.plan.source.secret:
             from vaero_ray.secrets import SecretResolver
@@ -70,76 +130,32 @@ class StreamingTransformJob:
         files = self.pending_files()[: self.max_files_per_epoch]
         if not files:
             return None
-        rows_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-        # read_parquet itself takes io.DATASET_BUILD_LOCK (taking it here
-        # too would deadlock — threading.Lock is not reentrant).
-        # materialize ONCE: every branch below consumes src, and an
-        # un-materialized plan would re-read + re-decode the epoch's
-        # files once per branch; one epoch is bounded by
-        # max_files_per_epoch and spills if large.
-        src = _read_pq(files, **self.extra_read_kw).materialize()
+        rows_in, bytes_in = step.footer_stats(files)
+        # relational branches (window/join/dedup steps) run as Dataset
+        # plans, so their epochs take the Dataset step
+        small = step.is_small(bytes_in, self.extra_read_kw) and not any(
+            b.has_rel for b in self.plan.branches
+        )
+        if small:
+            routes = []
+            for i, branch in enumerate(self.plan.branches):
+                bkey, ts_key, fmt = _sink_route(i, branch)
+                routes.append((bkey, branch.compile(), ts_key, fmt))
+            lineage = step.run_in_task(
+                route_step, epoch=epoch, files=files, columns=self.extra_read_kw.get("columns"),
+                routes=routes, out_dir=self.out_dir,
+            )
+        else:
+            lineage = self._dataset_step(epoch, files)
 
         partitions: dict = {}
-        rows_out = 0
-        for i, branch in enumerate(self.plan.branches):
-            sink = branch.sink
-            bkey = f"b{i}_{sink.op if sink else 'none'}"
-            fused = None if branch.has_rel else branch.compile()
-            ts_key = sink.args.get("timestamp_key", "timestamp") if sink else "timestamp"
-            fmt = (sink.args.get("filename_prefix", "%Y/%m/%d") if sink else "%Y/%m/%d").replace(
-                "/", "-"
-            )
-            bdir = os.path.join(self.out_dir, bkey)
-
-            def stage(tbl: pa.Table, fused=fused, ts_key=ts_key, fmt=fmt) -> pa.Table:
-                return derive_prefix(fused(tbl), ts_key, fmt)
-
-            def write_prefix(df: pd.DataFrame, bdir=bdir) -> pd.DataFrame:
-                prefix = df[PREFIX_COL].iloc[0]
-                df = df.drop(columns=[PREFIX_COL])
-                pdir_safe = str(prefix).replace("/", "-")
-                # one file per (branch, prefix, epoch), written DIRECTLY at
-                # its prefix-derived path: concurrent prefix groups run in
-                # separate Ray workers, so no shared intermediate is allowed
-                final = os.path.join(bdir, pdir_safe, f"epoch-{epoch:08d}.parquet")
-                _, sha, rows = write_canonical_file(df, final)
-                return pd.DataFrame(
-                    {"partition": [pdir_safe], "rows": [rows], "path": [final], "sha256": [sha]}
-                )
-
-            if fused is None:
-                # relational branch (window/join/dedup steps): the epoch's
-                # materialized src IS the bounded batch; apply the step plan
-                # then derive the sink prefix in its own zero-copy pass.
-                # Window semantics here are PER-EPOCH (each poll's batch
-                # windows independently — the reference's per-capsule batch
-                # model); cross-epoch event-time windows with watermarks
-                # and open-window state carry are StreamingWindowedJob
-                # (streaming/job.py), not this path.
-                from vaero_ray.runner import apply_steps
-
-                def prefix_only(tbl: pa.Table, ts_key=ts_key, fmt=fmt) -> pa.Table:
-                    return derive_prefix(tbl, ts_key, fmt)
-
-                staged = apply_steps(src, branch).map_batches(
-                    prefix_only, batch_format="pyarrow", zero_copy_batch=True
-                )
-            else:
-                staged = src.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
-            lineage = (
-                staged
-                .groupby(PREFIX_COL)
-                .map_groups(write_prefix, batch_format="pandas")
-                .take_all()
-            )
-            for r in lineage:
-                partitions[f"{bkey}/{r['partition']}"] = {
-                    "rows": r["rows"],
-                    "files": [r["path"]],
-                    "sha256": [r["sha256"]],
-                }
-                rows_out += r["rows"]
-
+        for bkey, r in lineage:
+            partitions[f"{bkey}/{r['partition']}"] = {
+                "rows": r["rows"],
+                "files": [r["path"]],
+                "sha256": [r["sha256"]],
+            }
+        rows_out = sum(r["rows"] for _, r in lineage)
         manifest = EpochManifest(
             epoch=epoch,
             input_files=files,
@@ -157,6 +173,9 @@ class StreamingTransformJob:
             {
                 "epoch": epoch,
                 "op": "transform",
+                "step": "task" if small else "dataset",
+                "bytes_in": bytes_in,
+                "state_bytes_in": 0,
                 "rows_in": rows_in,
                 "rows_out": rows_out,
                 "n_partitions_out": len(partitions),
@@ -164,6 +183,45 @@ class StreamingTransformJob:
             }
         )
         return manifest
+
+    def _dataset_step(self, epoch: int, files: list[str]) -> list:
+        """route_step as Ray Data plans, one prefix-grouped write per
+        branch; the only step for relational branches."""
+        # read_parquet itself takes io.DATASET_BUILD_LOCK (taking it here
+        # too would deadlock — threading.Lock is not reentrant).
+        # materialize ONCE: every branch below consumes src, and an
+        # un-materialized plan would re-read + re-decode the epoch's
+        # files once per branch; one epoch is bounded by
+        # max_files_per_epoch and spills if large.
+        src = _read_pq(files, **self.extra_read_kw).materialize()
+        out = []
+        for i, branch in enumerate(self.plan.branches):
+            bkey, ts_key, fmt = _sink_route(i, branch)
+            bdir = os.path.join(self.out_dir, bkey)
+
+            def prefix_only(tbl: pa.Table, ts_key=ts_key, fmt=fmt) -> pa.Table:
+                return derive_prefix(tbl, ts_key, fmt)
+
+            def write_prefix(df: pd.DataFrame, bdir=bdir) -> pd.DataFrame:
+                return pd.DataFrame([write_prefix_file(df, bdir, epoch)])
+
+            if branch.has_rel:
+                # relational branch: the epoch's materialized src IS the
+                # bounded batch; apply the step plan then derive the sink
+                # prefix in its own zero-copy pass. Window semantics here
+                # are PER-EPOCH (each poll's batch windows independently —
+                # the reference's per-capsule batch model); cross-epoch
+                # event-time windows with watermarks and open-window state
+                # carry are StreamingWindowedJob (streaming/job.py).
+                from vaero_ray.runner import apply_steps
+
+                staged = apply_steps(src, branch)
+            else:
+                staged = src.map_batches(branch.compile(), batch_format="pyarrow", zero_copy_batch=True)
+            staged = staged.map_batches(prefix_only, batch_format="pyarrow", zero_copy_batch=True)
+            lineage = staged.groupby(PREFIX_COL).map_groups(write_prefix, batch_format="pandas").take_all()
+            out.extend((bkey, r) for r in lineage)
+        return out
 
     def run(self, max_epochs: int | None = None) -> list[EpochManifest]:
         out: list[EpochManifest] = []
