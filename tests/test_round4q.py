@@ -5,6 +5,7 @@ pairwise oracles on randomized inputs."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 
@@ -183,6 +184,18 @@ def test_winnow_fingerprints_match_scalar_reference(ray_session):
         got[int(r["doc_id"])].add(int(r["fp"]))
     for i, t in enumerate(texts):
         assert got[i] == _winnow_brute(t), f"doc {i}: {t!r}"
+
+
+def test_winnow_fingerprints_rejects_k_that_overflows_int64():
+    from vaero_ray.stages.dedup import winnow_fingerprints
+    from vaero_ray.stages.textstats import FP_MOD
+
+    k_max = (2**63 - 1) // (255 * FP_MOD)  # largest k whose unreduced gram sum fits int64
+    tbl = pa.table({"doc_id": pa.array([1], pa.int64()), "text": pa.array(["short text"])})
+    assert winnow_fingerprints(tbl, k=k_max).num_rows == 0  # text shorter than k: no grams
+    for k in (k_max + 1, 0):
+        with pytest.raises(ValueError, match="k="):
+            winnow_fingerprints(tbl, k=k)
 
 
 def test_winnow_guarantee_shared_substring(ray_session):

@@ -196,9 +196,19 @@ def test_metrics_written(stream_dir, tmp_path, monkeypatch, ray_session):
     recs = [json.loads(line) for line in lines]
     for rec in recs:
         for field in ("epoch", "rows_in", "rows_late", "rows_out", "state_rows", "watermark_us", "wall_s",
-                      "step", "bytes_in", "state_bytes_in"):
+                      "step", "bytes_in", "state_bytes_in", "read_s", "compute_s", "write_s", "files_written"):
             assert field in rec
     assert [r["step"] for r in recs] == ["task", "task", "dataset"]
+    # the task times its phases from inside; the Dataset step's plan
+    # fuses them, so it records none
+    for rec in recs[:2]:
+        assert all(rec[p] >= 0 for p in ("read_s", "compute_s", "write_s"))
+        assert rec["read_s"] + rec["compute_s"] + rec["write_s"] <= rec["wall_s"]
+    assert recs[2]["read_s"] is recs[2]["compute_s"] is recs[2]["write_s"] is None
+    for e, rec in enumerate(recs):
+        m = job.store.load(e)
+        written = [f for p in (*m.partitions.values(), *m.state_partitions.values()) for f in p["files"]]
+        assert rec["files_written"] == len(written) > 0
     files = sorted(os.path.join(stream_d, f) for f in os.listdir(stream_d))[:3]
     assert [r["bytes_in"] for r in recs] == [step.footer_stats([f])[1] for f in files]
     assert recs[0]["state_bytes_in"] == 0

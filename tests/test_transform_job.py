@@ -3,6 +3,7 @@ batch runner over the concatenated stream, exactly-once resume."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import pandas as pd
@@ -14,6 +15,7 @@ import ray.data as rd
 from vaero_ray.dsl import Vaero
 from vaero_ray.runner import run_batch
 from vaero_ray.sources.transcripts import make_transcripts
+from vaero_ray.streaming import step
 from vaero_ray.streaming.transform_job import StreamingTransformJob
 
 
@@ -66,6 +68,27 @@ def test_streaming_transform_matches_batch(stream, tmp_path, ray_session):
         pd.testing.assert_frame_equal(want, got[sorted(want.columns)], check_dtype=False)
     # masked text visible
     assert "<email>" in job.committed_output("b0_s3").to_pandas()["text"].iloc[0]
+
+
+def test_transform_metrics_written(stream, tmp_path, monkeypatch, ray_session):
+    stream_d, _ = stream
+    job = StreamingTransformJob(
+        input_dir=stream_d, out_dir=f"{tmp_path}/out", ckpt_dir=f"{tmp_path}/ckpt", graph=_graph()
+    )
+    job.run(max_epochs=2)
+    # an epoch above the small-epoch bound takes the Ray Data step
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", -1)
+    job.run(max_epochs=1)
+    with open(f"{tmp_path}/ckpt/metrics.jsonl") as fh:
+        recs = [json.loads(line) for line in fh]
+    assert [r["step"] for r in recs] == ["task", "task", "dataset"]
+    for rec in recs[:2]:
+        assert all(rec[p] >= 0 for p in ("read_s", "compute_s", "write_s"))
+        assert rec["read_s"] + rec["compute_s"] + rec["write_s"] <= rec["wall_s"]
+    assert recs[2]["read_s"] is recs[2]["compute_s"] is recs[2]["write_s"] is None
+    for e, rec in enumerate(recs):
+        parts = job.store.load(e).partitions
+        assert rec["files_written"] == sum(len(p["files"]) for p in parts.values()) > 0
 
 
 def test_streaming_transform_resume(stream, tmp_path, ray_session):

@@ -208,8 +208,10 @@ class Vaero:
 
     def filter_expr(self, expr: str) -> "Vaero":
         """Dataset-level row filter by an Arrow expression string (e.g.
-        ``"n_chars >= 100 and lang == 'en'"``) — pushed into the scan
-        where Ray Data can, unlike the per-event ``filter_regexp``."""
+        ``"n_chars >= 100 and lang == 'en'"``), unlike the per-event
+        ``filter_regexp``. It runs as a dataset operator at its position
+        in the chain, after the steps before it; it is not pushed into
+        the scan."""
         return self._add({"type": "rel", "op": "filter", "args": {"expr": expr}})
 
     def limit(self, n: int) -> "Vaero":

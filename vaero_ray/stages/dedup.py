@@ -1785,6 +1785,10 @@ def winnow_fingerprints(
     """
     from vaero_ray.stages.textstats import FP_BASE, FP_MOD
 
+    if k < 1 or k * 255 * FP_MOD >= 2**63:
+        # the gram hash below sums k byte*power terms before one modulo;
+        # past this k the int64 sum would overflow silently
+        raise ValueError(f"winnow_fingerprints: k={k} must be in [1, {(2**63 - 1) // (255 * FP_MOD)}]")
     norm = pc.utf8_lower(pc.replace_substring_regex(tbl.column(text_col), r"\s+", " "))
     data, off = _flat_texts(pa.table({"__t": norm}), "__t")
     lens = off[1:] - off[:-1]

@@ -160,9 +160,12 @@ def derive_num_buckets(
 
 
 def hash_bucket(values, num_buckets: int) -> "pd.Series":
-    """Deterministic (cross-process) bucket of a key array."""
+    """Deterministic (cross-process) bucket of a key array. An Arrow key
+    column is hashed as the pandas column it converts to."""
     import numpy as np
 
+    if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        values = values.to_pandas()
     arr = values.to_numpy() if hasattr(values, "to_numpy") else np.asarray(values)
     if arr.dtype == object or arr.dtype.kind in "USO":
         h = pd.util.hash_array(arr.astype(object), categorize=False)

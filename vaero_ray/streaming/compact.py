@@ -33,6 +33,7 @@ import json
 import os
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from vaero_ray.streaming.checkpoint import CheckpointStore
@@ -97,6 +98,8 @@ def compact_committed_output(store: CheckpointStore, out_dir: str,
     @ray.remote
     def _compact_one(bucket: str, files: list[str], out_dir: str,
                      through: int) -> tuple[str, dict]:
+        # concatenated in pandas: epoch files of one partition may type a
+        # column differently (an all-null column is the null type)
         df = pd.concat(
             [pq.read_table(f).to_pandas() for f in files], ignore_index=True
         )
@@ -111,7 +114,9 @@ def compact_committed_output(store: CheckpointStore, out_dir: str,
         path = os.path.join(
             out_dir, f"part-{bucket}", f"compacted-{through:08d}.parquet"
         )
-        p, digest, rows = write_canonical_file(df, path)
+        p, digest, rows = write_canonical_file(
+            pa.Table.from_pandas(df, preserve_index=False), path
+        )
         return bucket, {"file": p, "sha256": digest, "rows": rows,
                         "through": through, "replaces": sorted(files)}
 
@@ -133,7 +138,7 @@ def compact_committed_output(store: CheckpointStore, out_dir: str,
     sidecar = {"through_epoch": through, "partitions": merged}
     # pid-suffixed tmp so a concurrent compaction can't interleave writes
     # into the same tmp file and commit a torn sidecar (same reason as
-    # write_canonical_file's tmp naming, sink.py:45)
+    # write_canonical_file's tmp naming in sink.py)
     tmp = _sidecar_path(out_dir) + f".tmp{os.getpid()}"
     with open(tmp, "w") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)

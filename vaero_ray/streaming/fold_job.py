@@ -250,7 +250,7 @@ class StreamingFoldJob:
 
         def tag(tbl: pa.Table) -> pa.Table:
             return tbl.append_column(
-                BUCKET_COL, pa.array(hash_bucket(tbl.column("key").to_pandas(), P))
+                BUCKET_COL, pa.array(hash_bucket(tbl.column("key"), P))
             )
 
         def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -274,17 +274,21 @@ class StreamingFoldJob:
                             val_out: new_folds["acc"].to_numpy(),
                         }
                     )
-                    path, sha, rows = write_partition_file(out, out_dir, bucket, epoch)
+                    path, sha, rows = write_partition_file(
+                        pa.Table.from_pandas(out, preserve_index=False), out_dir, bucket, epoch
+                    )
                     recs.append(("out", bucket, rows, path, sha))
             else:
                 if len(new_folds):
                     path, sha, rows = write_partition_file(
-                        new_folds, os.path.join(state_dir, "fold"), bucket, epoch
+                        pa.Table.from_pandas(new_folds, preserve_index=False),
+                        os.path.join(state_dir, "fold"), bucket, epoch
                     )
                     recs.append(("fold", bucket, rows, path, sha))
                 if len(future):
                     path, sha, rows = write_partition_file(
-                        future, os.path.join(state_dir, "buf"), bucket, epoch
+                        pa.Table.from_pandas(future, preserve_index=False),
+                        os.path.join(state_dir, "buf"), bucket, epoch
                     )
                     recs.append(("buf", bucket, rows, path, sha))
             return pd.DataFrame(

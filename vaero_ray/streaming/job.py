@@ -123,49 +123,63 @@ def window_step(
     read -> transform -> partials -> union previous state -> merge ->
     late/closed/open split -> finalize -> hash-partitioned writes."""
     group_cols = list(keys) + [window_col]
-    parts = []
-    if files:
-        tbl = step.read_table(files, columns)
-        if transform is not None:
-            tbl = transform(tbl)
-        if slide_s is None:
-            parts.append(partial_table(tbl, keys, state_aggs, ts_col, size_s, window_col))
-        else:
-            panes = partial_table(tbl, keys, state_aggs, ts_col, slide_s, "__pane")
-            parts.append(expand_pane_partials(panes, slide_s, size_s // slide_s, window_col=window_col))
-    if state_files:
-        parts.append(step.read_table(state_files))
+    timer = step.PhaseTimer()
+    with timer("read_s"):
+        live = step.read_table(files, columns) if files else None
+        state = step.read_table(state_files) if state_files else None
+    with timer("compute_s"):
+        parts = []
+        if live is not None:
+            if transform is not None:
+                live = transform(live)
+            if slide_s is None:
+                parts.append(partial_table(live, keys, state_aggs, ts_col, size_s, window_col))
+            else:
+                panes = partial_table(live, keys, state_aggs, ts_col, slide_s, "__pane")
+                parts.append(expand_pane_partials(panes, slide_s, size_s // slide_s, window_col=window_col))
+        if state is not None:
+            parts.append(state)
     if not parts:
-        return _window_result(advance_watermark(prev_wm, None, allowed_lateness_s, finalize))
-    if merge_backend == "native":
-        parts = [_int64_partials(p, group_cols) for p in parts]
-    merged = merge_partial_tables(parts, group_cols, state_aggs)
-    mx = pc.max(merged.column(f"{ts_col}_max"))
-    epoch_max_ts = mx.cast(pa.int64()).as_py() if mx.is_valid else None
-    new_wm = advance_watermark(prev_wm, epoch_max_ts, allowed_lateness_s, finalize)
-    split = partial(windows_ending_in, merged, window_col, size_s * US)
-    late = split(WM_MIN, prev_wm)
+        return _window_result(advance_watermark(prev_wm, None, allowed_lateness_s, finalize), phases=timer.report())
+    with timer("compute_s"):
+        if merge_backend == "native":
+            parts = [_int64_partials(p, group_cols) for p in parts]
+        merged = merge_partial_tables(parts, group_cols, state_aggs)
+        mx = pc.max(merged.column(f"{ts_col}_max"))
+        epoch_max_ts = mx.cast(pa.int64()).as_py() if mx.is_valid else None
+        new_wm = advance_watermark(prev_wm, epoch_max_ts, allowed_lateness_s, finalize)
+        split = partial(windows_ending_in, merged, window_col, size_s * US)
+        late = split(WM_MIN, prev_wm)
+        closed = finalize_table(split(prev_wm, new_wm), group_cols, aggs)
+        open_ = split(new_wm, WM_FINAL).select(sorted(merged.column_names))
+    with timer("write_s"):
+        partitions = step.write_partitions(closed, out_dir, epoch, keys[0], num_partitions)
+        state_partitions = step.write_partitions(open_, state_path, epoch, keys[0], num_partitions)
     return _window_result(
         new_wm,
         epoch_max_ts,
         rows_late=pc.sum(late.column("__pcount")).as_py() or 0,
-        partitions=step.write_partitions(
-            finalize_table(split(prev_wm, new_wm), group_cols, aggs), out_dir, epoch, keys[0], num_partitions
-        ),
-        state_partitions=step.write_partitions(
-            split(new_wm, WM_FINAL).select(sorted(merged.column_names)), state_path, epoch, keys[0], num_partitions
-        ),
+        partitions=partitions,
+        state_partitions=state_partitions,
+        phases=timer.report(),
     )
 
 
-def _window_result(watermark_us, epoch_max_ts=None, rows_late=0, partitions=None, state_partitions=None) -> dict:
+def _window_result(
+    watermark_us, epoch_max_ts=None, rows_late=0, partitions=None, state_partitions=None, phases=None
+) -> dict:
     return {
         "watermark_us": watermark_us,
         "epoch_max_ts": epoch_max_ts,
         "rows_late": rows_late,
         "partitions": partitions or {},
         "state_partitions": state_partitions or {},
+        "phases": phases or dict.fromkeys(step.PHASES),
     }
+
+
+def _files_written(*lineages: dict) -> int:
+    return sum(len(p["files"]) for lineage in lineages for p in lineage.values())
 
 
 def _lineage(tbl: pa.Table) -> dict:
@@ -375,6 +389,8 @@ class StreamingWindowedJob:
                 "watermark_us": manifest.watermark_us,
                 "watermark_lag_us": (epoch_max_ts - manifest.watermark_us) if epoch_max_ts is not None else None,
                 "n_partitions_out": len(manifest.partitions),
+                **res["phases"],
+                "files_written": _files_written(res["partitions"], res["state_partitions"]),
                 "wall_s": round(time.perf_counter() - t0, 3),
             }
         )

@@ -238,7 +238,7 @@ class StreamingJoinJob:
 
         def tag(tbl: pa.Table) -> pa.Table:
             return tbl.append_column(
-                BUCKET_COL, pa.array(hash_bucket(tbl.column(key).to_pandas(), self.num_partitions))
+                BUCKET_COL, pa.array(hash_bucket(tbl.column(key), self.num_partitions))
             )
 
         def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -347,7 +347,8 @@ class StreamingJoinJob:
                     for c in keep_cols:
                         snap[c] = frame[c].to_numpy()
                     path, sha, rows = write_partition_file(
-                        snap, os.path.join(state_dir, tag_), bucket, epoch
+                        pa.Table.from_pandas(snap, preserve_index=False),
+                        os.path.join(state_dir, tag_), bucket, epoch
                     )
                     recs.append((f"state{tag_}", bucket, rows, path, sha))
             if out_frames:
@@ -358,7 +359,9 @@ class StreamingJoinJob:
                     for c in rcols:
                         if c in int_cols:
                             out[c] = out[c].astype("Int64")
-                path, sha, rows = write_partition_file(out, out_dir, bucket, epoch)
+                path, sha, rows = write_partition_file(
+                    pa.Table.from_pandas(out, preserve_index=False), out_dir, bucket, epoch
+                )
                 recs.append(("out", bucket, rows, path, sha))
             return pd.DataFrame(
                 recs + [("late", bucket, n_late, "", "")],

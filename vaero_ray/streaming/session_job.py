@@ -353,7 +353,7 @@ class StreamingSessionJob:
             if tbl.schema.metadata:
                 tbl = tbl.replace_schema_metadata(None)
             return tbl.append_column(
-                BUCKET_COL, pa.array(hash_bucket(tbl.column(key).to_pandas(), P))
+                BUCKET_COL, pa.array(hash_bucket(tbl.column(key), P))
             )
 
         def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -365,12 +365,13 @@ class StreamingSessionJob:
             recs = []
             if len(closed):
                 path, sha, rows = write_partition_file(
-                    fin_fn(closed, ts_aliases), out_dir, bucket, epoch
+                    pa.Table.from_pandas(fin_fn(closed, ts_aliases), preserve_index=False),
+                    out_dir, bucket, epoch
                 )
                 recs.append(("out", bucket, rows, path, sha))
             if len(open_):
                 path, sha, rows = write_partition_file(
-                    open_[cols].reset_index(drop=True), state_dir, bucket, epoch
+                    pa.Table.from_pandas(open_[cols], preserve_index=False), state_dir, bucket, epoch
                 )
                 recs.append(("state", bucket, rows, path, sha))
             return pd.DataFrame(

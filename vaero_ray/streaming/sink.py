@@ -1,15 +1,35 @@
 """Deterministic partitioned Parquet writer for the exactly-once sink.
 
-One file per (hash-partition, epoch), named ``p={bucket}/epoch-{k}.parquet``
-— a pure function of the partition contents: rows are canonically sorted
-on every column before writing, so re-running a crashed epoch overwrites
+Every file the streaming engine writes — epoch output, carried state,
+compacted output — goes through ``write_canonical_file``, so its bytes
+are a pure function of its rows: re-running a crashed epoch overwrites
 the file byte-identically (pyarrow emits no wall-clock metadata). This
 replaces the reference's inherently non-resumable wall-clock/UUID
 filenames (/root/reference/execute/sinkNode.go:190-225).
 
-Executed as ``groupby(bucket).map_groups`` — each partition's file is
-written INSIDE the Ray task that holds its rows (no driver round-trip);
-only the tiny lineage table (partition, rows, path, sha256) is collected.
+The canonical form (``canonical_table``) is computed in pyarrow:
+
+- column types are normalized the way the engine's former pandas round
+  trip (``to_pandas`` -> sort -> ``from_pandas``) left them, so files
+  keep their bytes: ``large_string``/``large_binary``/fixed-size binary
+  become ``string``/``binary``, ``date64`` becomes ``date32``, times
+  become ``time64[us]``, NaN becomes null, an integer column with nulls
+  becomes ``float64``, and an all-null column of a type pandas holds as
+  Python objects (strings, binaries, bools, dates, times, decimals,
+  nested) becomes the ``null`` type. Two deliberate differences: a
+  dictionary column is written decoded to its value type (Arrow cannot
+  sort dictionaries), and a decimal keeps its declared precision (pandas
+  re-inferred it from the values, so it varied between files). A table
+  converted from a DataFrame (it carries pandas metadata) already has
+  the round-trip types and is only decoded;
+- rows are sorted on every column, ascending, nulls last (a stable sort,
+  like pandas' mergesort);
+- the schema carries no metadata and every field is nullable.
+
+``write_deterministic`` runs the writer as ``groupby(bucket).map_groups``
+over pyarrow batches — each partition's file is written INSIDE the Ray
+task that holds its rows (no driver round-trip); only the tiny lineage
+table (partition, rows, path, sha256) is collected.
 """
 
 from __future__ import annotations
@@ -17,8 +37,8 @@ from __future__ import annotations
 import hashlib
 import os
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -30,33 +50,86 @@ LINEAGE_SCHEMA = pa.schema(
 
 
 def add_partition_col(tbl: pa.Table, key: str, num_partitions: int) -> pa.Table:
-    return tbl.append_column(BUCKET_COL, pa.array(hash_bucket(tbl.column(key).to_pandas(), num_partitions)))
+    return tbl.append_column(BUCKET_COL, pa.array(hash_bucket(tbl.column(key), num_partitions)))
 
 
-def write_canonical_file(df: "pd.DataFrame", path: str) -> tuple[str, str, int]:
+def _held_as_objects(t: pa.DataType) -> bool:
+    """Types pandas holds as Python objects (bools only when nulls force it)."""
+    return (
+        pa.types.is_string(t)
+        or pa.types.is_binary(t)
+        or pa.types.is_date(t)
+        or pa.types.is_time(t)
+        or pa.types.is_decimal(t)
+        or pa.types.is_nested(t)
+    )
+
+
+def _round_trip_types(col: pa.ChunkedArray) -> pa.ChunkedArray:
+    """``col`` with the type and nulls a pandas round trip gives it."""
+    t = col.type
+    if pa.types.is_large_string(t):
+        col = col.cast(pa.string())
+    elif pa.types.is_large_binary(t) or pa.types.is_fixed_size_binary(t):
+        col = col.cast(pa.binary())
+    elif pa.types.is_date64(t):
+        col = col.cast(pa.date32())
+    elif pa.types.is_time(t) and t != pa.time64("us"):
+        col = col.cast(pa.time64("us"))
+    t, n, nulls = col.type, len(col), col.null_count
+    if pa.types.is_floating(t) and nulls < n and pc.any(pc.is_nan(col)).as_py():
+        col = pc.if_else(pc.is_nan(col), pa.scalar(None, t), col)
+    elif pa.types.is_integer(t) and nulls:
+        col = col.cast(pa.float64(), safe=False)
+    elif nulls == n and (_held_as_objects(t) or (pa.types.is_boolean(t) and n)):
+        col = pa.chunked_array([pa.nulls(n)])
+    return col
+
+
+def canonical_table(tbl: pa.Table) -> pa.Table:
+    """``tbl`` in canonical form: normalized types, plain schema, rows
+    sorted on every column (module docstring)."""
+    from_frame = tbl.schema.pandas_metadata is not None
+    cols = []
+    for col in tbl.columns:
+        if pa.types.is_dictionary(col.type):
+            col = col.cast(col.type.value_type)
+        cols.append(col if from_frame else _round_trip_types(col))
+    tbl = pa.table(cols, schema=pa.schema([pa.field(n, c.type) for n, c in zip(tbl.column_names, cols)]))
+    try:
+        order = pc.sort_indices(
+            tbl, sort_keys=[(n, "ascending") for n in tbl.column_names], null_placement="at_end"
+        )
+    except (pa.ArrowNotImplementedError, pa.ArrowTypeError) as e:
+        raise ValueError(f"canonical writer cannot sort columns of {tbl.schema.types}: {e}") from e
+    return tbl.take(order).combine_chunks()
+
+
+def write_canonical_file(tbl: pa.Table, path: str) -> tuple[str, str, int]:
     """Canonical in-task write of one partition file at an explicit path:
-    sort on all columns -> tmp write -> atomic rename -> (path, sha256,
-    rows). Byte-identical across re-runs (pyarrow emits no wall-clock
-    metadata). The path MUST be unique per (partition, epoch) — callers
-    that write concurrent partitions must derive the path from the
-    partition key, never share an intermediate."""
-    df = df.sort_values(list(df.columns), kind="mergesort", ignore_index=True)
+    canonical form -> Parquet bytes in memory -> sha256 of those bytes
+    -> tmp write -> atomic rename -> (path, sha256, rows). The path MUST
+    be unique per (partition, epoch) — callers that write concurrent
+    partitions must derive the path from the partition key, never share
+    an intermediate."""
+    tbl = canonical_table(tbl)
+    buf = pa.BufferOutputStream()
+    pq.write_table(tbl, buf, row_group_size=1 << 20)
+    data = buf.getvalue()
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp{os.getpid()}"
-    tbl = pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-    pq.write_table(tbl, tmp, row_group_size=1 << 20)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    return path, digest, len(df)
+    return path, hashlib.sha256(data).hexdigest(), tbl.num_rows
 
 
-def write_partition_file(df: "pd.DataFrame", base_dir: str, bucket: int, epoch: int) -> tuple[str, str, int]:
-    """Canonical in-task write of one partition's epoch file:
-    sort on all columns -> part-{bucket}/epoch-{k}.parquet (atomic rename)
-    -> (path, sha256, rows). Byte-identical across re-runs of the same
-    epoch; shared by the windowed sink and the stitch job."""
+def write_partition_file(tbl: pa.Table, base_dir: str, bucket: int, epoch: int) -> tuple[str, str, int]:
+    """Canonical in-task write of one partition's epoch file at
+    part-{bucket}/epoch-{k}.parquet -> (path, sha256, rows). Shared by
+    every streaming job's output and state writes."""
     path = os.path.join(base_dir, f"part-{bucket}", f"epoch-{epoch:08d}.parquet")
-    return write_canonical_file(df, path)
+    return write_canonical_file(tbl, path)
 
 
 def write_deterministic(
@@ -73,18 +146,17 @@ def write_deterministic(
     def tag(tbl: pa.Table) -> pa.Table:
         return add_partition_col(tbl, partition_key, num_partitions)
 
-    def write_partition(df: pd.DataFrame) -> pd.DataFrame:
+    def write_partition(tbl: pa.Table) -> pa.Table:
         # dir name has no '=': hive-partition inference would otherwise
         # resurrect the bucket as a phantom column on read
-        bucket = int(df[BUCKET_COL].iloc[0])
-        df = df.drop(columns=[BUCKET_COL])
-        path, digest, rows = write_partition_file(df, base_dir, bucket, epoch)
-        return pd.DataFrame(
-            {"partition": [bucket], "rows": [rows], "path": [path], "sha256": [digest]}
+        bucket = tbl.column(BUCKET_COL)[0].as_py()
+        path, digest, rows = write_partition_file(tbl.drop_columns([BUCKET_COL]), base_dir, bucket, epoch)
+        return pa.Table.from_pylist(
+            [{"partition": bucket, "rows": rows, "path": path, "sha256": digest}], schema=LINEAGE_SCHEMA
         )
 
     tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-    lineage_ds = tagged.groupby(BUCKET_COL).map_groups(write_partition, batch_format="pandas")
+    lineage_ds = tagged.groupby(BUCKET_COL).map_groups(write_partition, batch_format="pyarrow")
     rows = lineage_ds.take_all()  # tiny: <= num_partitions rows
     if not rows:
         return LINEAGE_SCHEMA.empty_table()

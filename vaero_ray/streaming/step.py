@@ -14,12 +14,15 @@ the parquet footers' row-group sizes. Both forms write byte-identical
 files, so an epoch may take either one and a resume may switch between
 them (tests/test_small_step.py). The task receives a plain spec (file
 lists, watermark, epoch, plan) — never the job object or its checkpoint
-store — and returns lineage and counters; the job commits.
+store — and returns lineage, counters and its phase times; the job
+commits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -33,6 +36,28 @@ from vaero_ray.streaming.sink import write_partition_file
 # upper bound on an epoch's input + carried state (uncompressed parquet
 # bytes) for the one-task step; ~3x that is resident in the task at peak
 SMALL_EPOCH_BYTES = 64 << 20
+
+# phases a task step times for the epoch's metrics record; the Dataset
+# step runs read, compute and write as one fused plan and records None
+PHASES = ("read_s", "compute_s", "write_s")
+
+
+class PhaseTimer:
+    """Seconds spent in each of ``PHASES`` by one task step."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+
+    @contextlib.contextmanager
+    def __call__(self, phase: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[phase] += time.perf_counter() - t0
+
+    def report(self) -> dict:
+        return {k: round(v, 4) for k, v in self.seconds.items()}
 
 
 def footer_stats(files: list[str]) -> tuple[int, int]:
@@ -65,15 +90,13 @@ def read_table(files: list[str], columns: list[str] | None = None) -> pa.Table:
 def write_partitions(tbl: pa.Table, base_dir: str, epoch: int, key: str, num_partitions: int) -> dict:
     """One canonical file per non-empty hash partition of ``key``, the
     same bytes ``sink.write_deterministic`` writes; returns the manifest
-    lineage ``{partition: {"rows", "files", "sha256"}}``. Each partition
-    converts to pandas on its own, as ``map_groups`` converts a group."""
+    lineage ``{partition: {"rows", "files", "sha256"}}``."""
     if not tbl.num_rows:
         return {}
-    buckets = np.asarray(hash_bucket(tbl.column(key).to_pandas(), num_partitions))
+    buckets = np.asarray(hash_bucket(tbl.column(key), num_partitions))
     out = {}
     for b in np.unique(buckets):
-        df = tbl.filter(pa.array(buckets == b)).to_pandas()
-        path, digest, rows = write_partition_file(df, base_dir, int(b), epoch)
+        path, digest, rows = write_partition_file(tbl.filter(pa.array(buckets == b)), base_dir, int(b), epoch)
         out[str(int(b))] = {"rows": rows, "files": [path], "sha256": [digest]}
     return out
 

@@ -178,7 +178,7 @@ class StreamingStitchJob:
 
         def tag(tbl: pa.Table) -> pa.Table:
             return tbl.append_column(
-                BUCKET_COL, pa.array(hash_bucket(tbl.column("conv_id").to_pandas(), P))
+                BUCKET_COL, pa.array(hash_bucket(tbl.column("conv_id"), P))
             )
 
         def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -204,10 +204,14 @@ class StreamingStitchJob:
                 )
                 if len(closed):
                     stitched = (self.emitter or stitch_convs_df)(closed)
-                    path, sha, rows = write_partition_file(stitched, out_dir, bucket, epoch)
+                    path, sha, rows = write_partition_file(
+                        pa.Table.from_pandas(stitched, preserve_index=False), out_dir, bucket, epoch
+                    )
                     recs.append(("out", bucket, rows, path, sha))
                 if len(open_):
-                    path, sha, rows = write_partition_file(open_, state_dir, bucket, epoch)
+                    path, sha, rows = write_partition_file(
+                        pa.Table.from_pandas(open_, preserve_index=False), state_dir, bucket, epoch
+                    )
                     recs.append(("state", bucket, rows, path, sha))
             return pd.DataFrame(
                 recs + [("late", bucket, n_late, "", "")],

@@ -23,7 +23,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
@@ -60,31 +59,35 @@ def _known_output_cols(branch: Branch) -> set[str] | None:
     return cols
 
 
-def write_prefix_file(df: pd.DataFrame, bdir: str, epoch: int) -> dict:
+def write_prefix_file(tbl: pa.Table, bdir: str, epoch: int) -> dict:
     """One prefix group's canonical file, written DIRECTLY at its
     prefix-derived path (concurrent prefix groups run in separate Ray
     workers, so no shared intermediate is allowed); returns its lineage
     row."""
-    pdir_safe = str(df[PREFIX_COL].iloc[0]).replace("/", "-")
+    pdir_safe = str(tbl.column(PREFIX_COL)[0].as_py()).replace("/", "-")
     final = os.path.join(bdir, pdir_safe, f"epoch-{epoch:08d}.parquet")
-    _, sha, rows = write_canonical_file(df.drop(columns=[PREFIX_COL]), final)
+    _, sha, rows = write_canonical_file(tbl.drop_columns([PREFIX_COL]), final)
     return {"partition": pdir_safe, "rows": rows, "path": final, "sha256": sha}
 
 
-def route_step(*, epoch: int, files: list[str], columns: list[str] | None, routes: list, out_dir: str) -> list:
+def route_step(*, epoch: int, files: list[str], columns: list[str] | None, routes: list, out_dir: str) -> dict:
     """One route epoch over pyarrow tables in one process (step.py):
     read -> each branch's compiled chain -> sink prefix -> one file per
     (branch, prefix). ``routes`` holds (branch key, chain, timestamp_key,
-    prefix format) per branch; returns (branch key, lineage row) pairs."""
-    tbl = step.read_table(files, columns)
-    out = []
+    prefix format) per branch; returns the (branch key, lineage row)
+    pairs and the phase times."""
+    timer = step.PhaseTimer()
+    with timer("read_s"):
+        tbl = step.read_table(files, columns)
+    lineage = []
     for bkey, fused, ts_key, fmt in routes:
-        staged = derive_prefix(fused(tbl), ts_key, fmt)
-        prefix = staged.column(PREFIX_COL)
-        for p in pc.unique(prefix).to_pylist():
-            df = staged.filter(pc.equal(prefix, p)).to_pandas()
-            out.append((bkey, write_prefix_file(df, os.path.join(out_dir, bkey), epoch)))
-    return out
+        with timer("compute_s"):
+            staged = derive_prefix(fused(tbl), ts_key, fmt)
+            prefix = staged.column(PREFIX_COL)
+            groups = [staged.filter(pc.equal(prefix, p)) for p in pc.unique(prefix).to_pylist()]
+        with timer("write_s"):
+            lineage.extend((bkey, write_prefix_file(g, os.path.join(out_dir, bkey), epoch)) for g in groups)
+    return {"lineage": lineage, "phases": timer.report()}
 
 
 @dataclass
@@ -141,12 +144,13 @@ class StreamingTransformJob:
             for i, branch in enumerate(self.plan.branches):
                 bkey, ts_key, fmt = _sink_route(i, branch)
                 routes.append((bkey, branch.compile(), ts_key, fmt))
-            lineage = step.run_in_task(
+            res = step.run_in_task(
                 route_step, epoch=epoch, files=files, columns=self.extra_read_kw.get("columns"),
                 routes=routes, out_dir=self.out_dir,
             )
         else:
-            lineage = self._dataset_step(epoch, files)
+            res = {"lineage": self._dataset_step(epoch, files), "phases": dict.fromkeys(step.PHASES)}
+        lineage = res["lineage"]
 
         partitions: dict = {}
         for bkey, r in lineage:
@@ -179,6 +183,8 @@ class StreamingTransformJob:
                 "rows_in": rows_in,
                 "rows_out": rows_out,
                 "n_partitions_out": len(partitions),
+                **res["phases"],
+                "files_written": len(lineage),
                 "wall_s": round(time.perf_counter() - t0, 3),
             }
         )
@@ -202,8 +208,8 @@ class StreamingTransformJob:
             def prefix_only(tbl: pa.Table, ts_key=ts_key, fmt=fmt) -> pa.Table:
                 return derive_prefix(tbl, ts_key, fmt)
 
-            def write_prefix(df: pd.DataFrame, bdir=bdir) -> pd.DataFrame:
-                return pd.DataFrame([write_prefix_file(df, bdir, epoch)])
+            def write_prefix(tbl: pa.Table, bdir=bdir) -> pa.Table:
+                return pa.Table.from_pylist([write_prefix_file(tbl, bdir, epoch)])
 
             if branch.has_rel:
                 # relational branch: the epoch's materialized src IS the
@@ -219,7 +225,7 @@ class StreamingTransformJob:
             else:
                 staged = src.map_batches(branch.compile(), batch_format="pyarrow", zero_copy_batch=True)
             staged = staged.map_batches(prefix_only, batch_format="pyarrow", zero_copy_batch=True)
-            lineage = staged.groupby(PREFIX_COL).map_groups(write_prefix, batch_format="pandas").take_all()
+            lineage = staged.groupby(PREFIX_COL).map_groups(write_prefix, batch_format="pyarrow").take_all()
             out.extend((bkey, r) for r in lineage)
         return out
 
