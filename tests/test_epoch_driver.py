@@ -1,0 +1,313 @@
+"""The epoch driver (streaming/driver.py) under every streaming job.
+
+- kill-resume: each job is killed in its second epoch at three points —
+  after the step's output writes (its state files deleted), after the
+  output and state writes but before the commit, and after the manifest
+  tmp file is written but before its rename. A fresh job object resumes;
+  every output, state and manifest file must equal a clean run's bytes.
+- metrics: every committed epoch, empty and finalize epochs included,
+  has exactly one ``metrics.jsonl`` record with the common keys.
+- guard: the driver is the only module that builds a manifest, commits
+  it or appends a metrics record.
+"""
+
+from __future__ import annotations
+
+import ast
+import glob
+import json
+import os
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from vaero_ray.dsl import Vaero
+from vaero_ray.sources.transcripts import make_transcripts
+from vaero_ray.stages.windows import AggSpec
+from vaero_ray.streaming import checkpoint
+from vaero_ray.streaming.driver import EpochDriver
+from vaero_ray.streaming.fold_job import StreamingFoldJob
+from vaero_ray.streaming.job import StreamingWindowedJob
+from vaero_ray.streaming.join_job import StreamingJoinJob
+from vaero_ray.streaming.session_job import StreamingSessionJob
+from vaero_ray.streaming.stitch_job import StreamingStitchJob
+from vaero_ray.streaming.transform_job import StreamingTransformJob
+
+N_CHUNKS = 3
+KILL_EPOCH = 1
+COMMON_KEYS = {
+    "epoch", "op", "step", "rows_in", "bytes_in", "state_bytes_in", "rows_late", "rows_out", "state_rows",
+    "watermark_us", "files_written", "read_s", "compute_s", "write_s", "wall_s",
+}
+BASE_US = pd.Timestamp("2026-01-01").value // 1000
+HOUR_US = 3_600_000_000
+
+
+def _write_chunks(tbl: pa.Table, d: str, ts_col: str = "ts") -> None:
+    """``tbl`` in event-time order, cut into ``N_CHUNKS`` arrival files."""
+    os.makedirs(d, exist_ok=True)
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[(ts_col, "ascending")]))
+    n = tbl.num_rows
+    for i in range(N_CHUNKS):
+        lo, hi = i * n // N_CHUNKS, (i + 1) * n // N_CHUNKS
+        pq.write_table(tbl.slice(lo, hi - lo), os.path.join(d, f"chunk-{i:04d}.parquet"))
+
+
+def _ts(us: np.ndarray) -> pa.Array:
+    return pa.array(us.astype("datetime64[us]"))
+
+
+def _events(rng, n: int, hours: int) -> np.ndarray:
+    return BASE_US + np.sort(rng.integers(0, hours * HOUR_US, n))
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict:
+    """Input directories, by name; the ``empty`` ones hold no file."""
+    root = str(tmp_path_factory.mktemp("driver_inputs"))
+    rng = np.random.default_rng(7)
+    _write_chunks(make_transcripts(n_convs=30, mean_turns=8, seed=7, disorder_frac=0.2), f"{root}/turns")
+    ev = _events(rng, 600, 18)
+    _write_chunks(
+        pa.table({
+            "user_id": pa.array([f"u{u}" for u in rng.integers(0, 12, len(ev))]),
+            "ts": _ts(ev),
+            "value": pa.array(rng.integers(1, 100, len(ev)).astype("float64")),
+        }),
+        f"{root}/events",
+    )
+    st = _events(rng, 400, 18)
+    _write_chunks(
+        pa.table({
+            "user_id": pa.array([f"u{u}" for u in rng.integers(0, 10, len(st))]),
+            "ts": _ts(st),
+            "end_us": pa.array(st + rng.integers(0, HOUR_US, len(st))),
+        }),
+        f"{root}/extents",
+    )
+    # fold: arrival order jitters up to 500 s behind event time, so events
+    # cross chunk boundaries out of order and wait in the buffer
+    fe = _events(rng, 600, 4)
+    fold = pa.table({
+        "k": pa.array(rng.integers(0, 9, len(fe))),
+        "ts": _ts(fe),
+        "tie": pa.array(np.arange(len(fe), dtype=np.int64)),
+        "v": pa.array(rng.integers(0, 10_000, len(fe))),
+        "arrival": pa.array(fe + rng.integers(0, 500_000_000, len(fe))),
+    })
+    _write_chunks(fold, f"{root}/fold", ts_col="arrival")
+    for side, cols in (("left", ["view_id"]), ("right", ["buy_id", "amount"])):
+        t = _events(rng, 300, 3)
+        tbl = {"k": pa.array(rng.integers(0, 15, len(t))), "ts": _ts(t)}
+        for c in cols:
+            tbl[c] = pa.array(rng.integers(0, 1000, len(t)))
+        _write_chunks(pa.table(tbl), f"{root}/{side}")
+    for d in ("empty", "empty_left", "empty_right"):
+        os.makedirs(f"{root}/{d}")
+    return {d: f"{root}/{d}" for d in os.listdir(root)}
+
+
+def _route_graph() -> list:
+    Vaero.reset()
+    src = Vaero().source("parquet", path="unused")
+    src.mask("text", r"user\d+@example\.com", "<email>").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d/%H")
+    src.filter_regexp("role", "^tool$").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d")
+    return Vaero.start()
+
+
+SESSION_AGGS = [AggSpec(None, "count", "n"), AggSpec("ts", "min", "start_ts"), AggSpec("value", "sum", "total")]
+EXTENT_AGGS = [AggSpec(None, "count", "n"), AggSpec("ts", "min", "start_ts"), AggSpec("end_us", "max", "end_us")]
+
+
+def _job(name: str, inputs: dict, base: str, empty: bool = False) -> EpochDriver:
+    def src(d: str) -> str:
+        return inputs["empty" if empty else d]
+
+    dirs = dict(out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt")
+    if name == "windowed":
+        return StreamingWindowedJob(
+            src("turns"), keys=["conv_id"], size_s=600, allowed_lateness_s=30, num_partitions=3,
+            aggs=[AggSpec(None, "count", "n_turns"), AggSpec("ts", "max", "last_ts")], **dirs,
+        )
+    if name == "transform":
+        return StreamingTransformJob(src("turns"), graph=_route_graph(), **dirs)
+    if name == "stitch":
+        return StreamingStitchJob(src("turns"), gap_s=1800, allowed_lateness_s=60, num_partitions=3, **dirs)
+    if name == "session-point":
+        return StreamingSessionJob(
+            src("events"), key="user_id", aggs=SESSION_AGGS, gap_s=1800, num_partitions=3, **dirs
+        )
+    if name == "session-extent":
+        return StreamingSessionJob(
+            src("extents"), key="user_id", aggs=EXTENT_AGGS, end_col="end_us", gap_s=0, num_partitions=3, **dirs
+        )
+    if name == "fold":
+        return StreamingFoldJob(
+            src("fold"), key_col="k", ts_col="ts", tie_col="tie", val_col="v", allowed_lateness_s=600,
+            num_partitions=3, **dirs,
+        )
+    if name == "join":
+        return StreamingJoinJob(
+            inputs["empty_left" if empty else "left"], inputs["empty_right" if empty else "right"],
+            key="k", within_s=600, left_cols=["view_id"], right_cols=["buy_id", "amount"], num_partitions=3, **dirs,
+        )
+    raise ValueError(name)
+
+
+JOBS = ["windowed", "transform", "stitch", "session-point", "session-extent", "fold", "join"]
+
+
+@pytest.fixture(scope="module")
+def clean_runs(inputs, tmp_path_factory) -> dict:
+    """An uninterrupted run of each job, by name (built on first use)."""
+    root = str(tmp_path_factory.mktemp("driver_clean"))
+    runs: dict = {}
+
+    def get(name: str) -> str:
+        if name not in runs:
+            runs[name] = f"{root}/{name}"
+            _job(name, inputs, runs[name]).run()
+        return runs[name]
+
+    return get
+
+
+def _snapshot(base: str) -> dict:
+    """relative path -> bytes of every output, state and manifest file
+    under ``base``, with ``base`` itself written as ``<base>``."""
+    out = {}
+    for sub in ("out", "ckpt/state", "ckpt/manifests"):
+        for f in glob.glob(f"{base}/{sub}/**/*", recursive=True):
+            if os.path.isfile(f):
+                with open(f, "rb") as fh:
+                    out[os.path.relpath(f, base)] = fh.read().replace(base.encode(), b"<base>")
+    return out
+
+
+def _metrics(ckpt_dir: str) -> list[dict]:
+    path = f"{ckpt_dir}/metrics.jsonl"
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _assert_one_record_per_epoch(job: EpochDriver) -> None:
+    recs = _metrics(job.ckpt_dir)
+    assert [r["epoch"] for r in recs] == job.store.committed_epochs()
+    for rec in recs:
+        assert COMMON_KEYS <= set(rec), COMMON_KEYS - set(rec)
+        m = job.store.load(rec["epoch"])
+        assert rec["op"] == m.extra["op"] == job.op
+        assert (rec["rows_in"], rec["rows_late"], rec["rows_out"], rec["state_rows"], rec["watermark_us"]) == (
+            m.rows_in, m.rows_late, m.rows_out, m.state_rows, m.watermark_us,
+        )
+        written = [f for p in (*m.partitions.values(), *m.state_partitions.values()) for f in p["files"]]
+        assert rec["files_written"] == len(written)
+
+
+class Killed(Exception):
+    pass
+
+
+def _kill_in_step(delete_state: bool):
+    def install(monkeypatch, job_cls):
+        real = job_cls.epoch_step
+
+        def killed(self, c):
+            res = real(self, c)
+            if delete_state:
+                for part in res.state_partitions.values():
+                    for f in part["files"]:
+                        os.remove(f)
+            raise Killed
+
+        monkeypatch.setattr(job_cls, "epoch_step", killed)
+
+    return install
+
+
+def _kill_before_rename(monkeypatch, job_cls):
+    real = os.replace
+
+    def replace(src, dst):
+        if src.endswith(".json.tmp"):
+            raise Killed
+        return real(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+
+
+KILLS = {
+    "after-output": _kill_in_step(delete_state=True),
+    "before-commit": _kill_in_step(delete_state=False),
+    "before-rename": _kill_before_rename,
+}
+
+
+@pytest.mark.parametrize("kill", sorted(KILLS))
+@pytest.mark.parametrize("name", JOBS)
+def test_kill_resume_is_byte_identical(name, kill, inputs, clean_runs, tmp_path, ray_session):
+    clean = clean_runs(name)
+    m = checkpoint.CheckpointStore(f"{clean}/ckpt").load(KILL_EPOCH)
+    assert m.partitions or m.state_partitions  # the killed epoch writes files
+
+    base = str(tmp_path / "run")
+    job = _job(name, inputs, base)
+    for _ in range(KILL_EPOCH):
+        job.run_epoch()
+    with pytest.MonkeyPatch.context() as mp:
+        KILLS[kill](mp, type(job))
+        with pytest.raises(Killed):
+            job.run_epoch()
+    assert job.store.committed_epochs() == list(range(KILL_EPOCH))
+    if kill == "before-rename":
+        assert os.path.exists(f"{base}/ckpt/manifests/epoch-{KILL_EPOCH:08d}.json.tmp")
+
+    resumed = _job(name, inputs, base)
+    resumed.run()
+    got, want = _snapshot(base), _snapshot(clean)
+    assert sorted(got) == sorted(want)
+    assert [p for p in want if got[p] != want[p]] == []
+    _assert_one_record_per_epoch(resumed)
+
+
+@pytest.mark.parametrize("name", ["windowed", "transform", "stitch", "session-point", "fold", "join"])
+def test_one_complete_metrics_record_per_epoch(name, inputs, clean_runs, tmp_path, ray_session):
+    clean = _job(name, inputs, clean_runs(name))
+    assert len(clean.store.committed_epochs()) >= N_CHUNKS
+    _assert_one_record_per_epoch(clean)
+
+    # a stream with no input: its only epoch is an empty finalize epoch
+    # (a transform job has no finalize epoch, so it commits none)
+    empty = _job(name, inputs, str(tmp_path / "empty"), empty=True)
+    manifests = empty.run()
+    assert len(manifests) == (0 if name == "transform" else 1)
+    _assert_one_record_per_epoch(empty)
+
+
+def test_only_the_driver_commits():
+    """No streaming module but driver.py builds an EpochManifest or calls
+    ``.commit(`` / ``.append_metrics(`` (checkpoint.py defines them and
+    parses committed manifests)."""
+    import vaero_ray.streaming as pkg
+
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(pkg.__file__), "*.py"))):
+        if os.path.basename(path) in ("driver.py", "checkpoint.py"):
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "EpochManifest") or (
+                isinstance(f, ast.Attribute) and f.attr in ("EpochManifest", "commit", "append_metrics")
+            ):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert offenders == []

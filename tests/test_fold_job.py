@@ -1,10 +1,8 @@
 """Streaming ordered per-key fold (EWMA): batch parity under cross-epoch
-out-of-order arrival, bit-identical resume, late-drop accounting."""
+out-of-order arrival, late-drop accounting (kill-resume:
+test_epoch_driver.py)."""
 
 from __future__ import annotations
-
-import hashlib
-import os
 
 import numpy as np
 import pandas as pd
@@ -12,7 +10,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from vaero_ray.streaming.checkpoint import CheckpointStore
 from vaero_ray.streaming.fold_job import StreamingFoldJob
 
 
@@ -80,7 +77,9 @@ def _job(stream_d, base) -> StreamingFoldJob:
 
 def test_fold_matches_batch_under_disorder(stream, tmp_path, ray_session):
     stream_d, df = stream
-    job = _job(stream_d, str(tmp_path))
+    # state restores by the manifest's partition keys, whatever directory
+    # names ("buf", "fold") the checkpoint path holds
+    job = _job(stream_d, str(tmp_path / "buf" / "fold"))
     ms = job.run()
     assert ms[-1].watermark_us >= 1 << 62
     assert sum(m.rows_late for m in ms) == 0  # jitter < lateness margin
@@ -93,26 +92,6 @@ def test_fold_matches_batch_under_disorder(stream, tmp_path, ray_session):
         .sort_values("k", ignore_index=True)[["k", "n_events", "ewma"]]
     )
     pd.testing.assert_frame_equal(_ewma_ref(df), got, check_dtype=False)
-
-
-def test_fold_resume_bit_identical(stream, tmp_path, ray_session):
-    stream_d, _ = stream
-    a = _job(stream_d, f"{tmp_path}/a")
-    a.run()
-    b1 = _job(stream_d, f"{tmp_path}/b")
-    b1.run(max_epochs=2, finalize=False)
-    b2 = _job(stream_d, f"{tmp_path}/b")  # fresh object, resumes from manifest
-    b2.run()
-
-    def hashes(base):
-        s = CheckpointStore(f"{base}/ckpt")
-        return {
-            os.path.relpath(f, base): hashlib.sha256(open(f, "rb").read()).hexdigest()
-            for f in s.committed_output_files()
-        }
-
-    ha, hb = hashes(f"{tmp_path}/a"), hashes(f"{tmp_path}/b")
-    assert ha and ha == hb
 
 
 def test_fold_drops_late_rows(tmp_path, ray_session):

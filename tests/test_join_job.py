@@ -1,6 +1,6 @@
 """Stream-stream windowed join (StreamingJoinJob): exact parity with the
 batch interval join, cross-epoch buffering, per-side watermarks, late
-drops, and resume == one-shot determinism."""
+drops (kill-resume: test_epoch_driver.py)."""
 
 import numpy as np
 import pandas as pd
@@ -192,71 +192,6 @@ def test_stream_stream_left_outer_matches_batch(ray_session, tmp_path):
     # outer set — cross-epoch matches exist in this fixture
     cross = inner[inner["buy_id"] // 300 > inner["view_id"] // 300]["view_id"]
     assert len(cross) and not ge["view_id"].isin(cross).any()
-
-
-def _output_hashes(ckpt_dir):
-    import hashlib
-    import os
-
-    from vaero_ray.streaming.checkpoint import CheckpointStore
-
-    store = CheckpointStore(ckpt_dir)
-    return {
-        os.path.basename(os.path.dirname(f)) + "/" + os.path.basename(f):
-            hashlib.sha256(open(f, "rb").read()).hexdigest()
-        for f in store.committed_output_files()
-    }
-
-
-def test_stream_stream_join_resume_bit_identical(ray_session, tmp_path):
-    """Interrupted run (fresh driver object mid-stream) produces BYTE
-    identical committed output files, not just equal frames."""
-    ld, rdir, _, _ = _mk_streams(tmp_path, seed=23)
-    a = _job(ld, rdir, tmp_path, "ha")
-    a.run()
-    b1 = _job(ld, rdir, tmp_path, "hb")
-    b1.run(max_epochs=2, finalize=False)
-    b2 = _job(ld, rdir, tmp_path, "hb")
-    b2.run()
-    ha = _output_hashes(str(tmp_path / "ha" / "ckpt"))
-    hb = _output_hashes(str(tmp_path / "hb" / "ckpt"))
-    assert ha and ha == hb
-
-
-def test_stream_stream_join_crash_midepoch_idempotent(ray_session, tmp_path):
-    """Crash BETWEEN the bucket writes and the manifest commit: the rerun
-    must overwrite every orphaned file byte-identically and the committed
-    view must equal an uninterrupted run."""
-    import glob
-    import hashlib
-
-    import pytest
-
-    ld, rdir, _, _ = _mk_streams(tmp_path, seed=29)
-    job = _job(ld, rdir, tmp_path, "c")
-    job.run(max_epochs=2, finalize=False)
-
-    crash = _job(ld, rdir, tmp_path, "c")
-    crash.store.commit = lambda m: (_ for _ in ()).throw(RuntimeError("simulated crash"))
-    with pytest.raises(RuntimeError):
-        crash.run_epoch()
-    orphans = {
-        f: hashlib.sha256(open(f, "rb").read()).hexdigest()
-        for f in glob.glob(str(tmp_path / "c" / "out" / "**" / "*.parquet"), recursive=True)
-    }
-    assert orphans
-
-    resumed = _job(ld, rdir, tmp_path, "c")
-    resumed.run()
-    for f, h in orphans.items():
-        assert hashlib.sha256(open(f, "rb").read()).hexdigest() == h
-
-    clean = _job(ld, rdir, tmp_path, "clean")
-    clean.run()
-    pd.testing.assert_frame_equal(
-        _canon(clean.committed_output().to_pandas()),
-        _canon(resumed.committed_output().to_pandas()),
-    )
 
 
 def test_stream_stream_join_hot_key_chunked(ray_session, tmp_path, monkeypatch):

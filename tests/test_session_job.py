@@ -1,7 +1,6 @@
 """StreamingSessionJob: stream == batch parity, fragment-partial state
-boundedness, kill-resume determinism."""
+boundedness (kill-resume: test_epoch_driver.py)."""
 
-import glob
 import os
 
 import numpy as np
@@ -106,39 +105,6 @@ def test_state_is_fragments_not_events(ray_session, tmp_path):
     files = st.state_files()
     cols = pq.read_schema(files[0]).names
     assert {"start_us", "end_us", "__n"} <= set(cols)
-
-
-def test_session_job_kill_resume_bit_identical(ray_session, tmp_path):
-    tbl = _make_events(n=1500, n_users=20, seed=9)
-    ind = str(tmp_path / "in")
-    _write_chunks(tbl, ind)
-
-    def run_all(tag):
-        out_d, ck_d = str(tmp_path / f"out{tag}"), str(tmp_path / f"ckpt{tag}")
-        job = StreamingSessionJob(
-            input_dir=ind, out_dir=out_d, ckpt_dir=ck_d,
-            key="user_id", aggs=AGGS, gap_s=1800, num_partitions=3,
-        )
-        return job, out_d
-
-    # run A straight through
-    ja, outa = run_all("a")
-    ja.run()
-    # run B: stop after 2 epochs ("crash"), then resume with a NEW object
-    jb, outb = run_all("b")
-    jb.run(max_epochs=2, finalize=False)
-    jb2, _ = run_all("b")
-    jb2.run()
-    digests = {}
-    for out_d in (outa, outb):
-        files = sorted(glob.glob(os.path.join(out_d, "**", "*.parquet"), recursive=True))
-        import hashlib
-
-        digests[out_d] = [
-            (os.path.relpath(f, out_d), hashlib.sha256(open(f, "rb").read()).hexdigest())
-            for f in files
-        ]
-    assert digests[outa] == digests[outb]
 
 
 def test_session_splits_across_gap_boundary_epochs(ray_session, tmp_path):
@@ -272,32 +238,6 @@ def test_extent_mode_matches_batch_interval_union(ray_session, tmp_path):
     assert np.array_equal(got["start_ts"].astype("int64").to_numpy(), batch["s_us"].to_numpy())
     assert np.array_equal(got["end_us"].to_numpy(), batch["end_us"].to_numpy())
     assert list(got["user_id"]) == list(batch["user_id"])
-
-
-def test_extent_mode_kill_resume_bit_identical(ray_session, tmp_path):
-    tbl = _make_intervals(n=1200, n_users=15, seed=21)
-    ind = str(tmp_path / "in")
-    _write_chunks(tbl, ind)
-
-    def mk(tag):
-        return StreamingSessionJob(
-            input_dir=ind, out_dir=str(tmp_path / f"out{tag}"),
-            ckpt_dir=str(tmp_path / f"ck{tag}"),
-            key="user_id", aggs=IAGGS, ts_col="ts", end_col="end_us", gap_s=0,
-            num_partitions=3,
-        )
-
-    ja = mk("a"); ja.run()
-    jb = mk("b"); jb.run(max_epochs=2, finalize=False)
-    jb2 = mk("b"); jb2.run()
-    import hashlib
-    digs = []
-    for tag in ("a", "b"):
-        d = str(tmp_path / f"out{tag}")
-        files = sorted(glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True))
-        digs.append([(os.path.relpath(f, d), hashlib.sha256(open(f, "rb").read()).hexdigest())
-                     for f in files])
-    assert digs[0] == digs[1]
 
 
 def test_extent_mode_rejects_reversed_extents(ray_session, tmp_path):

@@ -1,5 +1,5 @@
-"""Streaming shell tests: epoch loop, watermarks, exactly-once sink,
-checkpoint/resume (SURVEY.md §5.2 items 3-5).
+"""Streaming shell tests: epoch loop, watermarks, exactly-once sink
+(SURVEY.md §5.2 items 3-5; kill-resume: test_epoch_driver.py).
 
 The oracle for stream-vs-batch parity is the batch windowed_aggregate
 over the concatenated input — for the same input stream and final
@@ -8,7 +8,6 @@ watermark the streaming engine must emit exactly the same rows
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import pandas as pd
@@ -20,7 +19,7 @@ import ray.data as rd
 
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec, windowed_aggregate
-from vaero_ray.streaming import CheckpointStore, StreamingWindowedJob, step
+from vaero_ray.streaming import StreamingWindowedJob, step
 
 
 def _split_stream(tbl: pa.Table, n_files: int, d: str) -> list[str]:
@@ -86,64 +85,6 @@ def test_stream_matches_batch(stream_dir, tmp_path, ray_session):
     pd.testing.assert_frame_equal(_norm(want), got)
     # exactly-once bookkeeping: emitted rows + dropped-late == full history
     assert sum(m.rows_out for m in manifests) == len(want) + sum(0 for m in manifests)
-
-
-def _all_output_hashes(ckpt_dir: str) -> dict[str, str]:
-    store = CheckpointStore(ckpt_dir)
-    out = {}
-    for f in store.committed_output_files():
-        out[os.path.basename(os.path.dirname(f)) + "/" + os.path.basename(f)] = hashlib.sha256(
-            open(f, "rb").read()
-        ).hexdigest()
-    return out
-
-
-def test_resume_bit_identical(stream_dir, tmp_path, ray_session):
-    stream_d, _ = stream_dir
-    a = _job(stream_d, f"{tmp_path}/a")
-    a.run()
-
-    # interrupted run: 2 epochs, then a FRESH job object (driver restart)
-    b1 = _job(stream_d, f"{tmp_path}/b")
-    b1.run(max_epochs=2, finalize=False)
-    b2 = _job(stream_d, f"{tmp_path}/b")
-    b2.run()
-
-    ha = _all_output_hashes(f"{tmp_path}/a/ckpt")
-    hb = _all_output_hashes(f"{tmp_path}/b/ckpt")
-    assert ha and ha == hb  # bit-identical output files
-
-
-def test_crash_midepoch_idempotent(stream_dir, tmp_path, ray_session):
-    """Kill between sink write and manifest commit: rerun must overwrite
-    identically, no duplicates in the committed view."""
-    stream_d, _ = stream_dir
-    job = _job(stream_d, f"{tmp_path}/c")
-    job.run(max_epochs=2, finalize=False)
-
-    crash = _job(stream_d, f"{tmp_path}/c")
-    real_commit = crash.store.commit
-    crash.store.commit = lambda m: (_ for _ in ()).throw(RuntimeError("simulated crash"))
-    with pytest.raises(RuntimeError):
-        crash.run_epoch()
-    # orphaned (uncommitted) epoch-3 files exist on disk now
-    orphans = {
-        f: hashlib.sha256(open(f, "rb").read()).hexdigest()
-        for f in __import__("glob").glob(f"{tmp_path}/c/out/**/*.parquet", recursive=True)
-    }
-
-    resumed = _job(stream_d, f"{tmp_path}/c")
-    resumed.run()
-    for f, h in orphans.items():
-        assert hashlib.sha256(open(f, "rb").read()).hexdigest() == h  # overwritten identically
-
-    # committed view == uninterrupted run
-    clean = _job(stream_d, f"{tmp_path}/clean")
-    clean.run()
-    pd.testing.assert_frame_equal(
-        _norm(clean.committed_output().to_pandas()),
-        _norm(resumed.committed_output().to_pandas()),
-    )
 
 
 def test_late_rows_dropped_and_lateness_window(tmp_path, ray_session):

@@ -1,5 +1,6 @@
 """Streaming tap->transform->route->sink job: per-branch parity with the
-batch runner over the concatenated stream, exactly-once resume."""
+batch runner over the concatenated stream (kill-resume:
+test_epoch_driver.py)."""
 
 from __future__ import annotations
 
@@ -89,26 +90,6 @@ def test_transform_metrics_written(stream, tmp_path, monkeypatch, ray_session):
     for e, rec in enumerate(recs):
         parts = job.store.load(e).partitions
         assert rec["files_written"] == sum(len(p["files"]) for p in parts.values()) > 0
-
-
-def test_streaming_transform_resume(stream, tmp_path, ray_session):
-    stream_d, _ = stream
-    a = StreamingTransformJob(
-        input_dir=stream_d, out_dir=f"{tmp_path}/a/out", ckpt_dir=f"{tmp_path}/a/ckpt", graph=_graph()
-    )
-    a.run()
-    b1 = StreamingTransformJob(
-        input_dir=stream_d, out_dir=f"{tmp_path}/b/out", ckpt_dir=f"{tmp_path}/b/ckpt", graph=_graph()
-    )
-    b1.run(max_epochs=1)
-    b2 = StreamingTransformJob(
-        input_dir=stream_d, out_dir=f"{tmp_path}/b/out", ckpt_dir=f"{tmp_path}/b/ckpt", graph=_graph()
-    )
-    b2.run()
-    pd.testing.assert_frame_equal(
-        _norm(a.committed_output("b0_s3").to_pandas()),
-        _norm(b2.committed_output("b0_s3").to_pandas()),
-    )
 
 
 def test_windowed_branch_sink_needs_window_timestamp_key(tmp_path):

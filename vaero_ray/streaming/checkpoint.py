@@ -30,16 +30,10 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
-# Serializes Dataset CONSTRUCTION (read_parquet plan/schema inference)
-# across job threads: pyarrow/ray probe `fsspec.implementations.http`
-# lazily, and when that import fails (no aiohttp in this container) a
-# concurrent second import sees the half-poisoned module and raises a
-# plain ImportError that escapes Ray's ModuleNotFoundError handler.
-# Execution itself is not serialized — only plan building. The lock now
-# LIVES in vaero_ray.io (taken inside read_parquet itself, so every
-# construction site is covered, not just one call site); re-exported
-# here for backwards compatibility.
-from vaero_ray.io import DATASET_BUILD_LOCK  # noqa: F401
+
+def lineage_entry(rows: int, path: str, sha256: str) -> dict:
+    """One partition's manifest lineage: ``{"rows", "files", "sha256"}``."""
+    return {"rows": rows, "files": [path], "sha256": [sha256]}
 
 
 @dataclass
@@ -53,7 +47,7 @@ class EpochManifest:
     # partition id (str) -> {"rows": int, "files": [paths], "sha256": [hex]}
     partitions: dict = field(default_factory=dict)
     state_rows: int = 0
-    state_path: str | None = None
+    state_path: str | None = None  # dir of the state snapshot; None if no state
     # partition id (str) -> {"rows", "files", "sha256"} for the state
     # snapshot — the NEXT epoch restores from exactly these files (never a
     # directory glob, which could include stale files from an aborted
@@ -61,10 +55,12 @@ class EpochManifest:
     state_partitions: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    def state_files(self) -> list[str]:
+    def state_files(self, prefix: str = "") -> list[str]:
+        """Files of the state partitions whose key starts with ``prefix``."""
         files: list[str] = []
-        for part in self.state_partitions.values():
-            files.extend(part["files"])
+        for key, part in self.state_partitions.items():
+            if key.startswith(prefix):
+                files.extend(part["files"])
         return files
 
 
@@ -107,13 +103,14 @@ class CheckpointStore:
             files.update(self.load(e).input_files)
         return files
 
-    def committed_output_files(self) -> list[str]:
-        """Every output file across committed epochs — the exactly-once
-        read view of the sink."""
+    def committed_output_files(self, prefix: str = "") -> list[str]:
+        """Every output file across committed epochs whose partition key
+        starts with ``prefix`` — the exactly-once read view of the sink."""
         out: list[str] = []
         for e in self.committed_epochs():
-            for part in self.load(e).partitions.values():
-                out.extend(part["files"])
+            for key, part in self.load(e).partitions.items():
+                if key.startswith(prefix):
+                    out.extend(part["files"])
         return out
 
     # -- writes --------------------------------------------------------

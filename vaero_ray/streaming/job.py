@@ -1,5 +1,6 @@
-"""Micro-batch streaming driver: epoch loop with event-time watermarks,
-carried open-window state, and the exactly-once checkpointed sink.
+"""Streaming windowed aggregation: tumbling and sliding event-time
+windows with watermarks, carried open-window state, and the exactly-once
+checkpointed sink.
 
 Model (SURVEY.md §2b, §3.4): the stream is a growing directory of Parquet
 files. Each epoch deterministically claims the next unconsumed files
@@ -12,7 +13,7 @@ files. Each epoch deterministically claims the next unconsumed files
     -> split late/closed/open on the previous and new watermark
          closed -> finalize -> deterministic per-partition Parquet + lineage
          open   -> state snapshot (same deterministic writer)
-    -> fsync'd atomic manifest commit   (checkpoint.py, in the job's process)
+    -> fsync'd atomic manifest commit   (driver.py, in the job's process)
 
 A small epoch runs the step as one Ray task over pyarrow tables
 (``window_step``, see step.py); a larger one runs it as a Ray Data plan
@@ -25,11 +26,9 @@ already-closed window are LATE and dropped (counted in metrics) — the
 exactly-once contract is over non-late data, matching the north_star
 ("for the same input stream and watermark").
 
-Determinism / resume: epoch composition is a pure function of the
-committed manifests; every output and state file is a canonically-sorted
-pure function of (epoch inputs, prev state). A SIGKILL anywhere before
-the manifest rename makes the rerun byte-identical (tests/test_streaming.py
-proves bit-identity under kill-resume).
+Determinism / resume: the epoch loop, claim, commit and metrics are
+driver.py's, shared by every streaming job; this module supplies the
+windowed step.
 
 Scale: the Dataset plan's shuffles move PARTIALS (one row per key x
 window per block), not events; state is hash-partitioned Parquet re-read
@@ -39,9 +38,6 @@ manifests, never data.
 
 from __future__ import annotations
 
-import glob
-import os
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -64,19 +60,9 @@ from vaero_ray.stages.windows import (
     partial_table,
 )
 from vaero_ray.streaming import step
-from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
+from vaero_ray.streaming.checkpoint import lineage_entry
+from vaero_ray.streaming.driver import WM_FINAL, WM_MIN, Claim, EpochDriver, StepResult, advance_watermark
 from vaero_ray.streaming.sink import write_deterministic
-
-WM_FINAL = 1 << 62  # watermark value marking end-of-stream finalization
-WM_MIN = -(1 << 62)  # watermark before the first epoch
-
-
-def advance_watermark(prev_wm: int, epoch_max_ts: int | None, allowed_lateness_s: int, finalize: bool) -> int:
-    if finalize:
-        return WM_FINAL
-    if epoch_max_ts is None:
-        return prev_wm
-    return max(prev_wm, epoch_max_ts - allowed_lateness_s * US)
 
 
 def windows_ending_in(tbl: pa.Table, window_col: str, size_us: int, lo_us: int, hi_us: int) -> pa.Table:
@@ -118,7 +104,7 @@ def window_step(
     out_dir: str,
     columns: list[str] | None,
     transform: "Callable[[pa.Table], pa.Table] | None",
-) -> dict:
+) -> StepResult:
     """One windowed epoch over pyarrow tables in one process (step.py):
     read -> transform -> partials -> union previous state -> merge ->
     late/closed/open split -> finalize -> hash-partitioned writes."""
@@ -140,7 +126,8 @@ def window_step(
         if state is not None:
             parts.append(state)
     if not parts:
-        return _window_result(advance_watermark(prev_wm, None, allowed_lateness_s, finalize), phases=timer.report())
+        wm = advance_watermark(prev_wm, None, allowed_lateness_s, finalize)
+        return StepResult(wm, step="task", phases=timer.report())
     with timer("compute_s"):
         if merge_backend == "native":
             parts = [_int64_partials(p, group_cols) for p in parts]
@@ -155,42 +142,23 @@ def window_step(
     with timer("write_s"):
         partitions = step.write_partitions(closed, out_dir, epoch, keys[0], num_partitions)
         state_partitions = step.write_partitions(open_, state_path, epoch, keys[0], num_partitions)
-    return _window_result(
+    return StepResult(
         new_wm,
-        epoch_max_ts,
+        partitions,
+        state_partitions,
         rows_late=pc.sum(late.column("__pcount")).as_py() or 0,
-        partitions=partitions,
-        state_partitions=state_partitions,
+        epoch_max_ts=epoch_max_ts,
+        step="task",
         phases=timer.report(),
     )
 
 
-def _window_result(
-    watermark_us, epoch_max_ts=None, rows_late=0, partitions=None, state_partitions=None, phases=None
-) -> dict:
-    return {
-        "watermark_us": watermark_us,
-        "epoch_max_ts": epoch_max_ts,
-        "rows_late": rows_late,
-        "partitions": partitions or {},
-        "state_partitions": state_partitions or {},
-        "phases": phases or dict.fromkeys(step.PHASES),
-    }
-
-
-def _files_written(*lineages: dict) -> int:
-    return sum(len(p["files"]) for lineage in lineages for p in lineage.values())
-
-
 def _lineage(tbl: pa.Table) -> dict:
-    return {
-        str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
-        for r in tbl.to_pylist()
-    }
+    return {str(r["partition"]): lineage_entry(r["rows"], r["path"], r["sha256"]) for r in tbl.to_pylist()}
 
 
 @dataclass
-class StreamingWindowedJob:
+class StreamingWindowedJob(EpochDriver):
     input_dir: str
     out_dir: str
     ckpt_dir: str
@@ -223,8 +191,10 @@ class StreamingWindowedJob:
     # mid-job instead of 401-ing a week-long run
     secret_refresh: Callable[[], None] | None = None
 
+    op = "window"
+
     def __post_init__(self):
-        self.store = CheckpointStore(self.ckpt_dir)
+        super().__post_init__()
         # internal: always carry max(ts) in partials to advance the
         # watermark without a second pass over the input (dedups with any
         # user max(ts) agg via _plan_partials), and ALWAYS carry __pcount
@@ -305,100 +275,35 @@ class StreamingWindowedJob:
             **kw,
         )
 
-    # -- epoch planning (pure function of committed manifests) ---------
-    def pending_files(self) -> list[str]:
-        consumed = self.store.consumed_files()
-        files = sorted(glob.glob(os.path.join(self.input_dir, "*.parquet")))
-        return [f for f in files if f not in consumed]
-
-    def _prev(self) -> tuple[int, int, list[str]]:
-        """(next_epoch, prev_watermark_us, prev_state_files), the state
-        from the last manifest's exact lineage."""
-        last = self.store.last()
-        if last is None:
-            return 0, WM_MIN, []
-        return last.epoch + 1, last.watermark_us, last.state_files()
-
     # -- one epoch ------------------------------------------------------
-    def run_epoch(self, finalize: bool = False) -> EpochManifest | None:
-        t0 = time.perf_counter()
-        if self.secret_refresh is not None:
-            self.secret_refresh()
-        epoch, prev_wm, state_files = self._prev()
-        if prev_wm >= WM_FINAL:
-            return None  # stream already finalized
-        files = [] if finalize else self.pending_files()[: self.max_files_per_epoch]
-        if not files and not finalize:
-            return None  # nothing to do
-
-        rows_in, bytes_in = step.footer_stats(files)
-        _, state_bytes_in = step.footer_stats(state_files)
-        state_path = self.store.state_path_for(epoch) if files or state_files else None
+    def epoch_step(self, c: Claim) -> StepResult:
         spec = dict(
-            epoch=epoch, files=files, state_files=state_files, prev_wm=prev_wm,
-            finalize=finalize, state_path=state_path,
+            epoch=c.epoch, files=c.files, state_files=c.state_files(), prev_wm=c.prev_wm,
+            finalize=c.finalize, state_path=self.store.state_path_for(c.epoch),
         )
-        small = step.is_small(bytes_in + state_bytes_in, self.extra_read_kw)
-        if small:
-            res = step.run_in_task(
-                window_step,
-                **spec,
-                keys=self.keys,
-                aggs=self.aggs,
-                state_aggs=self._state_aggs,
-                ts_col=self.ts_col,
-                size_s=self.size_s,
-                slide_s=self.slide_s,
-                window_col=self.window_col,
-                allowed_lateness_s=self.allowed_lateness_s,
-                merge_backend=self.merge_backend,
-                num_partitions=self.num_partitions,
-                out_dir=self.out_dir,
-                columns=self.extra_read_kw.get("columns"),
-                transform=self.transform,
-            )
-        else:
-            res = self._dataset_step(**spec)
-
-        rows_out = sum(p["rows"] for p in res["partitions"].values())
-        state_rows = sum(p["rows"] for p in res["state_partitions"].values())
-        manifest = EpochManifest(
-            epoch=epoch,
-            input_files=files,
-            watermark_us=res["watermark_us"],
-            rows_in=rows_in,
-            rows_late=res["rows_late"],
-            rows_out=rows_out,
-            partitions=res["partitions"],
-            state_rows=state_rows,
-            state_path=state_path,
-            state_partitions=res["state_partitions"],
+        if not step.is_small(c.nbytes, self.extra_read_kw):
+            return self._dataset_step(**spec)
+        return step.run_in_task(
+            window_step,
+            **spec,
+            keys=self.keys,
+            aggs=self.aggs,
+            state_aggs=self._state_aggs,
+            ts_col=self.ts_col,
+            size_s=self.size_s,
+            slide_s=self.slide_s,
+            window_col=self.window_col,
+            allowed_lateness_s=self.allowed_lateness_s,
+            merge_backend=self.merge_backend,
+            num_partitions=self.num_partitions,
+            out_dir=self.out_dir,
+            columns=self.extra_read_kw.get("columns"),
+            transform=self.transform,
         )
-        self.store.commit(manifest)
-        epoch_max_ts = res["epoch_max_ts"]
-        self.store.append_metrics(
-            {
-                "epoch": epoch,
-                "step": "task" if small else "dataset",
-                "bytes_in": bytes_in,
-                "state_bytes_in": state_bytes_in,
-                "rows_in": rows_in,
-                "rows_late": res["rows_late"],
-                "rows_out": rows_out,
-                "state_rows": state_rows,
-                "watermark_us": manifest.watermark_us,
-                "watermark_lag_us": (epoch_max_ts - manifest.watermark_us) if epoch_max_ts is not None else None,
-                "n_partitions_out": len(manifest.partitions),
-                **res["phases"],
-                "files_written": _files_written(res["partitions"], res["state_partitions"]),
-                "wall_s": round(time.perf_counter() - t0, 3),
-            }
-        )
-        return manifest
 
     def _dataset_step(
         self, epoch: int, files: list[str], state_files: list[str], prev_wm: int, finalize: bool, state_path: str
-    ) -> dict:
+    ) -> StepResult:
         """window_step as a Ray Data plan: the form that scales past one
         worker's heap."""
         parts: list[rd.Dataset] = []
@@ -410,7 +315,7 @@ class StreamingWindowedJob:
         if state_files:
             parts.append(_read_pq(state_files))
         if not parts:
-            return _window_result(advance_watermark(prev_wm, None, self.allowed_lateness_s, finalize))
+            return StepResult(advance_watermark(prev_wm, None, self.allowed_lateness_s, finalize))
 
         # normalize column order so union of state + live partials is valid
         cols = sorted(parts[0].schema().names)
@@ -434,41 +339,16 @@ class StreamingWindowedJob:
             return merged.map_batches(fn, batch_format="pyarrow")
 
         final = finalize_partials(split(prev_wm, new_wm), self._group_cols, self.aggs, None)
-        return _window_result(
+        rows_late = int(split(WM_MIN, prev_wm).sum("__pcount") or 0)
+        return StepResult(
             new_wm,
-            epoch_max_ts,
-            rows_late=int(split(WM_MIN, prev_wm).sum("__pcount") or 0),
-            partitions=_lineage(
-                write_deterministic(final, self.out_dir, epoch, self.keys[0], self.num_partitions)
-            ),
-            state_partitions=_lineage(
+            _lineage(write_deterministic(final, self.out_dir, epoch, self.keys[0], self.num_partitions)),
+            _lineage(
                 write_deterministic(
                     split(new_wm, WM_FINAL).select_columns(cols), state_path, epoch, self.keys[0],
                     self.num_partitions,
                 )
             ),
+            rows_late,
+            epoch_max_ts,
         )
-
-    # -- drive to completion -------------------------------------------
-    def run(self, max_epochs: int | None = None, finalize: bool = True) -> list[EpochManifest]:
-        out: list[EpochManifest] = []
-        while max_epochs is None or len(out) < max_epochs:
-            m = self.run_epoch()
-            if m is None:
-                break
-            out.append(m)
-        # the finalize epoch consumes no input, so it does not count
-        # against max_epochs — a stream that drains in EXACTLY
-        # max_epochs epochs must still flush its open windows
-        if finalize and not self.pending_files():
-            m = self.run_epoch(finalize=True)
-            if m is not None:
-                out.append(m)
-        return out
-
-    # -- exactly-once read view ----------------------------------------
-    def committed_output(self) -> rd.Dataset:
-        files = self.store.committed_output_files()
-        if not files:
-            raise ValueError("no committed output yet")
-        return _read_pq(files)

@@ -26,7 +26,7 @@ rule), so a slow side never causes the fast side's matches to be
 evicted early. New rows at or below the previous global watermark are
 LATE: dropped and counted.
 
-Epoch mechanics (same commit protocol as job.py/stitch_job.py): ONE
+Epoch mechanics (driver.py's epoch loop and commit protocol): ONE
 bucketed shuffle per epoch — new rows of both sides plus both state
 buffers, tagged ``__side``/``__st``, padded to the union schema with
 typed nulls — then each bucket task joins, writes its output file and
@@ -44,28 +44,30 @@ from __future__ import annotations
 
 import glob
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data as rd
 
 from vaero_ray.io import read_parquet as _read_pq
 
-from vaero_ray.stages.keyed import BUCKET_COL, hash_bucket
 from vaero_ray.stages.windows import US
-from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
-from vaero_ray.streaming.job import WM_FINAL
-from vaero_ray.streaming.sink import write_partition_file
-
-_NEG_INF = -(1 << 62)
+from vaero_ray.streaming.driver import (
+    WM_MIN,
+    Claim,
+    EpochDriver,
+    StepResult,
+    advance_watermark,
+    bucket_step,
+    late_record,
+    write_frame,
+)
 
 
 @dataclass
-class StreamingJoinJob:
+class StreamingJoinJob(EpochDriver):
     left_dir: str
     right_dir: str
     out_dir: str
@@ -88,8 +90,10 @@ class StreamingJoinJob:
     join_type: str = "inner"
     left_id_col: "str | None" = None
 
+    op = "join"
+
     def __post_init__(self):
-        self.store = CheckpointStore(self.ckpt_dir)
+        super().__post_init__()
         if set(self.left_cols) & set(self.right_cols):
             raise ValueError("left_cols and right_cols must be disjoint")
         if self.join_type not in ("inner", "left_outer"):
@@ -116,28 +120,15 @@ class StreamingJoinJob:
                     if c in sch.names and pa.types.is_integer(sch.field(c).type):
                         self._int_cols.add(c)
 
-    # -- epoch plumbing -------------------------------------------------
-    def _pending(self, d: str) -> list:
-        consumed = self.store.consumed_files()
-        return [f for f in sorted(glob.glob(os.path.join(d, "*.parquet"))) if f not in consumed]
-
+    # -- epoch plumbing: two input directories -------------------------
     def pending_files(self) -> list:
-        return self._pending(self.left_dir) + self._pending(self.right_dir)
+        return self._unconsumed(self.left_dir) + self._unconsumed(self.right_dir)
 
-    def _prev(self):
-        """(next_epoch, wm_l, wm_r, state_left_files, state_right_files)
-        — each side's buffer snapshot keeps its NATIVE schema (separate
-        files, ``L:``/``R:`` partition keys): a padded mixed-side state
-        file would write the null-padded int columns as float64 and
-        poison the next epoch's schema union."""
-        last = self.store.last()
-        if last is None:
-            return 0, _NEG_INF, _NEG_INF, [], []
-        wm_l = last.extra.get("wm_l", _NEG_INF)
-        wm_r = last.extra.get("wm_r", _NEG_INF)
-        sl = [f for k, p in last.state_partitions.items() if k.startswith("L:") for f in p["files"]]
-        sr = [f for k, p in last.state_partitions.items() if k.startswith("R:") for f in p["files"]]
-        return last.epoch + 1, wm_l, wm_r, sl, sr
+    def _claim(self, finalize: bool) -> list:
+        if finalize:
+            return []
+        n = self.max_files_per_epoch
+        return self._unconsumed(self.left_dir)[:n] + self._unconsumed(self.right_dir)[:n]
 
     def _pad(self, side: int, st: int, all_cols: list, types: dict):
         """Stateless pad-to-union-schema + side/state tags (typed nulls
@@ -160,42 +151,40 @@ class StreamingJoinJob:
 
         return fn
 
-    def run_epoch(self, finalize: bool = False) -> "EpochManifest | None":
-        t0 = time.perf_counter()
-        epoch, wm_l, wm_r, state_l, state_r = self._prev()
+    def epoch_step(self, c: Claim) -> StepResult:
+        # per-side watermarks ride the manifest's extra; each side's buffer
+        # snapshot keeps its NATIVE schema (separate files, "L:"/"R:"
+        # partition keys): a padded mixed-side state file would write the
+        # null-padded int columns as float64 and poison the next epoch's
+        # schema union
+        extra = c.last.extra if c.last is not None else {}
+        wm_l, wm_r = extra.get("wm_l", WM_MIN), extra.get("wm_r", WM_MIN)
         prev_wm = min(wm_l, wm_r)
-        if prev_wm >= WM_FINAL:
-            return None
-        lf = [] if finalize else self._pending(self.left_dir)[: self.max_files_per_epoch]
-        rf = [] if finalize else self._pending(self.right_dir)[: self.max_files_per_epoch]
-        if not lf and not rf and not finalize:
-            return None
-
+        lf, rf = _in_dir(c.files, self.left_dir), _in_dir(c.files, self.right_dir)
+        state_l, state_r = c.state_files("L:"), c.state_files("R:")
+        finalize, epoch = c.finalize, c.epoch
         within_us = self.within_s * US
-        lat_us = self.allowed_lateness_s * US
         outer = self.join_type == "left_outer"
         all_cols = [self.key, self.ts_col] + list(self.left_cols) + list(self.right_cols)
         # union-schema types: init-time footer schemas, backfilled from
         # this epoch's files for any column the init dirs lacked
         types: dict = dict(self._types)
-        if any(c not in types for c in all_cols):
+        if any(col not in types for col in all_cols):
             for f in lf + state_l + rf + state_r:
                 sch = pq.read_schema(f)
-                for c in all_cols:
-                    if c in sch.names and c not in types:
-                        types[c] = sch.field(c).type
+                for col in all_cols:
+                    if col in sch.names and col not in types:
+                        types[col] = sch.field(col).type
         if outer:
             # matched-ever flag: null-padded on live left rows (-> 0),
             # carried natively in the L state snapshot across epochs
             all_cols = all_cols + ["__matched"]
             types["__matched"] = pa.int8()
         parts: list = []
-        rows_in = 0
         live: dict = {}
         for side, files in ((0, lf), (1, rf)):
             if not files:
                 continue
-            rows_in += sum(pq.ParquetFile(f).metadata.num_rows for f in files)
             ds = _read_pq(files, **self.extra_read_kw)
             # materialize: consumed twice (side max + the join shuffle)
             live[side] = ds.map_batches(
@@ -213,41 +202,24 @@ class StreamingJoinJob:
                 )
 
         # per-side watermarks advance on live maxima only
-        for side, wm_attr in ((0, "wm_l"), (1, "wm_r")):
-            if side in live:
-                mx = live[side].max(self.ts_col)
-                if mx is not None:
-                    mx_us = int(pa.scalar(mx).cast(pa.int64()).as_py())
-                    if side == 0:
-                        wm_l = max(wm_l, mx_us - lat_us)
-                    else:
-                        wm_r = max(wm_r, mx_us - lat_us)
-        if finalize:
-            wm_l = wm_r = WM_FINAL
+        maxima = {}
+        for side, ds in live.items():
+            mx = ds.max(self.ts_col)
+            maxima[side] = None if mx is None else int(pa.scalar(mx).cast(pa.int64()).as_py())
+        wm_l = advance_watermark(wm_l, maxima.get(0), self.allowed_lateness_s, finalize)
+        wm_r = advance_watermark(wm_r, maxima.get(1), self.allowed_lateness_s, finalize)
         new_wm = min(wm_l, wm_r)
 
-        if not parts:
-            m = self._commit(epoch, lf + rf, wm_l, wm_r, 0, 0, 0, [], [], t0)
-            return m
-
-        unioned = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
         key, ts_col = self.key, self.ts_col
         lcols, rcols = list(self.left_cols), list(self.right_cols)
         int_cols, left_id_col = self._int_cols, self.left_id_col
         out_dir, state_dir = self.out_dir, self.store.state_path_for(epoch)
 
-        def tag(tbl: pa.Table) -> pa.Table:
-            return tbl.append_column(
-                BUCKET_COL, pa.array(hash_bucket(tbl.column(key), self.num_partitions))
-            )
-
-        def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            bucket = int(df[BUCKET_COL].iloc[0])
-            df = df.drop(columns=[BUCKET_COL])
+        def per_bucket(df: pd.DataFrame, bucket: int) -> list[tuple]:
             tsus = df[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
             df = df.assign(__tsus=tsus)
             late = (df["__tsus"] <= prev_wm) & (df["__st"] == 0)
-            n_late = int(late.sum())
+            recs = [late_record(int(late.sum()))]
             df = df[~late]
 
             def side_frame(side: int, cols: list) -> pd.DataFrame:
@@ -301,7 +273,6 @@ class StreamingJoinJob:
                 [join(l_new, pd.concat([r_buf, r_new], ignore_index=True)), join(l_buf, r_new)],
                 ignore_index=True,
             )
-            recs = []
             out_frames = []
             if len(pairs):
                 out = pd.DataFrame({key: pairs[key]})
@@ -346,11 +317,8 @@ class StreamingJoinJob:
                     snap[ts_col] = frame["__tsus"].to_numpy().astype("datetime64[us]")
                     for c in keep_cols:
                         snap[c] = frame[c].to_numpy()
-                    path, sha, rows = write_partition_file(
-                        pa.Table.from_pandas(snap, preserve_index=False),
-                        os.path.join(state_dir, tag_), bucket, epoch
-                    )
-                    recs.append((f"state{tag_}", bucket, rows, path, sha))
+                    side_dir = os.path.join(state_dir, tag_)
+                    recs.append(write_frame("state", snap, side_dir, bucket, epoch, f"{tag_}:{bucket}"))
             if out_frames:
                 out = pd.concat(out_frames, ignore_index=True)
                 if outer:
@@ -359,84 +327,18 @@ class StreamingJoinJob:
                     for c in rcols:
                         if c in int_cols:
                             out[c] = out[c].astype("Int64")
-                path, sha, rows = write_partition_file(
-                    pa.Table.from_pandas(out, preserve_index=False), out_dir, bucket, epoch
-                )
-                recs.append(("out", bucket, rows, path, sha))
-            return pd.DataFrame(
-                recs + [("late", bucket, n_late, "", "")],
-                columns=["kind", "partition", "rows", "path", "sha256"],
-            )
+                recs.append(write_frame("out", out, out_dir, bucket, epoch))
+            return recs
 
-        lineage = (
-            unioned.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby(BUCKET_COL)
-            .map_groups(per_bucket, batch_format="pandas")
-            .take_all()
-        )
-        rows_late = sum(r["rows"] for r in lineage if r["kind"] == "late")
-        outs = [r for r in lineage if r["kind"] == "out"]
-        states = [r for r in lineage if r["kind"].startswith("state")]
-        return self._commit(
-            epoch, lf + rf, wm_l, wm_r, rows_in, rows_late,
-            sum(r["rows"] for r in outs), outs, states, t0,
-            state_dir if states else None,
+        partitions, state_partitions, rows_late = bucket_step(parts, key, self.num_partitions, per_bucket)
+        known = [m for m in maxima.values() if m is not None]
+        return StepResult(
+            new_wm, partitions, state_partitions, rows_late, max(known) if known else None,
+            extra={"wm_l": wm_l, "wm_r": wm_r},
         )
 
-    def _commit(self, epoch, files, wm_l, wm_r, rows_in, rows_late, rows_out, outs, states, t0, state_dir=None):
-        manifest = EpochManifest(
-            epoch=epoch,
-            input_files=files,
-            watermark_us=min(wm_l, wm_r),
-            rows_in=rows_in,
-            rows_late=rows_late,
-            rows_out=rows_out,
-            partitions={
-                str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
-                for r in outs
-            },
-            state_rows=sum(r["rows"] for r in states),
-            state_path=state_dir,
-            state_partitions={
-                # "L:3" / "R:3": side-qualified keys — _prev restores each
-                # side's buffer from exactly these files
-                f'{r["kind"][-1]}:{r["partition"]}': {
-                    "rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]
-                }
-                for r in states
-            },
-            extra={"op": "join", "wm_l": wm_l, "wm_r": wm_r},
-        )
-        self.store.commit(manifest)
-        self.store.append_metrics(
-            {
-                "epoch": epoch,
-                "op": "join",
-                "rows_in": rows_in,
-                "rows_late": rows_late,
-                "rows_out": rows_out,
-                "state_rows": manifest.state_rows,
-                "watermark_us": manifest.watermark_us,
-                "wall_s": round(time.perf_counter() - t0, 3),
-            }
-        )
-        return manifest
 
-    def run(self, max_epochs: "int | None" = None, finalize: bool = True) -> list:
-        out = []
-        while max_epochs is None or len(out) < max_epochs:
-            m = self.run_epoch()
-            if m is None:
-                break
-            out.append(m)
-        if finalize and not self.pending_files():
-            m = self.run_epoch(finalize=True)
-            if m is not None:
-                out.append(m)
-        return out
-
-    def committed_output(self) -> rd.Dataset:
-        files = self.store.committed_output_files()
-        if not files:
-            raise ValueError("no committed output yet")
-        return _read_pq(files)
+def _in_dir(files: list, d: str) -> list:
+    """The files ``_unconsumed(d)`` listed: the glob's own spelling of ``d``."""
+    d = os.path.dirname(os.path.join(d, "*.parquet"))
+    return [f for f in files if os.path.dirname(f) == d]

@@ -26,33 +26,33 @@ any event that could still extend it would have ``ts <= session_end +
 gap <= wm`` and be late by definition. Late events (ts <= previous
 watermark) are dropped and counted, same contract as job.py/stitch_job.
 
-Epoch protocol, exactly-once commit, resume and metrics are identical to
-the other drivers: deterministic epoch composition from committed
-manifests, canonical in-task partition writes (both output and state),
-fsync'd manifest commit; only lineage/metadata rows ever reach the
-driver.
+Epoch protocol, exactly-once commit, resume and metrics are driver.py's:
+deterministic epoch composition from committed manifests, canonical
+in-task partition writes (both output and state), fsync'd manifest
+commit; only lineage/metadata rows ever reach the driver.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data as rd
 
 from vaero_ray.io import read_parquet as _read_pq
 
-from vaero_ray.stages.keyed import BUCKET_COL, hash_bucket
 from vaero_ray.stages.windows import US, AggSpec
-from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
-from vaero_ray.streaming.job import WM_FINAL
-from vaero_ray.streaming.sink import write_partition_file
+from vaero_ray.streaming.driver import (
+    WM_MIN,
+    Claim,
+    EpochDriver,
+    StepResult,
+    advance_watermark,
+    bucket_step,
+    write_frame,
+)
 
 _BASE_COLS = ["start_us", "end_us", "__n"]
 
@@ -65,7 +65,7 @@ def _seg_cummax(vals: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class StreamingSessionJob:
+class StreamingSessionJob(EpochDriver):
     input_dir: str
     out_dir: str
     ckpt_dir: str
@@ -97,8 +97,10 @@ class StreamingSessionJob:
     transform: "object | None" = None  # Callable[[pa.Table], pa.Table]
     secret_refresh: "object | None" = None  # Callable[[], None]
 
+    op = "session"
+
     def __post_init__(self):
-        self.store = CheckpointStore(self.ckpt_dir)
+        super().__post_init__()
         for a in self.aggs:
             if a.fn not in ("count", "sum", "min", "max", "mean"):
                 raise ValueError(f"unsupported session agg fn: {a.fn}")
@@ -175,7 +177,7 @@ class StreamingSessionJob:
             else:
                 frame[pcol] = df[col].to_numpy()
         merged = self._merge_fragments(frame, ts_aliases)
-        merged["__smax"] = int(s.max()) if len(s) else np.int64(-(1 << 62))
+        merged["__smax"] = int(s.max()) if len(s) else np.int64(WM_MIN)
         return merged
 
     def _fragment_block(self, df: pd.DataFrame, prev_wm: int, ts_aliases: set) -> pd.DataFrame:
@@ -274,39 +276,16 @@ class StreamingSessionJob:
                 out[a.alias] = df[pcol]
         return out.reset_index(drop=True)
 
-    # -- epoch planning (pure function of committed manifests) ---------
-    def pending_files(self) -> list[str]:
-        consumed = self.store.consumed_files()
-        files = sorted(glob.glob(os.path.join(self.input_dir, "*.parquet")))
-        return [f for f in files if f not in consumed]
-
-    def _prev(self) -> tuple[int, int, list[str]]:
-        last = self.store.last()
-        if last is None:
-            return 0, -(1 << 62), []
-        return last.epoch + 1, last.watermark_us, last.state_files()
-
     # -- one epoch ------------------------------------------------------
-    def run_epoch(self, finalize: bool = False) -> EpochManifest | None:
-        t0 = time.perf_counter()
-        if self.secret_refresh is not None:
-            self.secret_refresh()  # reference re-checks each poll (execute.go:84-96)
-        epoch, prev_wm, prev_state = self._prev()
-        if prev_wm >= WM_FINAL:
-            return None
-        files = [] if finalize else self.pending_files()[: self.max_files_per_epoch]
-        if not files and not finalize:
-            return None
-
-        gap_us = self.gap_s * US
-        ts_aliases = self._ts_aliases_from(files, prev_state)
+    def epoch_step(self, c: Claim) -> StepResult:
+        prev_wm, state_files = c.prev_wm, c.state_files()
+        ts_aliases = self._ts_aliases_from(c.files, state_files)
         cols = self._fragment_cols(ts_aliases)
-        rows_in = rows_late = 0
+        rows_late = 0
         epoch_max_ts = None
-        live_frags = None
-        if files:
-            rows_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-            ds = _read_pq(files, **self.extra_read_kw)
+        parts = []
+        if c.files:
+            ds = _read_pq(c.files, **self.extra_read_kw)
             if self.transform is not None:
                 ds = ds.map_batches(self.transform, batch_format="pyarrow", zero_copy_batch=True)
             frag = self._fragment_block
@@ -323,131 +302,30 @@ class StreamingSessionJob:
                 lambda df: frag(df, prev_wm, ts_aliases), batch_format="pandas"
             ).materialize()
             kept = int(live_frags.sum("__n") or 0)
-            rows_late = rows_in - kept
+            rows_late = c.rows_in - kept
             # extent mode anchors the watermark at the max raw START (an
             # extent's end is not its event time); point mode keeps max ts
             wm_col = "__smax" if self.end_col is not None else "end_us"
             epoch_max_ts = int(live_frags.max(wm_col)) if kept else None
-
-        new_wm = prev_wm
-        if epoch_max_ts is not None:
-            new_wm = max(prev_wm, epoch_max_ts - self.allowed_lateness_s * US)
-        if finalize:
-            new_wm = WM_FINAL
-
-        parts: list[rd.Dataset] = []
-        if live_frags is not None:
             parts.append(live_frags.select_columns(cols))
-        if prev_state:
-            parts.append(_read_pq(prev_state).select_columns(cols))
-        if not parts:
-            return self._commit_empty(epoch, new_wm if finalize else prev_wm, t0)
-        unioned = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+        if state_files:
+            parts.append(_read_pq(state_files).select_columns(cols))
+        new_wm = advance_watermark(prev_wm, epoch_max_ts, self.allowed_lateness_s, c.finalize)
 
+        gap_us, epoch = self.gap_s * US, c.epoch
         out_dir, state_dir = self.out_dir, self.store.state_path_for(epoch)
-        P = self.num_partitions
-        key = self.key
         merge_fn, fin_fn = self._merge_fragments, self._finalize
 
-        def tag(tbl: pa.Table) -> pa.Table:
-            if tbl.schema.metadata:
-                tbl = tbl.replace_schema_metadata(None)
-            return tbl.append_column(
-                BUCKET_COL, pa.array(hash_bucket(tbl.column(key), P))
-            )
-
-        def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            bucket = int(df[BUCKET_COL].iloc[0])
-            df = df.drop(columns=[BUCKET_COL])
+        def per_bucket(df: pd.DataFrame, bucket: int) -> list[tuple]:
             merged = merge_fn(df, ts_aliases)
             closed_mask = (merged["end_us"] + gap_us) <= new_wm
             closed, open_ = merged[closed_mask], merged[~closed_mask]
             recs = []
             if len(closed):
-                path, sha, rows = write_partition_file(
-                    pa.Table.from_pandas(fin_fn(closed, ts_aliases), preserve_index=False),
-                    out_dir, bucket, epoch
-                )
-                recs.append(("out", bucket, rows, path, sha))
+                recs.append(write_frame("out", fin_fn(closed, ts_aliases), out_dir, bucket, epoch))
             if len(open_):
-                path, sha, rows = write_partition_file(
-                    pa.Table.from_pandas(open_[cols], preserve_index=False), state_dir, bucket, epoch
-                )
-                recs.append(("state", bucket, rows, path, sha))
-            return pd.DataFrame(
-                recs, columns=["kind", "partition", "rows", "path", "sha256"]
-            )
+                recs.append(write_frame("state", open_[cols], state_dir, bucket, epoch))
+            return recs
 
-        lineage = (
-            unioned.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby(BUCKET_COL)
-            .map_groups(per_bucket, batch_format="pandas")
-            .take_all()  # lineage rows only — never data
-        )
-        outs = [r for r in lineage if r["kind"] == "out"]
-        states = [r for r in lineage if r["kind"] == "state"]
-        manifest = EpochManifest(
-            epoch=epoch,
-            input_files=files,
-            watermark_us=new_wm,
-            rows_in=rows_in,
-            rows_late=rows_late,
-            rows_out=sum(r["rows"] for r in outs),
-            partitions={
-                str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
-                for r in outs
-            },
-            state_rows=sum(r["rows"] for r in states),
-            state_path=state_dir,
-            state_partitions={
-                str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
-                for r in states
-            },
-            extra={"op": "session"},
-        )
-        self.store.commit(manifest)
-        self.store.append_metrics(
-            {
-                "epoch": epoch,
-                "op": "session",
-                "rows_in": rows_in,
-                "rows_late": rows_late,
-                "rows_out": manifest.rows_out,
-                "state_rows": manifest.state_rows,
-                "watermark_us": new_wm,
-                "watermark_lag_us": (epoch_max_ts - new_wm) if epoch_max_ts is not None else None,
-                "wall_s": round(time.perf_counter() - t0, 3),
-            }
-        )
-        return manifest
-
-    def _commit_empty(self, epoch, wm, t0) -> EpochManifest:
-        m = EpochManifest(epoch, [], wm, 0, 0, 0, {}, 0, None, extra={"op": "session"})
-        self.store.commit(m)
-        self.store.append_metrics(
-            {"epoch": epoch, "op": "session", "rows_in": 0, "rows_late": 0, "rows_out": 0,
-             "state_rows": 0, "watermark_us": wm, "wall_s": round(time.perf_counter() - t0, 3)}
-        )
-        return m
-
-    def run(self, max_epochs: int | None = None, finalize: bool = True) -> list[EpochManifest]:
-        out: list[EpochManifest] = []
-        while max_epochs is None or len(out) < max_epochs:
-            m = self.run_epoch()
-            if m is None:
-                break
-            out.append(m)
-        # the finalize epoch consumes no input, so it does not count
-        # against max_epochs — a stream that drains in EXACTLY
-        # max_epochs epochs must still flush its open windows
-        if finalize and not self.pending_files():
-            m = self.run_epoch(finalize=True)
-            if m is not None:
-                out.append(m)
-        return out
-
-    def committed_output(self) -> rd.Dataset:
-        files = self.store.committed_output_files()
-        if not files:
-            raise ValueError("no committed output yet")
-        return _read_pq(files)
+        partitions, state_partitions, _ = bucket_step(parts, self.key, self.num_partitions, per_bucket)
+        return StepResult(new_wm, partitions, state_partitions, rows_late, epoch_max_ts)

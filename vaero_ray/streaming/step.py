@@ -14,8 +14,8 @@ the parquet footers' row-group sizes. Both forms write byte-identical
 files, so an epoch may take either one and a resume may switch between
 them (tests/test_small_step.py). The task receives a plain spec (file
 lists, watermark, epoch, plan) — never the job object or its checkpoint
-store — and returns lineage, counters and its phase times; the job
-commits.
+store — and returns lineage, counters and its phase times; the epoch
+driver (driver.py) commits.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import pyarrow.parquet as pq
 import ray
 
 from vaero_ray.stages.keyed import hash_bucket
+from vaero_ray.streaming.checkpoint import lineage_entry
 from vaero_ray.streaming.sink import write_partition_file
 
 # upper bound on an epoch's input + carried state (uncompressed parquet
@@ -97,7 +98,7 @@ def write_partitions(tbl: pa.Table, base_dir: str, epoch: int, key: str, num_par
     out = {}
     for b in np.unique(buckets):
         path, digest, rows = write_partition_file(tbl.filter(pa.array(buckets == b)), base_dir, int(b), epoch)
-        out[str(int(b))] = {"rows": rows, "files": [path], "sha256": [digest]}
+        out[str(int(b))] = lineage_entry(rows, path, digest)
     return out
 
 

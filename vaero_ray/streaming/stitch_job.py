@@ -4,7 +4,7 @@ emit ONE stitched record per conversation (north_star: "a stateful
 turn-sequence join that stitches user/assistant/tool turns per
 conversation").
 
-Model (same epoch/commit machinery as StreamingWindowedJob):
+Model (the epoch loop, claim, commit and metrics are driver.py's):
 
 - state = the raw buffered turns of every OPEN conversation (hash-
   partitioned Parquet snapshot per epoch; bounded by the number of
@@ -23,31 +23,30 @@ Model (same epoch/commit machinery as StreamingWindowedJob):
   same conv_id (distinguishable by first_ts) — standard session
   semantics.
 
-Resume/exactly-once: identical protocol to job.py — deterministic epoch
+Resume/exactly-once: driver.py's protocol — deterministic epoch
 composition, canonical in-task writes, fsync'd manifest commit.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
-import ray.data as rd
 
 from vaero_ray.io import read_parquet as _read_pq
 
-from vaero_ray.stages.keyed import BUCKET_COL, hash_bucket
 from vaero_ray.stages.windows import US
-from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
-from vaero_ray.streaming.job import WM_FINAL
-from vaero_ray.streaming.sink import write_partition_file
+from vaero_ray.streaming.driver import (
+    Claim,
+    EpochDriver,
+    StepResult,
+    advance_watermark,
+    bucket_step,
+    late_record,
+    write_frame,
+)
 
 TURN_COLS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 
@@ -74,8 +73,18 @@ def stitch_convs_df(df: pd.DataFrame, sep: str = "\n") -> pd.DataFrame:
     return out.reset_index()
 
 
+def _mark(val: int):
+    """Tag rows with ``__st``: 1 marks carried state rows, which pre-date
+    the watermark by construction and must NOT be counted/dropped as late."""
+
+    def fn(tbl: pa.Table) -> pa.Table:
+        return tbl.append_column("__st", pa.repeat(pa.scalar(val, pa.int8()), tbl.num_rows))
+
+    return fn
+
+
 @dataclass
-class StreamingStitchJob:
+class StreamingStitchJob(EpochDriver):
     input_dir: str
     out_dir: str
     ckpt_dir: str
@@ -94,50 +103,12 @@ class StreamingStitchJob:
     max_files_per_epoch: int = 1
     extra_read_kw: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.store = CheckpointStore(self.ckpt_dir)
+    op = "stitch"
 
-    def pending_files(self) -> list[str]:
-        consumed = self.store.consumed_files()
-        files = sorted(glob.glob(os.path.join(self.input_dir, "*.parquet")))
-        return [f for f in files if f not in consumed]
-
-    def _prev(self) -> tuple[int, int, list[str]]:
-        """(next_epoch, prev_wm_us, prev_state_files) — state from the
-        manifest's exact lineage (glob fallback for legacy manifests)."""
-        last = self.store.last()
-        if last is None:
-            return 0, -(1 << 62), []
-        state_files = last.state_files()
-        if not state_files and last.state_path and os.path.isdir(last.state_path):
-            state_files = sorted(
-                glob.glob(os.path.join(last.state_path, "**", "*.parquet"), recursive=True)
-            )
-        return last.epoch + 1, last.watermark_us, state_files
-
-    def run_epoch(self, finalize: bool = False) -> EpochManifest | None:
-        t0 = time.perf_counter()
-        epoch, prev_wm, prev_state = self._prev()
-        if prev_wm >= WM_FINAL:
-            return None
-        files = [] if finalize else self.pending_files()[: self.max_files_per_epoch]
-        if not files and not finalize:
-            return None
-
-        gap_us = self.gap_s * US
-        parts: list[rd.Dataset] = []
-        rows_in = 0
-        # __st marks carried state rows: they pre-date the watermark by
-        # construction and must NOT be counted/dropped as late
-        def mark(val: int):
-            def fn(tbl: pa.Table) -> pa.Table:
-                return tbl.append_column("__st", pa.repeat(pa.scalar(val, pa.int8()), tbl.num_rows))
-
-            return fn
-
-        if files:
-            rows_in = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-            ds = _read_pq(files, **self.extra_read_kw)
+    def epoch_step(self, c: Claim) -> StepResult:
+        parts = []
+        if c.files:
+            ds = _read_pq(c.files, **self.extra_read_kw)
             if self.transform is not None:
                 ds = ds.map_batches(self.transform, batch_format="pyarrow", zero_copy_batch=True)
             # materialize ONCE: the live side is consumed twice (watermark
@@ -146,149 +117,46 @@ class StreamingStitchJob:
             # turns are bounded by max_files_per_epoch and spill if large
             parts.append(
                 ds.select_columns(TURN_COLS)
-                .map_batches(mark(0), batch_format="pyarrow", zero_copy_batch=True)
+                .map_batches(_mark(0), batch_format="pyarrow", zero_copy_batch=True)
                 .materialize()
             )
-        if prev_state:
+        state_files = c.state_files()
+        if state_files:
             parts.append(
-                _read_pq(prev_state)
+                _read_pq(state_files)
                 .select_columns(TURN_COLS)
-                .map_batches(mark(1), batch_format="pyarrow", zero_copy_batch=True)
+                .map_batches(_mark(1), batch_format="pyarrow", zero_copy_batch=True)
             )
-
-        if not parts:
-            m = self._commit_empty(epoch, prev_wm, t0, finalize)
-            return m
-
-        unioned = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
 
         # watermark from the LIVE rows only (state maxima are <= prev_wm
-        # + gap by construction and can't advance the clock)
-        live_max = parts[0].max("ts") if files else None
-        if live_max is not None:  # None: 0-row input file — wm holds
-            live_max_us = int(pa.scalar(live_max).cast(pa.int64()).as_py())
-            new_wm = max(prev_wm, live_max_us - self.allowed_lateness_s * US)
-        else:
-            new_wm = prev_wm
-        if finalize:
-            new_wm = WM_FINAL
+        # + gap by construction and can't advance the clock); None: no
+        # input or a 0-row input file — the watermark holds
+        live_max = parts[0].max("ts") if c.files else None
+        epoch_max_ts = None if live_max is None else int(pa.scalar(live_max).cast(pa.int64()).as_py())
+        prev_wm = c.prev_wm
+        new_wm = advance_watermark(prev_wm, epoch_max_ts, self.allowed_lateness_s, c.finalize)
 
-        out_dir, state_dir = self.out_dir, self.store.state_path_for(epoch)
-        P = self.num_partitions
+        gap_us, emit = self.gap_s * US, self.emitter or stitch_convs_df
+        epoch, out_dir, state_dir = c.epoch, self.out_dir, self.store.state_path_for(c.epoch)
 
-        def tag(tbl: pa.Table) -> pa.Table:
-            return tbl.append_column(
-                BUCKET_COL, pa.array(hash_bucket(tbl.column("conv_id"), P))
-            )
-
-        def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            bucket = int(df[BUCKET_COL].iloc[0])
-            df = df.drop(columns=[BUCKET_COL])
+        def per_bucket(df: pd.DataFrame, bucket: int) -> list[tuple]:
             # normalize to datetime64[us] FIRST (session_job does the
             # same): a pandas batch can carry ts as [ns]/[s] through the
             # shuffle, and a bare astype(int64) would then be off 1000x
             # vs the microsecond watermark (nothing closes / all late)
-            df = df.assign(
-                __tsus=df["ts"].to_numpy().astype("datetime64[us]").astype("int64")
-            )
+            df = df.assign(__tsus=df["ts"].to_numpy().astype("datetime64[us]").astype("int64"))
             late = (df["__tsus"] <= prev_wm) & (df["__st"] == 0)
-            n_late = int(late.sum())
+            recs = [late_record(int(late.sum()))]
             df = df[~late].drop(columns=["__st"])
-            recs = []
             if len(df):
                 conv_max = df.groupby("conv_id", sort=False)["__tsus"].transform("max")
                 closed_mask = (conv_max + gap_us) <= new_wm
-                closed, open_ = (
-                    df[closed_mask].drop(columns=["__tsus"]),
-                    df[~closed_mask].drop(columns=["__tsus"]),
-                )
+                closed, open_ = df[closed_mask].drop(columns=["__tsus"]), df[~closed_mask].drop(columns=["__tsus"])
                 if len(closed):
-                    stitched = (self.emitter or stitch_convs_df)(closed)
-                    path, sha, rows = write_partition_file(
-                        pa.Table.from_pandas(stitched, preserve_index=False), out_dir, bucket, epoch
-                    )
-                    recs.append(("out", bucket, rows, path, sha))
+                    recs.append(write_frame("out", emit(closed), out_dir, bucket, epoch))
                 if len(open_):
-                    path, sha, rows = write_partition_file(
-                        pa.Table.from_pandas(open_, preserve_index=False), state_dir, bucket, epoch
-                    )
-                    recs.append(("state", bucket, rows, path, sha))
-            return pd.DataFrame(
-                recs + [("late", bucket, n_late, "", "")],
-                columns=["kind", "partition", "rows", "path", "sha256"],
-            )
+                    recs.append(write_frame("state", open_, state_dir, bucket, epoch))
+            return recs
 
-        lineage = (
-            unioned.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby(BUCKET_COL)
-            .map_groups(per_bucket, batch_format="pandas")
-            .take_all()
-        )
-        rows_late = sum(r["rows"] for r in lineage if r["kind"] == "late")
-        outs = [r for r in lineage if r["kind"] == "out"]
-        states = [r for r in lineage if r["kind"] == "state"]
-        manifest = EpochManifest(
-            epoch=epoch,
-            input_files=files,
-            watermark_us=new_wm,
-            rows_in=rows_in,
-            rows_late=rows_late,
-            rows_out=sum(r["rows"] for r in outs),
-            partitions={
-                str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
-                for r in outs
-            },
-            state_rows=sum(r["rows"] for r in states),
-            state_path=state_dir,
-            state_partitions={
-                str(r["partition"]): {"rows": r["rows"], "files": [r["path"]], "sha256": [r["sha256"]]}
-                for r in states
-            },
-            extra={"op": "stitch"},
-        )
-        self.store.commit(manifest)
-        self.store.append_metrics(
-            {
-                "epoch": epoch,
-                "op": "stitch",
-                "rows_in": rows_in,
-                "rows_late": rows_late,
-                "rows_out": manifest.rows_out,
-                "state_rows": manifest.state_rows,
-                "watermark_us": new_wm,
-                "wall_s": round(time.perf_counter() - t0, 3),
-            }
-        )
-        return manifest
-
-    def _commit_empty(self, epoch, prev_wm, t0, finalize) -> EpochManifest:
-        wm = WM_FINAL if finalize else prev_wm
-        m = EpochManifest(epoch, [], wm, 0, 0, 0, {}, 0, None)
-        self.store.commit(m)
-        self.store.append_metrics(
-            {"epoch": epoch, "op": "stitch", "rows_in": 0, "rows_late": 0, "rows_out": 0,
-             "state_rows": 0, "watermark_us": wm, "wall_s": round(time.perf_counter() - t0, 3)}
-        )
-        return m
-
-    def run(self, max_epochs: int | None = None, finalize: bool = True) -> list[EpochManifest]:
-        out: list[EpochManifest] = []
-        while max_epochs is None or len(out) < max_epochs:
-            m = self.run_epoch()
-            if m is None:
-                break
-            out.append(m)
-        # the finalize epoch consumes no input, so it does not count
-        # against max_epochs — a stream that drains in EXACTLY
-        # max_epochs epochs must still flush its open windows
-        if finalize and not self.pending_files():
-            m = self.run_epoch(finalize=True)
-            if m is not None:
-                out.append(m)
-        return out
-
-    def committed_output(self) -> rd.Dataset:
-        files = self.store.committed_output_files()
-        if not files:
-            raise ValueError("no committed output yet")
-        return _read_pq(files)
+        partitions, state_partitions, rows_late = bucket_step(parts, "conv_id", self.num_partitions, per_bucket)
+        return StepResult(new_wm, partitions, state_partitions, rows_late, epoch_max_ts)

@@ -9,7 +9,8 @@ chain, bucketing output rows by the reference's sink-prefix rule
 writing one deterministic file per (branch, prefix, epoch). Where the
 reference loses buffered events on crash (at-most-once, SURVEY.md §4.1),
 a crash here reruns the epoch byte-identically and the manifest is the
-commit point.
+commit point (driver.py owns the epoch loop, claim, commit and metrics;
+this module supplies the route step).
 
 Batch-vs-time sink flushing (batch_max_bytes / batch_max_time,
 sinkNode.go:105-131) degenerates naturally: an epoch IS the flush unit —
@@ -18,9 +19,7 @@ max_files_per_epoch bounds bytes, the poll cadence bounds time.
 
 from __future__ import annotations
 
-import glob
 import os
-import time
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -32,7 +31,8 @@ from vaero_ray.io import read_parquet as _read_pq
 from vaero_ray.planner import Branch, Plan, Planner, RelStep
 from vaero_ray.sinks.parquet_sink import PREFIX_COL, derive_prefix
 from vaero_ray.streaming import step
-from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
+from vaero_ray.streaming.checkpoint import EpochManifest, lineage_entry
+from vaero_ray.streaming.driver import Claim, EpochDriver, StepResult, read_committed
 from vaero_ray.streaming.sink import write_canonical_file
 
 
@@ -70,12 +70,17 @@ def write_prefix_file(tbl: pa.Table, bdir: str, epoch: int) -> dict:
     return {"partition": pdir_safe, "rows": rows, "path": final, "sha256": sha}
 
 
-def route_step(*, epoch: int, files: list[str], columns: list[str] | None, routes: list, out_dir: str) -> dict:
+def _partitions(lineage: list) -> dict:
+    """Manifest lineage keyed "{branch key}/{prefix}" from (branch key,
+    lineage row) pairs."""
+    return {f"{bkey}/{r['partition']}": lineage_entry(r["rows"], r["path"], r["sha256"]) for bkey, r in lineage}
+
+
+def route_step(*, epoch: int, files: list[str], columns: list[str] | None, routes: list, out_dir: str) -> StepResult:
     """One route epoch over pyarrow tables in one process (step.py):
     read -> each branch's compiled chain -> sink prefix -> one file per
     (branch, prefix). ``routes`` holds (branch key, chain, timestamp_key,
-    prefix format) per branch; returns the (branch key, lineage row)
-    pairs and the phase times."""
+    prefix format) per branch."""
     timer = step.PhaseTimer()
     with timer("read_s"):
         tbl = step.read_table(files, columns)
@@ -87,11 +92,11 @@ def route_step(*, epoch: int, files: list[str], columns: list[str] | None, route
             groups = [staged.filter(pc.equal(prefix, p)) for p in pc.unique(prefix).to_pylist()]
         with timer("write_s"):
             lineage.extend((bkey, write_prefix_file(g, os.path.join(out_dir, bkey), epoch)) for g in groups)
-    return {"lineage": lineage, "phases": timer.report()}
+    return StepResult(0, _partitions(lineage), step="task", phases=timer.report())
 
 
 @dataclass
-class StreamingTransformJob:
+class StreamingTransformJob(EpochDriver):
     input_dir: str
     out_dir: str
     ckpt_dir: str
@@ -99,8 +104,10 @@ class StreamingTransformJob:
     max_files_per_epoch: int = 1
     extra_read_kw: dict = field(default_factory=dict)
 
+    op = "transform"
+
     def __post_init__(self):
-        self.store = CheckpointStore(self.ckpt_dir)
+        super().__post_init__()
         self.plan: Plan = Planner(self.graph).plan
         for i, branch in enumerate(self.plan.branches):
             _, ts_key, _ = _sink_route(i, branch)
@@ -111,84 +118,34 @@ class StreamingTransformJob:
                     f"output {sorted(cols)}; a .window() step replaces the event-time column, "
                     "so point the sink's timestamp_key at its window column"
                 )
-        self._secret_resolver = None
         if self.plan.source is not None and self.plan.source.secret:
             from vaero_ray.secrets import SecretResolver
 
-            self._secret_resolver = SecretResolver(self.plan.source.secret)
-            self._secret_resolver.resolve_into(self.plan.source.args)
-
-    def pending_files(self) -> list[str]:
-        consumed = self.store.consumed_files()
-        files = sorted(glob.glob(os.path.join(self.input_dir, "*.parquet")))
-        return [f for f in files if f not in consumed]
-
-    def run_epoch(self) -> EpochManifest | None:
-        t0 = time.perf_counter()
-        if self._secret_resolver is not None:
+            resolver = SecretResolver(self.plan.source.secret)
+            resolver.resolve_into(self.plan.source.args)
             # per-epoch staleness re-check (reference: execute.go:84-96)
-            self._secret_resolver.maybe_refresh(self.plan.source.args)
-        last = self.store.last()
-        epoch = 0 if last is None else last.epoch + 1
-        files = self.pending_files()[: self.max_files_per_epoch]
-        if not files:
-            return None
-        rows_in, bytes_in = step.footer_stats(files)
+            self.secret_refresh = lambda: resolver.maybe_refresh(self.plan.source.args)
+
+    # a route job has no event-time state to flush, so no finalize epoch
+    def run_epoch(self) -> EpochManifest | None:
+        return super().run_epoch()
+
+    def run(self, max_epochs: int | None = None) -> list[EpochManifest]:
+        return super().run(max_epochs, finalize=False)
+
+    def epoch_step(self, c: Claim) -> StepResult:
         # relational branches (window/join/dedup steps) run as Dataset
         # plans, so their epochs take the Dataset step
-        small = step.is_small(bytes_in, self.extra_read_kw) and not any(
-            b.has_rel for b in self.plan.branches
+        if not step.is_small(c.nbytes, self.extra_read_kw) or any(b.has_rel for b in self.plan.branches):
+            return StepResult(0, _partitions(self._dataset_step(c.epoch, c.files)))
+        routes = []
+        for i, branch in enumerate(self.plan.branches):
+            bkey, ts_key, fmt = _sink_route(i, branch)
+            routes.append((bkey, branch.compile(), ts_key, fmt))
+        return step.run_in_task(
+            route_step, epoch=c.epoch, files=c.files, columns=self.extra_read_kw.get("columns"),
+            routes=routes, out_dir=self.out_dir,
         )
-        if small:
-            routes = []
-            for i, branch in enumerate(self.plan.branches):
-                bkey, ts_key, fmt = _sink_route(i, branch)
-                routes.append((bkey, branch.compile(), ts_key, fmt))
-            res = step.run_in_task(
-                route_step, epoch=epoch, files=files, columns=self.extra_read_kw.get("columns"),
-                routes=routes, out_dir=self.out_dir,
-            )
-        else:
-            res = {"lineage": self._dataset_step(epoch, files), "phases": dict.fromkeys(step.PHASES)}
-        lineage = res["lineage"]
-
-        partitions: dict = {}
-        for bkey, r in lineage:
-            partitions[f"{bkey}/{r['partition']}"] = {
-                "rows": r["rows"],
-                "files": [r["path"]],
-                "sha256": [r["sha256"]],
-            }
-        rows_out = sum(r["rows"] for _, r in lineage)
-        manifest = EpochManifest(
-            epoch=epoch,
-            input_files=files,
-            watermark_us=0,
-            rows_in=rows_in,
-            rows_late=0,
-            rows_out=rows_out,
-            partitions=partitions,
-            state_rows=0,
-            state_path=None,
-            extra={"op": "transform"},
-        )
-        self.store.commit(manifest)
-        self.store.append_metrics(
-            {
-                "epoch": epoch,
-                "op": "transform",
-                "step": "task" if small else "dataset",
-                "bytes_in": bytes_in,
-                "state_bytes_in": 0,
-                "rows_in": rows_in,
-                "rows_out": rows_out,
-                "n_partitions_out": len(partitions),
-                **res["phases"],
-                "files_written": len(lineage),
-                "wall_s": round(time.perf_counter() - t0, 3),
-            }
-        )
-        return manifest
 
     def _dataset_step(self, epoch: int, files: list[str]) -> list:
         """route_step as Ray Data plans, one prefix-grouped write per
@@ -229,21 +186,5 @@ class StreamingTransformJob:
             out.extend((bkey, r) for r in lineage)
         return out
 
-    def run(self, max_epochs: int | None = None) -> list[EpochManifest]:
-        out: list[EpochManifest] = []
-        while max_epochs is None or len(out) < max_epochs:
-            m = self.run_epoch()
-            if m is None:
-                break
-            out.append(m)
-        return out
-
     def committed_output(self, branch_key: str | None = None) -> rd.Dataset:
-        files = []
-        for e in self.store.committed_epochs():
-            for key, part in self.store.load(e).partitions.items():
-                if branch_key is None or key.startswith(branch_key + "/"):
-                    files.extend(part["files"])
-        if not files:
-            raise ValueError("no committed output yet")
-        return _read_pq(files)
+        return read_committed(self.store.committed_output_files("" if branch_key is None else branch_key + "/"))
