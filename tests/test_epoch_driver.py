@@ -1,12 +1,16 @@
 """The epoch driver (streaming/driver.py) under every streaming job.
 
-- kill-resume: each job is killed in its second epoch at three points —
+- kill-resume: each job is killed in its second epoch at four points —
   after the step's output writes (its state files deleted), after the
-  output and state writes but before the commit, and after the manifest
-  tmp file is written but before its rename. A fresh job object resumes;
-  every output, state and manifest file must equal a clean run's bytes.
+  output and state writes but before the commit, after the manifest tmp
+  file is written but before its rename, and after the rename but before
+  the metrics append. A fresh job object resumes; every output, state
+  and manifest file must equal a clean run's bytes.
 - metrics: every committed epoch, empty and finalize epochs included,
   has exactly one ``metrics.jsonl`` record with the common keys.
+- keyed step: the stitch, session, fold and join jobs run no Ray Data
+  execution, and write the same bytes whatever their task counts, also
+  when a resume switches them.
 - guard: the driver is the only module that builds a manifest, commits
   it or appends a metrics record.
 """
@@ -28,7 +32,7 @@ import pytest
 from vaero_ray.dsl import Vaero
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec
-from vaero_ray.streaming import checkpoint
+from vaero_ray.streaming import checkpoint, driver, step
 from vaero_ray.streaming.driver import EpochDriver
 from vaero_ray.streaming.fold_job import StreamingFoldJob
 from vaero_ray.streaming.job import StreamingWindowedJob
@@ -36,6 +40,8 @@ from vaero_ray.streaming.join_job import StreamingJoinJob
 from vaero_ray.streaming.session_job import StreamingSessionJob
 from vaero_ray.streaming.stitch_job import StreamingStitchJob
 from vaero_ray.streaming.transform_job import StreamingTransformJob
+
+from .test_small_step import _fingerprint
 
 N_CHUNKS = 3
 KILL_EPOCH = 1
@@ -123,11 +129,11 @@ SESSION_AGGS = [AggSpec(None, "count", "n"), AggSpec("ts", "min", "start_ts"), A
 EXTENT_AGGS = [AggSpec(None, "count", "n"), AggSpec("ts", "min", "start_ts"), AggSpec("end_us", "max", "end_us")]
 
 
-def _job(name: str, inputs: dict, base: str, empty: bool = False) -> EpochDriver:
+def _job(name: str, inputs: dict, base: str, empty: bool = False, **kw) -> EpochDriver:
     def src(d: str) -> str:
         return inputs["empty" if empty else d]
 
-    dirs = dict(out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt")
+    dirs = dict(out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt", **kw)
     if name == "windowed":
         return StreamingWindowedJob(
             src("turns"), keys=["conv_id"], size_s=600, allowed_lateness_s=30, num_partitions=3,
@@ -150,15 +156,18 @@ def _job(name: str, inputs: dict, base: str, empty: bool = False) -> EpochDriver
             src("fold"), key_col="k", ts_col="ts", tie_col="tie", val_col="v", allowed_lateness_s=600,
             num_partitions=3, **dirs,
         )
-    if name == "join":
+    if name in ("join", "join-outer"):
+        outer = dict(join_type="left_outer", left_id_col="view_id") if name == "join-outer" else {}
         return StreamingJoinJob(
             inputs["empty_left" if empty else "left"], inputs["empty_right" if empty else "right"],
-            key="k", within_s=600, left_cols=["view_id"], right_cols=["buy_id", "amount"], num_partitions=3, **dirs,
+            key="k", within_s=600, left_cols=["view_id"], right_cols=["buy_id", "amount"], num_partitions=3,
+            **outer, **dirs,
         )
     raise ValueError(name)
 
 
 JOBS = ["windowed", "transform", "stitch", "session-point", "session-extent", "fold", "join"]
+KEYED = ["stitch", "session-point", "session-extent", "fold", "join", "join-outer"]
 
 
 @pytest.fixture(scope="module")
@@ -242,10 +251,22 @@ def _kill_before_rename(monkeypatch, job_cls):
     monkeypatch.setattr(checkpoint.os, "replace", replace)
 
 
+def _kill_after_rename(monkeypatch, job_cls):
+    real = os.replace
+
+    def replace(src, dst):
+        real(src, dst)
+        if src.endswith(".json.tmp"):
+            raise Killed
+
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+
+
 KILLS = {
     "after-output": _kill_in_step(delete_state=True),
     "before-commit": _kill_in_step(delete_state=False),
     "before-rename": _kill_before_rename,
+    "after-rename": _kill_after_rename,
 }
 
 
@@ -264,7 +285,7 @@ def test_kill_resume_is_byte_identical(name, kill, inputs, clean_runs, tmp_path,
         KILLS[kill](mp, type(job))
         with pytest.raises(Killed):
             job.run_epoch()
-    assert job.store.committed_epochs() == list(range(KILL_EPOCH))
+    assert job.store.committed_epochs() == list(range(KILL_EPOCH + (kill == "after-rename")))
     if kill == "before-rename":
         assert os.path.exists(f"{base}/ckpt/manifests/epoch-{KILL_EPOCH:08d}.json.tmp")
 
@@ -281,6 +302,10 @@ def test_one_complete_metrics_record_per_epoch(name, inputs, clean_runs, tmp_pat
     clean = _job(name, inputs, clean_runs(name))
     assert len(clean.store.committed_epochs()) >= N_CHUNKS
     _assert_one_record_per_epoch(clean)
+    # every epoch of these small streams is a task step, which times its phases
+    for rec in _metrics(clean.ckpt_dir):
+        assert rec["step"] == "task"
+        assert None not in [rec[k] for k in step.PHASES], rec
 
     # a stream with no input: its only epoch is an empty finalize epoch
     # (a transform job has no finalize epoch, so it commits none)
@@ -288,6 +313,86 @@ def test_one_complete_metrics_record_per_epoch(name, inputs, clean_runs, tmp_pat
     manifests = empty.run()
     assert len(manifests) == (0 if name == "transform" else 1)
     _assert_one_record_per_epoch(empty)
+
+
+@pytest.mark.parametrize("name", KEYED)
+def test_keyed_jobs_run_no_ray_data_execution(name, inputs, tmp_path, monkeypatch, ray_session):
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *a, **kw):
+        calls.append(name)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    job = _job(name, inputs, str(tmp_path))
+    assert len(job.run()) == N_CHUNKS + 1
+    assert sum(m.rows_out for m in (job.store.load(e) for e in job.store.committed_epochs())) > 0
+    assert calls == []
+
+
+ONE_TASK, TASK_PER_FILE = 1 << 62, -1  # step.SMALL_EPOCH_BYTES
+
+
+@pytest.mark.parametrize("name", KEYED)
+def test_keyed_task_counts_write_identical_bytes(name, inputs, tmp_path, monkeypatch, ray_session):
+    """One map and one reduce task per epoch, or one map task per file
+    and ``num_partitions`` reduce tasks: the same bytes."""
+    groups = []
+    real = driver._task_groups
+
+    def recorded(sources):
+        out = real(sources)
+        groups.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(driver, "_task_groups", recorded)
+    got = {}
+    for budget in (ONE_TASK, TASK_PER_FILE):
+        monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", budget)
+        groups.clear()
+        job = _job(name, inputs, f"{tmp_path}/{budget}")
+        job.run()
+        got[budget] = _fingerprint(job.ckpt_dir)
+        if budget == ONE_TASK:
+            assert max(groups) == 1
+        else:
+            assert max(groups) > 1
+    assert sum(e[4] for e in got[ONE_TASK]) > 0
+    assert got[ONE_TASK] == got[TASK_PER_FILE]
+
+
+@pytest.mark.parametrize("name", KEYED)
+def test_kill_resume_switching_task_counts_is_byte_identical(
+    name, inputs, clean_runs, tmp_path, monkeypatch, ray_session
+):
+    """Epochs up to the kill run one map and one reduce task; the resume
+    runs one map task per file and ``num_partitions`` reduce tasks."""
+    clean = clean_runs(name)
+    base = str(tmp_path / "run")
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", ONE_TASK)
+    job = _job(name, inputs, base)
+    for _ in range(KILL_EPOCH):
+        job.run_epoch()
+    with pytest.MonkeyPatch.context() as mp:
+        KILLS["before-commit"](mp, type(job))
+        with pytest.raises(Killed):
+            job.run_epoch()
+
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", TASK_PER_FILE)
+    _job(name, inputs, base).run()
+    got, want = _snapshot(base), _snapshot(clean)
+    assert sorted(got) == sorted(want)
+    assert [p for p in want if got[p] != want[p]] == []
+
+
+@pytest.mark.parametrize("name", ["stitch", "session-point", "fold", "join"])
+def test_keyed_jobs_reject_read_options_the_task_read_ignores(name, inputs, tmp_path):
+    with pytest.raises(ValueError, match="'filter'"):
+        _job(name, inputs, str(tmp_path / "bad"), extra_read_kw={"filter": None})
+    _job(name, inputs, str(tmp_path / "ok"), extra_read_kw={"columns": None})
 
 
 def test_only_the_driver_commits():

@@ -94,21 +94,23 @@ def test_fold_matches_batch_under_disorder(stream, tmp_path, ray_session):
     pd.testing.assert_frame_equal(_ewma_ref(df), got, check_dtype=False)
 
 
-def test_fold_drops_late_rows(tmp_path, ray_session):
+def _chunked_job(tmp_path, *chunks) -> StreamingFoldJob:
+    """A fold job (no lateness margin) over one file per chunk of
+    ``(k, ts seconds or None, tie, v)`` rows."""
     d = tmp_path / "in"
     d.mkdir()
-    mk = lambda rows: pa.table(
-        {
-            "k": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array([r[1] * 1_000_000 for r in rows], pa.int64()).cast(pa.timestamp("us")),
-            "tie": pa.array([r[2] for r in rows], pa.int64()),
-            "v": pa.array([r[3] for r in rows], pa.int64()),
-        }
-    )
-    pq.write_table(mk([(1, 10_000, 0, 100), (1, 10_001, 1, 200)]), str(d / "c0.parquet"))
-    # second chunk: one on-time row + one hours-late row (ts << wm)
-    pq.write_table(mk([(1, 10_002, 2, 300), (1, 5, 3, 999)]), str(d / "c1.parquet"))
-    job = StreamingFoldJob(
+    for i, rows in enumerate(chunks):
+        k, ts, tie, v = zip(*rows)
+        tbl = pa.table(
+            {
+                "k": pa.array(k, pa.int64()),
+                "ts": pa.array([None if t is None else t * 1_000_000 for t in ts], pa.int64()).cast(pa.timestamp("us")),
+                "tie": pa.array(tie, pa.int64()),
+                "v": pa.array(v, pa.int64()),
+            }
+        )
+        pq.write_table(tbl, str(d / f"c{i}.parquet"))
+    return StreamingFoldJob(
         input_dir=str(d),
         out_dir=f"{tmp_path}/out",
         ckpt_dir=f"{tmp_path}/ckpt",
@@ -120,6 +122,15 @@ def test_fold_drops_late_rows(tmp_path, ray_session):
         allowed_lateness_s=0,
         num_partitions=2,
     )
+
+
+def test_fold_drops_late_rows(tmp_path, ray_session):
+    job = _chunked_job(
+        tmp_path,
+        [(1, 10_000, 0, 100), (1, 10_001, 1, 200)],
+        # second chunk: one on-time row + one hours-late row (ts << wm)
+        [(1, 10_002, 2, 300), (1, 5, 3, 999)],
+    )
     ms = job.run()
     assert sum(m.rows_late for m in ms) == 1
     out = job.committed_output().to_pandas()
@@ -127,3 +138,14 @@ def test_fold_drops_late_rows(tmp_path, ray_session):
         pd.DataFrame({"k": [1, 1, 1], "ts": [1, 2, 3], "tie": [0, 1, 2], "v": [100, 200, 300]})
     )
     assert out.iloc[0]["ewma"] == ref.iloc[0]["ewma"] and out.iloc[0]["n_events"] == 3
+
+
+def test_fold_counts_a_null_event_time_late(tmp_path, ray_session):
+    """A null event time is late, as the stitch, session and join jobs
+    count it; the stream goes on past it."""
+    job = _chunked_job(tmp_path, [(1, 10_000, 0, 100), (1, None, 1, 555), (2, 10_001, 2, 7)], [(1, 10_002, 3, 300)])
+    ms = job.run()
+    assert len(ms) == 3
+    assert [m.rows_late for m in ms] == [1, 0, 0]
+    out = job.committed_output().to_pandas().sort_values("k", ignore_index=True)
+    assert out[["k", "n_events", "ewma"]].values.tolist() == [[1, 2, (30 * 300 + 70 * 100) // 100], [2, 1, 7]]

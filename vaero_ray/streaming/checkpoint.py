@@ -144,6 +144,16 @@ class CheckpointStore:
         with open(os.path.join(self.dir, "metrics.jsonl"), "a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
+    def last_metrics_epoch(self) -> int | None:
+        """The epoch of the last ``metrics.jsonl`` record, if any."""
+        last = None
+        path = os.path.join(self.dir, "metrics.jsonl")
+        if os.path.exists(path):
+            with open(path) as fh:
+                for last in fh:
+                    pass
+        return None if last is None else json.loads(last)["epoch"]
+
     def metrics_summary(self) -> dict:
         """Live job health: per-partition rows in/out across committed
         epochs, current watermark, watermark lag, checkpoint age (seconds

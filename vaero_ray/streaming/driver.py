@@ -20,12 +20,15 @@ Every file a step writes is a canonically sorted pure function of the
 epoch's inputs and the previous state, so a kill anywhere before the
 manifest rename makes the rerun rewrite the same bytes, and a kill after
 it means the epoch is done (tests/test_epoch_driver.py kills every job
-at three points and checks byte identity).
+at four points and checks byte identity). After a kill between the
+rename and the metrics append, the next ``run_epoch`` back-fills the
+epoch's ``metrics.jsonl`` record from its manifest.
 
 A job subclasses ``EpochDriver`` (a plain class: the job's dataclass
 fields and their order are its own) and supplies ``op`` and
-``epoch_step``. The stitch, session, fold and join jobs run their step as
-one keyed pandas shuffle (``bucket_step``).
+``epoch_step``. The stitch, session, fold and join jobs build their step
+from sources, a watermark rule and ``per_bucket`` (``KeyedStep``: plain
+Ray map and reduce tasks over pyarrow).
 """
 
 from __future__ import annotations
@@ -33,11 +36,15 @@ from __future__ import annotations
 import glob
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 from vaero_ray.io import read_parquet
@@ -68,7 +75,6 @@ class Claim:
     files: list[str]  # input files, sorted; none on a finalize epoch
     last: EpochManifest | None  # the previous committed epoch
     finalize: bool
-    rows_in: int  # input rows, from the footers
     nbytes: int  # uncompressed input + carried state bytes, from the footers
 
     @property
@@ -91,7 +97,7 @@ class StepResult:
     rows_late: int = 0
     epoch_max_ts: int | None = None  # max event time seen, for watermark_lag_us
     extra: dict = field(default_factory=dict)  # job-specific manifest fields
-    step: str = "dataset"  # "task": one Ray task over pyarrow; "dataset": a Ray Data plan
+    step: str = "dataset"  # "task": Ray tasks over pyarrow; "dataset": a Ray Data plan
     phases: dict | None = None  # step.PHASES seconds of a task step
 
 
@@ -120,6 +126,7 @@ class EpochDriver:
 
     def __post_init__(self):
         self.store = CheckpointStore(self.ckpt_dir)
+        self._metrics_checked = False
 
     def epoch_step(self, c: Claim) -> StepResult:
         raise NotImplementedError
@@ -142,6 +149,12 @@ class EpochDriver:
         if self.secret_refresh is not None:
             self.secret_refresh()
         last = self.store.last()
+        if not self._metrics_checked:
+            # a kill between the manifest rename and the metrics append
+            # left the last committed epoch without its record
+            self._metrics_checked = True
+            if last is not None and self.store.last_metrics_epoch() != last.epoch:
+                self.store.append_metrics(self._metrics_record(last))
         if last is not None and last.watermark_us >= WM_FINAL:
             return None  # stream already finalized
         files = self._claim(finalize)
@@ -150,7 +163,7 @@ class EpochDriver:
         epoch = 0 if last is None else last.epoch + 1
         rows_in, bytes_in = step.footer_stats(files)
         _, state_bytes_in = step.footer_stats(last.state_files() if last else [])
-        res = self.epoch_step(Claim(epoch, files, last, finalize, rows_in, bytes_in + state_bytes_in))
+        res = self.epoch_step(Claim(epoch, files, last, finalize, bytes_in + state_bytes_in))
 
         manifest = EpochManifest(
             epoch=epoch,
@@ -168,25 +181,39 @@ class EpochDriver:
         self.store.commit(manifest)
         lag = None if res.epoch_max_ts is None else res.epoch_max_ts - res.watermark_us
         self.store.append_metrics(
-            {
-                "epoch": epoch,
-                "op": self.op,
-                "step": res.step,
-                "rows_in": rows_in,
-                "bytes_in": bytes_in,
-                "state_bytes_in": state_bytes_in,
-                "rows_late": res.rows_late,
-                "rows_out": manifest.rows_out,
-                "state_rows": manifest.state_rows,
-                "watermark_us": res.watermark_us,
-                "watermark_lag_us": lag,
-                "n_partitions_out": len(res.partitions),
-                "files_written": _files(res.partitions) + _files(res.state_partitions),
-                **(res.phases or dict.fromkeys(step.PHASES)),
-                "wall_s": round(time.perf_counter() - t0, 3),
-            }
+            self._metrics_record(
+                manifest,
+                step=res.step,
+                bytes_in=bytes_in,
+                state_bytes_in=state_bytes_in,
+                watermark_lag_us=lag,
+                **(res.phases or {}),
+                wall_s=round(time.perf_counter() - t0, 3),
+            )
         )
         return manifest
+
+    def _metrics_record(self, m: EpochManifest, **measured) -> dict:
+        """Epoch ``m``'s ``metrics.jsonl`` record: its counters come from
+        the manifest; what only the run measured is null unless given."""
+        return {
+            "epoch": m.epoch,
+            "op": self.op,
+            "step": None,
+            "rows_in": m.rows_in,
+            "bytes_in": None,
+            "state_bytes_in": None,
+            "rows_late": m.rows_late,
+            "rows_out": m.rows_out,
+            "state_rows": m.state_rows,
+            "watermark_us": m.watermark_us,
+            "watermark_lag_us": None,
+            "n_partitions_out": len(m.partitions),
+            "files_written": _files(m.partitions) + _files(m.state_partitions),
+            **dict.fromkeys(step.PHASES),
+            "wall_s": None,
+            **measured,
+        }
 
     # -- drive to completion -------------------------------------------
     def run(self, max_epochs: int | None = None, finalize: bool = True) -> list[EpochManifest]:
@@ -210,61 +237,154 @@ class EpochDriver:
         return read_committed(self.store.committed_output_files())
 
 
-# -- the keyed pandas step ------------------------------------------------
-_LINEAGE_COLS = ["kind", "partition", "rows", "path", "sha256"]
+
+# -- the keyed step: plain Ray map and reduce tasks over pyarrow ---------
+@dataclass
+class Source:
+    """Files a keyed step reads, and how its map tasks prepare their rows.
+    A live source (``ts_col`` set) runs ``transform``, then drops and
+    counts its late rows (event time at or below the previous watermark;
+    a null time is late) and reports its maximum event time. Every source
+    then runs ``prep``."""
+
+    files: list[str]
+    prep: Callable[[pa.Table], pa.Table] | None = None
+    ts_col: str | None = None
+    transform: Callable[[pa.Table], pa.Table] | None = None
+    columns: list[str] | None = None
 
 
-def write_frame(kind: str, df: pd.DataFrame, base_dir: str, bucket: int, epoch: int, partition: str = "") -> tuple:
-    """Canonical in-task write of one bucket's frame; returns its lineage
-    record. ``kind`` is "out" or "state"; ``partition`` is the manifest
-    key (default: the bucket)."""
-    path, sha, rows = write_partition_file(pa.Table.from_pandas(df, preserve_index=False), base_dir, bucket, epoch)
-    return kind, partition or str(bucket), rows, path, sha
+class Write(NamedTuple):
+    """A frame ``per_bucket`` returns; its reduce task writes it."""
+
+    kind: str  # "out" or "state"
+    frame: pd.DataFrame
+    base_dir: str
+    partition: str = ""  # manifest key; default: the bucket
 
 
-def late_record(n: int) -> tuple:
-    return "late", "", n, "", ""
+def _event_us(col: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Event times as int64 microseconds (an integer column already is)."""
+    if pa.types.is_timestamp(col.type):
+        col = pc.cast(col, pa.timestamp("us"), safe=False)
+    return pc.cast(col, pa.int64())
 
 
-def bucket_step(
-    parts: list[rd.Dataset],
-    key: str,
-    num_partitions: int,
-    per_bucket: Callable[[pd.DataFrame, int], list[tuple]],
-) -> tuple[dict, dict, int]:
-    """One keyed shuffle: union ``parts``, hash-partition the rows on
-    ``key``, and call ``per_bucket(df, bucket)`` once per bucket inside a
-    Ray task. It writes its files there (``write_frame``) and returns
-    lineage records, so only those reach the driver. Returns (output
-    lineage, state lineage, late rows)."""
-    if not parts:
-        return {}, {}, 0
-    unioned = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+def _map_task(
+    sources: list[Source], files: list[tuple[int, str]], prev_wm: int, key: str, num_partitions: int, n_reduce: int
+) -> tuple:
+    """Read and prepare ``files`` (source index, path) one file at a time,
+    so a prep that combines rows (session fragments) gives the same rows
+    however the files are grouped into tasks; split the rows by hash
+    bucket into one piece per reduce task. Returns ((per-file source
+    index, late rows, maximum event time), phase seconds), *pieces."""
+    timer = step.PhaseTimer()
+    stats, parts = [], []
+    for i, f in files:
+        src = sources[i]
+        with timer("read_s"):
+            tbl = step.read_table([f], src.columns)
+        with timer("compute_s"):
+            late, mx = 0, None
+            if src.ts_col is not None:
+                if src.transform is not None:
+                    tbl = src.transform(tbl)
+                ts = _event_us(tbl.column(src.ts_col))
+                mx = pc.max(ts).as_py()
+                kept = tbl.filter(pc.fill_null(pc.greater(ts, prev_wm), False))
+                late, tbl = tbl.num_rows - kept.num_rows, kept
+            if src.prep is not None:
+                tbl = src.prep(tbl)
+            parts.append(tbl.replace_schema_metadata(None))
+        stats.append((i, late, mx))
+    with timer("compute_s"):
+        tbl = pa.concat_tables(parts, promote_options="permissive")
+        buckets = np.asarray(hash_bucket(tbl.column(key), num_partitions))
+        tbl = tbl.append_column(BUCKET_COL, pa.array(buckets))
+        pieces = [tbl.filter(pa.array(buckets % n_reduce == r)) for r in range(n_reduce)]
+    return (stats, timer.report()), *pieces
 
-    def tag(tbl: pa.Table) -> pa.Table:
-        # every part converts to pandas the same way, whatever schema
-        # metadata (pandas index, dtypes) its input files carry
-        if tbl.schema.metadata:
-            tbl = tbl.replace_schema_metadata(None)
-        return tbl.append_column(BUCKET_COL, pa.array(hash_bucket(tbl.column(key), num_partitions)))
 
-    def run_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(df[BUCKET_COL].iloc[0])
-        return pd.DataFrame(per_bucket(df.drop(columns=[BUCKET_COL]), bucket), columns=_LINEAGE_COLS)
+def _reduce_task(per_bucket: Callable, watermark_us: int, epoch: int, *pieces: pa.Table) -> tuple:
+    """Concatenate one reduce task's pieces, convert them to pandas once,
+    and call ``per_bucket(df, bucket, watermark_us)`` per bucket, writing
+    the frames it returns. Returns (lineage records, phase seconds)."""
+    timer = step.PhaseTimer()
+    records = []
+    with timer("compute_s"):
+        groups = pa.concat_tables(pieces, promote_options="permissive").to_pandas().groupby(BUCKET_COL)
+    for bucket, group in groups:
+        with timer("compute_s"):
+            writes = per_bucket(group.drop(columns=[BUCKET_COL]).reset_index(drop=True), int(bucket), watermark_us)
+        with timer("write_s"):
+            for w in writes:
+                tbl = pa.Table.from_pandas(w.frame, preserve_index=False)
+                path, sha, rows = write_partition_file(tbl, w.base_dir, int(bucket), epoch)
+                records.append((w.kind, w.partition or str(bucket), lineage_entry(rows, path, sha)))
+    return records, timer.report()
 
-    records = (
-        unioned.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(BUCKET_COL)
-        .map_groups(run_bucket, batch_format="pandas")
-        .take_all()  # lineage rows only — never data
-    )
-    out: dict = {}
-    state: dict = {}
-    late = 0
-    for r in records:
-        if r["kind"] == "late":
-            late += r["rows"]
-        else:
-            lineage = out if r["kind"] == "out" else state
-            lineage[r["partition"]] = lineage_entry(r["rows"], r["path"], r["sha256"])
-    return out, state, late
+
+def _task_groups(sources: list[Source]) -> tuple[list[list[tuple[int, str]]], int]:
+    """The sources' files, in order, cut into map-task groups of at most
+    ``step.SMALL_EPOCH_BYTES`` footer bytes (a larger file is a group of
+    its own); returns (groups of (source index, path), total bytes)."""
+    groups: list[list[tuple[int, str]]] = []
+    total = size = 0
+    for i, src in enumerate(sources):
+        for f in src.files:
+            nbytes = step.footer_stats([f])[1]
+            if not groups or size + nbytes > step.SMALL_EPOCH_BYTES:
+                groups.append([])
+                size = 0
+            groups[-1].append((i, f))
+            size += nbytes
+            total += nbytes
+    return groups, total
+
+
+class KeyedStep:
+    """One keyed epoch as plain Ray map and reduce tasks over pyarrow (the
+    shuffle as tasks). Constructing it runs the map tasks (``_map_task``);
+    only their small stats reach the driver: ``maxima``, each source's
+    maximum event time (None without rows), and ``rows_late``. The job
+    computes its watermark from them and calls ``reduce``. Task counts
+    come from the footer bytes: a map task reads at most
+    ``step.SMALL_EPOCH_BYTES``, and the epoch's bytes over that budget
+    set the number of reduce tasks, up to ``num_partitions``. A small
+    epoch is one map and one reduce task."""
+
+    def __init__(self, c: Claim, sources: list[Source], key: str, num_partitions: int):
+        groups, total = _task_groups(sources)
+        self.epoch = c.epoch
+        self.n_reduce = max(1, min(num_partitions, -(-total // max(step.SMALL_EPOCH_BYTES, 1))))
+        map_task = step.remote(_map_task).options(num_returns=self.n_reduce + 1)
+        self._maps = [map_task.remote(sources, g, c.prev_wm, key, num_partitions, self.n_reduce) for g in groups]
+        self.maxima: list[int | None] = [None] * len(sources)
+        self.rows_late = 0
+        self._phases: Counter = Counter()
+        for stats, phases in ray.get([m[0] for m in self._maps]):
+            self._phases.update(phases)
+            for i, late, mx in stats:
+                self.rows_late += late
+                if mx is not None and (self.maxima[i] is None or mx > self.maxima[i]):
+                    self.maxima[i] = mx
+
+    def reduce(self, per_bucket: Callable, watermark_us: int, extra: dict | None = None) -> StepResult:
+        """Call ``per_bucket(df, bucket, watermark_us) -> list[Write]``
+        for every non-empty bucket in the reduce tasks, which write the
+        frames; only lineage comes back."""
+        known = [m for m in self.maxima if m is not None]
+        res = StepResult(
+            watermark_us, rows_late=self.rows_late, epoch_max_ts=max(known, default=None), extra=extra or {}, step="task"
+        )
+        reduce_task = step.remote(_reduce_task)
+        refs = [
+            reduce_task.remote(per_bucket, watermark_us, self.epoch, *[m[1 + r] for m in self._maps])
+            for r in (range(self.n_reduce) if self._maps else ())
+        ]
+        for records, phases in ray.get(refs):
+            self._phases.update(phases)
+            for kind, partition, entry in records:
+                (res.partitions if kind == "out" else res.state_partitions)[partition] = entry
+        res.phases = {k: round(self._phases[k], 4) for k in step.PHASES}
+        return res

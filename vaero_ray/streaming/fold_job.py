@@ -12,20 +12,20 @@ Model (the epoch loop, claim, commit and metrics are driver.py's):
   per key seen so far: ``(key, acc, n)``. Both are hash-partitioned
   Parquet snapshots per epoch (``state/buf``, ``state/fold``), bounded
   by the watermark horizon and the live key count respectively;
-- per epoch ONE bucketed shuffle: union(live, buffered, fold rows) on
-  hash(key) — a key's events and its carried accumulator always meet in
-  the same bucket task, which folds its mature events (seeded by the
-  carried accumulator), writes the new buf/fold state partitions
-  in-task, and returns lineage rows only;
+- per epoch one keyed step (driver.py ``KeyedStep``) over live,
+  buffered and fold rows on hash(key) — a key's events and its carried
+  accumulator always meet in the same bucket, whose reduce task folds
+  its mature events (seeded by the carried accumulator), writes the new
+  buf/fold state partitions in-task, and returns lineage only;
 - rows are emitted at FINALIZE (wm = infinity folds everything and the
   per-key accumulators become the output — exactly the batch
   ``cep.ordered_ewma`` rows, giving stream == batch parity). A live
   deployment reads the committed ``state/fold`` snapshot instead — it
   is the current per-entity signal, updated every epoch.
 
-The union rides ONE all-int64 schema (key, tsus, tie, v, acc, n, kind,
-st) with sentinels instead of nulls — a padded mixed-schema union would
-degrade int64 to float64 in the pandas bucket kernels (the join_job
+The union rides ONE all-int64 schema (key, tsus, tie, v, acc, n, kind)
+with zeros instead of nulls — a padded mixed-schema union would degrade
+int64 to float64 in the pandas bucket kernels (the join_job
 state-snapshot trap).
 
 Fold step is the integer EWMA ``(a*v + (d-a)*e) // d`` (see
@@ -41,45 +41,39 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from vaero_ray.io import read_parquet as _read_pq
-
+from vaero_ray.streaming import step
 from vaero_ray.streaming.driver import (
     Claim,
     EpochDriver,
+    KeyedStep,
+    Source,
     StepResult,
+    Write,
     advance_watermark,
-    bucket_step,
-    late_record,
-    write_frame,
 )
 
 _EV_COLS = ["key", "tsus", "tie", "v"]
 _FOLD_COLS = ["key", "acc", "n"]
-_TS_SENTINEL = -(1 << 61)
-_UNION_COLS = ["key", "tsus", "tie", "v", "acc", "n", "kind", "st"]
+_UNION_COLS = ["key", "tsus", "tie", "v", "acc", "n", "kind"]
 
 
-def _union_rows(kind: int, st: int):
-    """Rows -> the all-int64 union schema. Columns the rows lack are 0
-    (``tsus``: a sentinel); ``kind`` 0 = event, 1 = carried fold row;
-    ``st`` 1 = carried state."""
-    fill = {"tsus": _TS_SENTINEL, "kind": kind, "st": st}
+def _union_rows(kind: int, tbl: pa.Table) -> pa.Table:
+    """Rows -> the all-int64 union schema; columns the rows lack are 0.
+    ``kind`` 0 = event, 1 = carried fold row."""
 
-    def fn(tbl: pa.Table) -> pa.Table:
-        def col(c: str):
-            if c in tbl.column_names:
-                return tbl.column(c)
-            return pa.repeat(pa.scalar(fill.get(c, 0), pa.int64()), tbl.num_rows)
+    def col(c: str):
+        if c in tbl.column_names:
+            return tbl.column(c)
+        return pa.repeat(pa.scalar(kind if c == "kind" else 0, pa.int64()), tbl.num_rows)
 
-        return pa.table({c: col(c) for c in _UNION_COLS})
-
-    return fn
+    return pa.table({c: col(c) for c in _UNION_COLS})
 
 
 @dataclass
@@ -109,6 +103,7 @@ class StreamingFoldJob(EpochDriver):
         if not (0 < self.alpha_num <= self.alpha_den):
             raise ValueError("StreamingFoldJob: need 0 < alpha_num <= alpha_den")
         super().__post_init__()
+        step.task_read_columns(self.extra_read_kw)
 
     # ------------------------------------------------------------ fold math
 
@@ -156,72 +151,50 @@ class StreamingFoldJob(EpochDriver):
     # ------------------------------------------------------------ epochs
 
     def epoch_step(self, c: Claim) -> StepResult:
+        kc, tc, ic, vc = self.key_col, self.ts_col, self.tie_col, self.val_col
+
+        def events(tbl: pa.Table) -> pa.Table:
+            columns = {
+                "key": tbl.column(kc).cast(pa.int64()),
+                "tsus": tbl.column(tc).cast(pa.timestamp("us")).cast(pa.int64()),
+                "tie": tbl.column(ic).cast(pa.int64()),
+                "v": tbl.column(vc).cast(pa.int64()),
+            }
+            return _union_rows(0, pa.table(columns))
+
         # state partitions: "b{bucket}" buffered events, "f{bucket}" folds
-        buf_files, fold_files = c.state_files("b"), c.state_files("f")
-        parts = []
-        if c.files:
-            kc, tc, ic, vc = self.key_col, self.ts_col, self.tie_col, self.val_col
-
-            def live_rows(tbl: pa.Table) -> pa.Table:
-                return _union_rows(0, 0)(
-                    pa.table(
-                        {
-                            "key": tbl.column(kc).cast(pa.int64()),
-                            "tsus": tbl.column(tc).cast(pa.timestamp("us")).cast(pa.int64()),
-                            "tie": tbl.column(ic).cast(pa.int64()),
-                            "v": tbl.column(vc).cast(pa.int64()),
-                        }
-                    )
-                )
-
-            ds = _read_pq(c.files, **self.extra_read_kw)
-            if self.transform is not None:
-                ds = ds.map_batches(self.transform, batch_format="pyarrow", zero_copy_batch=True)
-            # one materialize: consumed by the watermark max AND the shuffle
-            parts.append(ds.map_batches(live_rows, batch_format="pyarrow", zero_copy_batch=True).materialize())
-        for files, kind in ((buf_files, 0), (fold_files, 1)):
-            if files:
-                parts.append(
-                    _read_pq(files).map_batches(_union_rows(kind, 1), batch_format="pyarrow", zero_copy_batch=True)
-                )
-
-        live_max = parts[0].max("tsus") if c.files else None
-        epoch_max_ts = None if live_max is None else int(live_max)
-        prev_wm, finalize, epoch = c.prev_wm, c.finalize, c.epoch
-        new_wm = advance_watermark(prev_wm, epoch_max_ts, self.allowed_lateness_s, finalize)
-
-        out_dir = self.out_dir
-        state_dir = self.store.state_path_for(epoch)
+        sources = [
+            Source(c.files, events, tc, self.transform, step.task_read_columns(self.extra_read_kw)),
+            Source(c.state_files("b"), partial(_union_rows, 0)),
+            Source(c.state_files("f"), partial(_union_rows, 1)),
+        ]
+        ks = KeyedStep(c, sources, "key", self.num_partitions)
+        new_wm = advance_watermark(c.prev_wm, ks.maxima[0], self.allowed_lateness_s, c.finalize)
+        finalize, out_dir, state_dir = c.finalize, self.out_dir, self.store.state_path_for(c.epoch)
         key_out, val_out = self.key_col, self.out_val
         fold_fn = self._fold_seeded
 
-        def per_bucket(df: pd.DataFrame, bucket: int) -> list[tuple]:
+        def per_bucket(df: pd.DataFrame, bucket: int, wm: int) -> list[Write]:
             ev = df[df["kind"] == 0]
-            folds = df[df["kind"] == 1][_FOLD_COLS]
-            late = (ev["tsus"] <= prev_wm) & (ev["st"] == 0)
-            recs = [late_record(int(late.sum()))]
-            ev = ev[~late]
-            mature_mask = ev["tsus"] <= new_wm
+            mature_mask = ev["tsus"] <= wm
             mature, future = ev[mature_mask][_EV_COLS], ev[~mature_mask][_EV_COLS]
-            new_folds = fold_fn(mature, folds)
+            new_folds = fold_fn(mature, df[df["kind"] == 1][_FOLD_COLS])
             if finalize:
-                if len(new_folds):
-                    out = pd.DataFrame(
-                        {
-                            key_out: new_folds["key"].to_numpy(),
-                            "n_events": new_folds["n"].to_numpy(),
-                            val_out: new_folds["acc"].to_numpy(),
-                        }
-                    )
-                    recs.append(write_frame("out", out, out_dir, bucket, epoch))
-            else:
-                if len(new_folds):
-                    fold_dir = os.path.join(state_dir, "fold")
-                    recs.append(write_frame("state", new_folds, fold_dir, bucket, epoch, f"f{bucket}"))
-                if len(future):
-                    buf_dir = os.path.join(state_dir, "buf")
-                    recs.append(write_frame("state", future, buf_dir, bucket, epoch, f"b{bucket}"))
-            return recs
+                if not len(new_folds):
+                    return []
+                out = pd.DataFrame(
+                    {
+                        key_out: new_folds["key"].to_numpy(),
+                        "n_events": new_folds["n"].to_numpy(),
+                        val_out: new_folds["acc"].to_numpy(),
+                    }
+                )
+                return [Write("out", out, out_dir)]
+            writes = []
+            if len(new_folds):
+                writes.append(Write("state", new_folds, os.path.join(state_dir, "fold"), f"f{bucket}"))
+            if len(future):
+                writes.append(Write("state", future, os.path.join(state_dir, "buf"), f"b{bucket}"))
+            return writes
 
-        partitions, state_partitions, rows_late = bucket_step(parts, "key", self.num_partitions, per_bucket)
-        return StepResult(new_wm, partitions, state_partitions, rows_late, epoch_max_ts)
+        return ks.reduce(per_bucket, new_wm)

@@ -26,13 +26,13 @@ rule), so a slow side never causes the fast side's matches to be
 evicted early. New rows at or below the previous global watermark are
 LATE: dropped and counted.
 
-Epoch mechanics (driver.py's epoch loop and commit protocol): ONE
-bucketed shuffle per epoch — new rows of both sides plus both state
-buffers, tagged ``__side``/``__st``, padded to the union schema with
-typed nulls — then each bucket task joins, writes its output file and
-its state partition deterministically in-task, and only lineage rows
-reach the driver. fsync'd manifest = the commit point; a SIGKILL
-anywhere reruns the epoch byte-identically.
+Epoch mechanics (driver.py's epoch loop, commit protocol and keyed
+step): one ``KeyedStep`` per epoch — map tasks drop late rows and pad
+new rows of both sides plus both state buffers to the union schema with
+typed nulls, tagged ``__side``/``__st``; per bucket, a reduce task joins
+and writes its output file and state partitions deterministically, and
+only lineage reaches the driver. fsync'd manifest = the commit point; a
+SIGKILL anywhere reruns the epoch byte-identically.
 
 Scale: state per key is bounded by the rows inside ``within + lateness``
 of the watermark (the contract every watermarked stream-stream join
@@ -51,18 +51,17 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from vaero_ray.io import read_parquet as _read_pq
-
 from vaero_ray.stages.windows import US
+from vaero_ray.streaming import step
 from vaero_ray.streaming.driver import (
     WM_MIN,
     Claim,
     EpochDriver,
+    KeyedStep,
+    Source,
     StepResult,
+    Write,
     advance_watermark,
-    bucket_step,
-    late_record,
-    write_frame,
 )
 
 
@@ -94,6 +93,7 @@ class StreamingJoinJob(EpochDriver):
 
     def __post_init__(self):
         super().__post_init__()
+        step.task_read_columns(self.extra_read_kw)
         if set(self.left_cols) & set(self.right_cols):
             raise ValueError("left_cols and right_cols must be disjoint")
         if self.join_type not in ("inner", "left_outer"):
@@ -159,7 +159,6 @@ class StreamingJoinJob(EpochDriver):
         # schema union
         extra = c.last.extra if c.last is not None else {}
         wm_l, wm_r = extra.get("wm_l", WM_MIN), extra.get("wm_r", WM_MIN)
-        prev_wm = min(wm_l, wm_r)
         lf, rf = _in_dir(c.files, self.left_dir), _in_dir(c.files, self.right_dir)
         state_l, state_r = c.state_files("L:"), c.state_files("R:")
         finalize, epoch = c.finalize, c.epoch
@@ -180,47 +179,23 @@ class StreamingJoinJob(EpochDriver):
             # carried natively in the L state snapshot across epochs
             all_cols = all_cols + ["__matched"]
             types["__matched"] = pa.int8()
-        parts: list = []
-        live: dict = {}
-        for side, files in ((0, lf), (1, rf)):
-            if not files:
-                continue
-            ds = _read_pq(files, **self.extra_read_kw)
-            # materialize: consumed twice (side max + the join shuffle)
-            live[side] = ds.map_batches(
-                self._pad(side, 0, all_cols, types), batch_format="pyarrow", zero_copy_batch=True
-            ).materialize()
-            parts.append(live[side])
-        for side, files in ((0, state_l), (1, state_r)):
-            if files:
-                parts.append(
-                    _read_pq(files).map_batches(
-                        self._pad(side, 1, all_cols, types),
-                        batch_format="pyarrow",
-                        zero_copy_batch=True,
-                    )
-                )
-
+        columns = step.task_read_columns(self.extra_read_kw)
+        sources = [Source(f, self._pad(side, 0, all_cols, types), self.ts_col, None, columns)
+                   for side, f in enumerate((lf, rf))]
+        sources += [Source(f, self._pad(side, 1, all_cols, types)) for side, f in enumerate((state_l, state_r))]
+        ks = KeyedStep(c, sources, self.key, self.num_partitions)
         # per-side watermarks advance on live maxima only
-        maxima = {}
-        for side, ds in live.items():
-            mx = ds.max(self.ts_col)
-            maxima[side] = None if mx is None else int(pa.scalar(mx).cast(pa.int64()).as_py())
-        wm_l = advance_watermark(wm_l, maxima.get(0), self.allowed_lateness_s, finalize)
-        wm_r = advance_watermark(wm_r, maxima.get(1), self.allowed_lateness_s, finalize)
-        new_wm = min(wm_l, wm_r)
+        wm_l = advance_watermark(wm_l, ks.maxima[0], self.allowed_lateness_s, finalize)
+        wm_r = advance_watermark(wm_r, ks.maxima[1], self.allowed_lateness_s, finalize)
 
         key, ts_col = self.key, self.ts_col
         lcols, rcols = list(self.left_cols), list(self.right_cols)
         int_cols, left_id_col = self._int_cols, self.left_id_col
         out_dir, state_dir = self.out_dir, self.store.state_path_for(epoch)
 
-        def per_bucket(df: pd.DataFrame, bucket: int) -> list[tuple]:
-            tsus = df[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-            df = df.assign(__tsus=tsus)
-            late = (df["__tsus"] <= prev_wm) & (df["__st"] == 0)
-            recs = [late_record(int(late.sum()))]
-            df = df[~late]
+        def per_bucket(df: pd.DataFrame, bucket: int, new_wm: int) -> list[Write]:
+            df = df.assign(__tsus=df[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64))
+            writes = []
 
             def side_frame(side: int, cols: list) -> pd.DataFrame:
                 sub = df[df["__side"] == side][[key, "__tsus"] + cols].copy()
@@ -317,8 +292,7 @@ class StreamingJoinJob(EpochDriver):
                     snap[ts_col] = frame["__tsus"].to_numpy().astype("datetime64[us]")
                     for c in keep_cols:
                         snap[c] = frame[c].to_numpy()
-                    side_dir = os.path.join(state_dir, tag_)
-                    recs.append(write_frame("state", snap, side_dir, bucket, epoch, f"{tag_}:{bucket}"))
+                    writes.append(Write("state", snap, os.path.join(state_dir, tag_), f"{tag_}:{bucket}"))
             if out_frames:
                 out = pd.concat(out_frames, ignore_index=True)
                 if outer:
@@ -327,15 +301,10 @@ class StreamingJoinJob(EpochDriver):
                     for c in rcols:
                         if c in int_cols:
                             out[c] = out[c].astype("Int64")
-                recs.append(write_frame("out", out, out_dir, bucket, epoch))
-            return recs
+                writes.append(Write("out", out, out_dir))
+            return writes
 
-        partitions, state_partitions, rows_late = bucket_step(parts, key, self.num_partitions, per_bucket)
-        known = [m for m in maxima.values() if m is not None]
-        return StepResult(
-            new_wm, partitions, state_partitions, rows_late, max(known) if known else None,
-            extra={"wm_l": wm_l, "wm_r": wm_r},
-        )
+        return ks.reduce(per_bucket, min(wm_l, wm_r), extra={"wm_l": wm_l, "wm_r": wm_r})
 
 
 def _in_dir(files: list, d: str) -> list:

@@ -49,10 +49,6 @@ LINEAGE_SCHEMA = pa.schema(
 )
 
 
-def add_partition_col(tbl: pa.Table, key: str, num_partitions: int) -> pa.Table:
-    return tbl.append_column(BUCKET_COL, pa.array(hash_bucket(tbl.column(key), num_partitions)))
-
-
 def _held_as_objects(t: pa.DataType) -> bool:
     """Types pandas holds as Python objects (bools only when nulls force it)."""
     return (
@@ -144,7 +140,7 @@ def write_deterministic(
     non-empty partition)."""
 
     def tag(tbl: pa.Table) -> pa.Table:
-        return add_partition_col(tbl, partition_key, num_partitions)
+        return tbl.append_column(BUCKET_COL, pa.array(hash_bucket(tbl.column(partition_key), num_partitions)))
 
     def write_partition(tbl: pa.Table) -> pa.Table:
         # dir name has no '=': hive-partition inference would otherwise

@@ -1,12 +1,13 @@
-"""Small-epoch step: one epoch as ONE Ray task over plain pyarrow.
+"""Task steps: an epoch as plain Ray tasks over pyarrow.
 
-A streaming epoch runs either as a Ray Data plan (several executions and
-shuffles; the only form that scales past one worker's heap) or, when the
-epoch is small, as one Ray task that runs the same kernels — the compiled
-transform chain, the window partial/merge/finalize functions,
-``hash_bucket`` and the canonical writer — over pyarrow tables in one
-process. For a few thousand rows the Ray Data plan is almost all fixed
-cost: each execution and each shuffle costs more than the data it moves.
+A windowed or route epoch runs either as a Ray Data plan (several
+executions and shuffles; the only form that scales past one worker's
+heap) or, when the epoch is small, as one Ray task that runs the same
+kernels — the compiled transform chain, the window partial/merge/finalize
+functions, ``hash_bucket`` and the canonical writer — over pyarrow tables
+in one process. For a few thousand rows the Ray Data plan is almost all
+fixed cost: each execution and each shuffle costs more than the data it
+moves.
 
 An epoch is small when its claimed input files plus its carried state
 files hold at most ``SMALL_EPOCH_BYTES`` uncompressed bytes, summed from
@@ -15,7 +16,8 @@ files, so an epoch may take either one and a resume may switch between
 them (tests/test_small_step.py). The task receives a plain spec (file
 lists, watermark, epoch, plan) — never the job object or its checkpoint
 store — and returns lineage, counters and its phase times; the epoch
-driver (driver.py) commits.
+driver (driver.py) commits. The keyed jobs always run as tasks
+(``driver.KeyedStep``); there ``SMALL_EPOCH_BYTES`` budgets a map task.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ def is_small(nbytes: int, read_kw: dict) -> bool:
     return nbytes <= SMALL_EPOCH_BYTES and set(read_kw) <= {"columns"}
 
 
+def task_read_columns(read_kw: dict) -> list[str] | None:
+    """The ``columns`` read option of ``read_kw``: the only one a task
+    read honours, so any other key raises ``ValueError``."""
+    for k in read_kw:
+        if k != "columns":
+            raise ValueError(f"extra_read_kw: {k!r} is not supported by the task read (only 'columns')")
+    return read_kw.get("columns")
+
+
 def read_table(files: list[str], columns: list[str] | None = None) -> pa.Table:
     """``files`` as one table, read the way ``io.read_parquet`` reads
     them: the first file's footer schema, metadata stripped and pruned to
@@ -103,10 +114,11 @@ def write_partitions(tbl: pa.Table, base_dir: str, epoch: int, key: str, num_par
 
 
 @functools.lru_cache(maxsize=None)
-def _remote(fn):
+def remote(fn):
+    """``fn`` as a Ray remote function, built once per process."""
     return ray.remote(fn)
 
 
 def run_in_task(fn, **kw):
     """``fn(**kw)`` as one Ray task; returns its result."""
-    return ray.get(_remote(fn).remote(**kw))
+    return ray.get(remote(fn).remote(**kw))
