@@ -343,8 +343,8 @@ def test_keyed_task_counts_write_identical_bytes(name, inputs, tmp_path, monkeyp
     groups = []
     real = driver._task_groups
 
-    def recorded(sources):
-        out = real(sources)
+    def recorded(*args):
+        out = real(*args)
         groups.append(len(out[0]))
         return out
 

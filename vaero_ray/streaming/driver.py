@@ -11,7 +11,10 @@ One epoch is:
             exact state files to restore (its lineage, never a glob)
   step      the job's own work (``EpochDriver.epoch_step``): read,
             compute, and write every output and state file at a path
-            derived from (epoch, partition) only
+            derived from (epoch, partition) only. The step that opens
+            the input and state files reports their footer counts
+            (``rows_in``, ``bytes_in``, ``state_bytes_in``); the loop
+            itself opens no Parquet file
   commit    the manifest, fsync'd and atomically renamed into place
             (checkpoint.py) — THE commit point
   metrics   one ``metrics.jsonl`` record per committed epoch
@@ -73,9 +76,8 @@ class Claim:
 
     epoch: int
     files: list[str]  # input files, sorted; none on a finalize epoch
-    last: EpochManifest | None  # the previous committed epoch
+    last: EpochManifest | None  # the previous committed epoch; its lineage names the state files
     finalize: bool
-    nbytes: int  # uncompressed input + carried state bytes, from the footers
 
     @property
     def prev_wm(self) -> int:
@@ -86,6 +88,14 @@ class Claim:
         ``prefix`` — exactly the previous manifest's lineage."""
         return [] if self.last is None else self.last.state_files(prefix)
 
+    def lineage_rows(self) -> dict[str, int]:
+        """The rows the previous manifest's lineage recorded per carried
+        state file (a state partition is one file): a step that opens a
+        state file checks its footer against them (``step.open_files``)."""
+        if self.last is None:
+            return {}
+        return {f: p["rows"] for p in self.last.state_partitions.values() for f in p["files"]}
+
 
 @dataclass
 class StepResult:
@@ -95,6 +105,11 @@ class StepResult:
     partitions: dict = field(default_factory=dict)  # output lineage
     state_partitions: dict = field(default_factory=dict)  # state lineage
     rows_late: int = 0
+    # footer counts of the files the step opened: input rows, and the
+    # uncompressed row-group bytes of the input and carried state files
+    rows_in: int = 0
+    bytes_in: int = 0
+    state_bytes_in: int = 0
     epoch_max_ts: int | None = None  # max event time seen, for watermark_lag_us
     extra: dict = field(default_factory=dict)  # job-specific manifest fields
     step: str = "dataset"  # "task": Ray tasks over pyarrow; "dataset": a Ray Data plan
@@ -161,15 +176,13 @@ class EpochDriver:
         if not files and not finalize:
             return None  # nothing to do
         epoch = 0 if last is None else last.epoch + 1
-        rows_in, bytes_in = step.footer_stats(files)
-        _, state_bytes_in = step.footer_stats(last.state_files() if last else [])
-        res = self.epoch_step(Claim(epoch, files, last, finalize, bytes_in + state_bytes_in))
+        res = self.epoch_step(Claim(epoch, files, last, finalize))
 
         manifest = EpochManifest(
             epoch=epoch,
             input_files=files,
             watermark_us=res.watermark_us,
-            rows_in=rows_in,
+            rows_in=res.rows_in,
             rows_late=res.rows_late,
             rows_out=sum(p["rows"] for p in res.partitions.values()),
             partitions=res.partitions,
@@ -184,8 +197,8 @@ class EpochDriver:
             self._metrics_record(
                 manifest,
                 step=res.step,
-                bytes_in=bytes_in,
-                state_bytes_in=state_bytes_in,
+                bytes_in=res.bytes_in,
+                state_bytes_in=res.state_bytes_in,
                 watermark_lag_us=lag,
                 **(res.phases or {}),
                 wall_s=round(time.perf_counter() - t0, 3),
@@ -324,22 +337,30 @@ def _reduce_task(per_bucket: Callable, watermark_us: int, epoch: int, *pieces: p
     return records, timer.report()
 
 
-def _task_groups(sources: list[Source]) -> tuple[list[list[tuple[int, str]]], int]:
+def _task_groups(sources: list[Source], lineage_rows: dict) -> tuple[list[list[tuple[int, str]]], dict]:
     """The sources' files, in order, cut into map-task groups of at most
     ``step.SMALL_EPOCH_BYTES`` footer bytes (a larger file is a group of
-    its own); returns (groups of (source index, path), total bytes)."""
+    its own). Opens each footer once, checking carried state files
+    against ``lineage_rows``; returns (groups of (source index, path),
+    ``StepResult`` footer counts: ``rows_in`` and ``bytes_in`` of the
+    live sources, ``state_bytes_in`` of the others)."""
     groups: list[list[tuple[int, str]]] = []
-    total = size = 0
+    counts = dict.fromkeys(("rows_in", "bytes_in", "state_bytes_in"), 0)
+    size = 0
     for i, src in enumerate(sources):
-        for f in src.files:
-            nbytes = step.footer_stats([f])[1]
+        for f, pf in zip(src.files, step.open_files(src.files, lineage_rows)):
+            rows, nbytes = step.footer_stats([pf])
             if not groups or size + nbytes > step.SMALL_EPOCH_BYTES:
                 groups.append([])
                 size = 0
             groups[-1].append((i, f))
             size += nbytes
-            total += nbytes
-    return groups, total
+            if src.ts_col is None:
+                counts["state_bytes_in"] += nbytes
+            else:
+                counts["rows_in"] += rows
+                counts["bytes_in"] += nbytes
+    return groups, counts
 
 
 class KeyedStep:
@@ -348,13 +369,15 @@ class KeyedStep:
     only their small stats reach the driver: ``maxima``, each source's
     maximum event time (None without rows), and ``rows_late``. The job
     computes its watermark from them and calls ``reduce``. Task counts
-    come from the footer bytes: a map task reads at most
+    come from the footer bytes, which the job's process reads once per
+    file (``_task_groups``): a map task reads at most
     ``step.SMALL_EPOCH_BYTES``, and the epoch's bytes over that budget
     set the number of reduce tasks, up to ``num_partitions``. A small
     epoch is one map and one reduce task."""
 
     def __init__(self, c: Claim, sources: list[Source], key: str, num_partitions: int):
-        groups, total = _task_groups(sources)
+        groups, self.counts = _task_groups(sources, c.lineage_rows())
+        total = self.counts["bytes_in"] + self.counts["state_bytes_in"]
         self.epoch = c.epoch
         self.n_reduce = max(1, min(num_partitions, -(-total // max(step.SMALL_EPOCH_BYTES, 1))))
         map_task = step.remote(_map_task).options(num_returns=self.n_reduce + 1)
@@ -375,7 +398,12 @@ class KeyedStep:
         frames; only lineage comes back."""
         known = [m for m in self.maxima if m is not None]
         res = StepResult(
-            watermark_us, rows_late=self.rows_late, epoch_max_ts=max(known, default=None), extra=extra or {}, step="task"
+            watermark_us,
+            rows_late=self.rows_late,
+            **self.counts,
+            epoch_max_ts=max(known, default=None),
+            extra=extra or {},
+            step="task",
         )
         reduce_task = step.remote(_reduce_task)
         refs = [

@@ -16,9 +16,11 @@ files. Each epoch deterministically claims the next unconsumed files
     -> fsync'd atomic manifest commit   (driver.py, in the job's process)
 
 A small epoch runs the step as one Ray task over pyarrow tables
-(``window_step``, see step.py); a larger one runs it as a Ray Data plan
-(``_dataset_step``: per-block partials, a merge shuffle, hash-partitioned
-writes). Both write the same bytes.
+(``window_step``, see step.py), which opens each input and state file
+once and returns before reading any data when their footers exceed the
+budget; such an epoch then runs as a Ray Data plan (``_dataset_step``:
+per-block partials, a merge shuffle, hash-partitioned writes). Both
+write the same bytes.
 
 Watermark: wm_k = max(wm_{k-1}, max event ts in epoch k - allowed_lateness).
 A window [s, s+size) closes when wm >= s+size; rows arriving for an
@@ -32,8 +34,9 @@ windowed step.
 
 Scale: the Dataset plan's shuffles move PARTIALS (one row per key x
 window per block), not events; state is hash-partitioned Parquet re-read
-each epoch; the job's own process touches only footers, lineage rows and
-manifests, never data.
+each epoch; the job's own process touches only lineage rows and
+manifests, never data (and footers only for an epoch too large for the
+task step).
 """
 
 from __future__ import annotations
@@ -88,9 +91,11 @@ def window_step(
     epoch: int,
     files: list[str],
     state_files: list[str],
+    lineage_rows: dict,
     prev_wm: int,
     finalize: bool,
     state_path: str,
+    budget: int,
     keys: list[str],
     aggs: list[AggSpec],
     state_aggs: list[AggSpec],
@@ -104,15 +109,21 @@ def window_step(
     out_dir: str,
     columns: list[str] | None,
     transform: "Callable[[pa.Table], pa.Table] | None",
-) -> StepResult:
+) -> StepResult | None:
     """One windowed epoch over pyarrow tables in one process (step.py):
     read -> transform -> partials -> union previous state -> merge ->
-    late/closed/open split -> finalize -> hash-partitioned writes."""
+    late/closed/open split -> finalize -> hash-partitioned writes. Returns
+    None, having read no data, when the footers of ``files`` and
+    ``state_files`` exceed ``budget`` bytes."""
     group_cols = list(keys) + [window_col]
     timer = step.PhaseTimer()
     with timer("read_s"):
-        live = step.read_table(files, columns) if files else None
-        state = step.read_table(state_files) if state_files else None
+        live, state = step.open_files(files), step.open_files(state_files, lineage_rows)
+        counts = step.footer_counts(live, state)
+        if counts["bytes_in"] + counts["state_bytes_in"] > budget:
+            return None
+        live = step.read_table(live, columns) if live else None
+        state = step.read_table(state) if state else None
     with timer("compute_s"):
         parts = []
         if live is not None:
@@ -127,7 +138,7 @@ def window_step(
             parts.append(state)
     if not parts:
         wm = advance_watermark(prev_wm, None, allowed_lateness_s, finalize)
-        return StepResult(wm, step="task", phases=timer.report())
+        return StepResult(wm, **counts, step="task", phases=timer.report())
     with timer("compute_s"):
         if merge_backend == "native":
             parts = [_int64_partials(p, group_cols) for p in parts]
@@ -147,6 +158,7 @@ def window_step(
         partitions,
         state_partitions,
         rows_late=pc.sum(late.column("__pcount")).as_py() or 0,
+        **counts,
         epoch_max_ts=epoch_max_ts,
         step="task",
         phases=timer.report(),
@@ -278,14 +290,15 @@ class StreamingWindowedJob(EpochDriver):
     # -- one epoch ------------------------------------------------------
     def epoch_step(self, c: Claim) -> StepResult:
         spec = dict(
-            epoch=c.epoch, files=c.files, state_files=c.state_files(), prev_wm=c.prev_wm,
-            finalize=c.finalize, state_path=self.store.state_path_for(c.epoch),
+            epoch=c.epoch, files=c.files, state_files=c.state_files(), lineage_rows=c.lineage_rows(),
+            prev_wm=c.prev_wm, finalize=c.finalize, state_path=self.store.state_path_for(c.epoch),
         )
-        if not step.is_small(c.nbytes, self.extra_read_kw):
+        if not step.task_reads(self.extra_read_kw):
             return self._dataset_step(**spec)
-        return step.run_in_task(
+        res = step.run_in_task(
             window_step,
             **spec,
+            budget=step.SMALL_EPOCH_BYTES,
             keys=self.keys,
             aggs=self.aggs,
             state_aggs=self._state_aggs,
@@ -300,12 +313,15 @@ class StreamingWindowedJob(EpochDriver):
             columns=self.extra_read_kw.get("columns"),
             transform=self.transform,
         )
+        return self._dataset_step(**spec) if res is None else res
 
     def _dataset_step(
-        self, epoch: int, files: list[str], state_files: list[str], prev_wm: int, finalize: bool, state_path: str
+        self, epoch: int, files: list[str], state_files: list[str], lineage_rows: dict, prev_wm: int,
+        finalize: bool, state_path: str,
     ) -> StepResult:
         """window_step as a Ray Data plan: the form that scales past one
         worker's heap."""
+        counts = step.footer_counts(files, step.open_files(state_files, lineage_rows))
         parts: list[rd.Dataset] = []
         if files:
             ds = _read_pq(files, **self.extra_read_kw)
@@ -315,7 +331,7 @@ class StreamingWindowedJob(EpochDriver):
         if state_files:
             parts.append(_read_pq(state_files))
         if not parts:
-            return StepResult(advance_watermark(prev_wm, None, self.allowed_lateness_s, finalize))
+            return StepResult(advance_watermark(prev_wm, None, self.allowed_lateness_s, finalize), **counts)
 
         # normalize column order so union of state + live partials is valid
         cols = sorted(parts[0].schema().names)
@@ -350,5 +366,6 @@ class StreamingWindowedJob(EpochDriver):
                 )
             ),
             rows_late,
-            epoch_max_ts,
+            **counts,
+            epoch_max_ts=epoch_max_ts,
         )

@@ -9,14 +9,19 @@ in one process. For a few thousand rows the Ray Data plan is almost all
 fixed cost: each execution and each shuffle costs more than the data it
 moves.
 
-An epoch is small when its claimed input files plus its carried state
-files hold at most ``SMALL_EPOCH_BYTES`` uncompressed bytes, summed from
-the parquet footers' row-group sizes. Both forms write byte-identical
-files, so an epoch may take either one and a resume may switch between
-them (tests/test_small_step.py). The task receives a plain spec (file
-lists, watermark, epoch, plan) — never the job object or its checkpoint
-store — and returns lineage, counters and its phase times; the epoch
-driver (driver.py) commits. The keyed jobs always run as tasks
+The task decides whether its epoch is small: it opens each claimed input
+file and carried state file once, on its own thread, and sums the
+uncompressed row-group sizes from those footers. When they exceed the
+``budget`` the driver passed (``SMALL_EPOCH_BYTES``, read when the epoch
+starts) it returns None before reading any data, and the driver runs the
+Ray Data plan. The files the task opened are the ones it reads, and
+their footers give the epoch's ``rows_in``, ``bytes_in`` and
+``state_bytes_in``. Both forms write byte-identical files, so an epoch
+may take either one and a resume may switch between them
+(tests/test_small_step.py). The task receives a plain spec (file lists,
+watermark, epoch, plan, budget) — never the job object or its
+checkpoint store — and returns lineage, counters and its phase times;
+the epoch driver (driver.py) commits. The keyed jobs always run as tasks
 (``driver.KeyedStep``); there ``SMALL_EPOCH_BYTES`` budgets a map task.
 """
 
@@ -28,7 +33,6 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 
@@ -63,21 +67,53 @@ class PhaseTimer:
         return {k: round(v, 4) for k, v in self.seconds.items()}
 
 
-def footer_stats(files: list[str]) -> tuple[int, int]:
-    """(rows, uncompressed row-group bytes) of ``files``, from the footers."""
-    rows = nbytes = 0
+def open_files(files: list[str], lineage_rows: dict | None = None) -> list[pq.ParquetFile]:
+    """One ``ParquetFile`` per path, its footer parsed once. A file that
+    cannot be opened raises an error naming its path. A carried state
+    file whose footer row count differs from the rows its lineage
+    recorded (``lineage_rows``: path -> rows) raises ``ValueError``."""
+    out = []
     for f in files:
-        md = pq.read_metadata(f)
+        try:
+            pf = pq.ParquetFile(f)
+        except (pa.ArrowException, OSError) as e:
+            raise type(e)(f"Could not open Parquet input source '{f}': {e}") from e
+        want = (lineage_rows or {}).get(f)
+        if want is not None and pf.metadata.num_rows != want:
+            raise ValueError(f"state file '{f}' holds {pf.metadata.num_rows} rows; its lineage recorded {want}")
+        out.append(pf)
+    return out
+
+
+def _opened(files: list) -> list[pq.ParquetFile]:
+    """``files`` as ``ParquetFile``s, opening the ones given as paths."""
+    return [open_files([f])[0] if isinstance(f, str) else f for f in files]
+
+
+def footer_stats(files: list) -> tuple[int, int]:
+    """(rows, uncompressed row-group bytes) of ``files`` (paths or opened
+    ``ParquetFile``s), from the footers."""
+    rows = nbytes = 0
+    for pf in _opened(files):
+        md = pf.metadata
         rows += md.num_rows
         nbytes += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
     return rows, nbytes
 
 
-def is_small(nbytes: int, read_kw: dict) -> bool:
-    """Whether an epoch of ``nbytes`` runs as one task. Read options other
-    than ``columns`` are Ray Data ``read_parquet`` arguments, which only
-    the Dataset plan honours."""
-    return nbytes <= SMALL_EPOCH_BYTES and set(read_kw) <= {"columns"}
+def footer_counts(files: list, state_files: list = ()) -> dict:
+    """``StepResult``'s footer counts of the input ``files`` and carried
+    ``state_files`` (paths or opened ``ParquetFile``s): ``rows_in``,
+    ``bytes_in`` and ``state_bytes_in``."""
+    rows_in, bytes_in = footer_stats(files)
+    return dict(rows_in=rows_in, bytes_in=bytes_in, state_bytes_in=footer_stats(state_files)[1])
+
+
+def task_reads(read_kw: dict) -> bool:
+    """Whether a task step honours ``read_kw``. Read options other than
+    ``columns`` are Ray Data ``read_parquet`` arguments, which only the
+    Dataset plan honours."""
+    return set(read_kw) <= {"columns"}
 
 
 def task_read_columns(read_kw: dict) -> list[str] | None:
@@ -89,14 +125,31 @@ def task_read_columns(read_kw: dict) -> list[str] | None:
     return read_kw.get("columns")
 
 
-def read_table(files: list[str], columns: list[str] | None = None) -> pa.Table:
-    """``files`` as one table, read the way ``io.read_parquet`` reads
-    them: the first file's footer schema, metadata stripped and pruned to
-    ``columns``, is forced onto every file."""
-    schema = pq.read_schema(files[0]).remove_metadata()
+def read_table(files: list, columns: list[str] | None = None) -> pa.Table:
+    """``files`` (paths or opened ``ParquetFile``s) as one table, in file
+    order, read the way ``io.read_parquet`` reads them: the first file's
+    footer schema, metadata stripped and pruned to ``columns``, is forced
+    onto every file — a missing column is null-filled, another type is
+    cast, an extra column is dropped. Each file is read on the calling
+    thread."""
+    pfs = _opened(files)
+    schema = pfs[0].schema_arrow.remove_metadata()
     if columns:
         schema = pa.schema([schema.field(c) for c in columns])
-    return pads.dataset(files, schema=schema, format="parquet").to_table()
+    return pa.concat_tables([_read_as(pf, schema) for pf in pfs])
+
+
+def _read_as(pf: pq.ParquetFile, schema: pa.Schema) -> pa.Table:
+    have = set(pf.schema_arrow.names)
+    tbl = pf.read(columns=[n for n in schema.names if n in have], use_threads=False)
+    cols = []
+    for f in schema:
+        if f.name not in have:
+            cols.append(pa.nulls(tbl.num_rows, f.type))
+        else:
+            col = tbl.column(f.name)
+            cols.append(col if col.type == f.type else col.cast(f.type))
+    return pa.Table.from_arrays(cols, schema=schema)
 
 
 def write_partitions(tbl: pa.Table, base_dir: str, epoch: int, key: str, num_partitions: int) -> dict:

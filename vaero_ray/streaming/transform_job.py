@@ -76,14 +76,21 @@ def _partitions(lineage: list) -> dict:
     return {f"{bkey}/{r['partition']}": lineage_entry(r["rows"], r["path"], r["sha256"]) for bkey, r in lineage}
 
 
-def route_step(*, epoch: int, files: list[str], columns: list[str] | None, routes: list, out_dir: str) -> StepResult:
+def route_step(
+    *, epoch: int, files: list[str], budget: int, columns: list[str] | None, routes: list, out_dir: str
+) -> StepResult | None:
     """One route epoch over pyarrow tables in one process (step.py):
     read -> each branch's compiled chain -> sink prefix -> one file per
     (branch, prefix). ``routes`` holds (branch key, chain, timestamp_key,
-    prefix format) per branch."""
+    prefix format) per branch. Returns None, having read no data, when
+    the footers of ``files`` exceed ``budget`` bytes."""
     timer = step.PhaseTimer()
     with timer("read_s"):
-        tbl = step.read_table(files, columns)
+        pfs = step.open_files(files)
+        counts = step.footer_counts(pfs)
+        if counts["bytes_in"] > budget:
+            return None
+        tbl = step.read_table(pfs, columns)
     lineage = []
     for bkey, fused, ts_key, fmt in routes:
         with timer("compute_s"):
@@ -92,7 +99,7 @@ def route_step(*, epoch: int, files: list[str], columns: list[str] | None, route
             groups = [staged.filter(pc.equal(prefix, p)) for p in pc.unique(prefix).to_pylist()]
         with timer("write_s"):
             lineage.extend((bkey, write_prefix_file(g, os.path.join(out_dir, bkey), epoch)) for g in groups)
-    return StepResult(0, _partitions(lineage), step="task", phases=timer.report())
+    return StepResult(0, _partitions(lineage), **counts, step="task", phases=timer.report())
 
 
 @dataclass
@@ -134,18 +141,22 @@ class StreamingTransformJob(EpochDriver):
         return super().run(max_epochs, finalize=False)
 
     def epoch_step(self, c: Claim) -> StepResult:
-        # relational branches (window/join/dedup steps) run as Dataset
-        # plans, so their epochs take the Dataset step
-        if not step.is_small(c.nbytes, self.extra_read_kw) or any(b.has_rel for b in self.plan.branches):
-            return StepResult(0, _partitions(self._dataset_step(c.epoch, c.files)))
-        routes = []
-        for i, branch in enumerate(self.plan.branches):
-            bkey, ts_key, fmt = _sink_route(i, branch)
-            routes.append((bkey, branch.compile(), ts_key, fmt))
-        return step.run_in_task(
-            route_step, epoch=c.epoch, files=c.files, columns=self.extra_read_kw.get("columns"),
-            routes=routes, out_dir=self.out_dir,
-        )
+        # relational branches (window/join/dedup steps) and read options
+        # other than columns run as Dataset plans, so their epochs take
+        # the Dataset step
+        if step.task_reads(self.extra_read_kw) and not any(b.has_rel for b in self.plan.branches):
+            routes = []
+            for i, branch in enumerate(self.plan.branches):
+                bkey, ts_key, fmt = _sink_route(i, branch)
+                routes.append((bkey, branch.compile(), ts_key, fmt))
+            res = step.run_in_task(
+                route_step, epoch=c.epoch, files=c.files, budget=step.SMALL_EPOCH_BYTES,
+                columns=self.extra_read_kw.get("columns"), routes=routes, out_dir=self.out_dir,
+            )
+            if res is not None:
+                return res
+        counts = step.footer_counts(c.files)
+        return StepResult(0, _partitions(self._dataset_step(c.epoch, c.files)), **counts)
 
     def _dataset_step(self, epoch: int, files: list[str]) -> list:
         """route_step as Ray Data plans, one prefix-grouped write per
