@@ -2,12 +2,16 @@
 
 ``step.SMALL_EPOCH_BYTES`` picks the step per epoch; each test forces
 one step by patching it and compares every output and state file's
-sha256 (plus the manifest counters) across the two."""
+sha256 (plus the manifest counters) across the two. Both split the
+windowed job's open-window state into ``job.state_partitions`` files
+(one for these small epochs); the tests that patch that rule or its
+bound run the task step in the test process, where the patch is seen."""
 
 from __future__ import annotations
 
 import json
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -16,7 +20,7 @@ import pytest
 from vaero_ray.dsl import Vaero
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec
-from vaero_ray.streaming import CheckpointStore, StreamingWindowedJob, step
+from vaero_ray.streaming import CheckpointStore, StreamingWindowedJob, job as window_job, step
 from vaero_ray.streaming.transform_job import StreamingTransformJob
 
 ALWAYS, NEVER = 1 << 62, -1
@@ -97,6 +101,18 @@ def _steps(ckpt_dir: str) -> list[str]:
         return [json.loads(line)["step"] for line in fh]
 
 
+def _state_files(ckpt_dir: str) -> list[int]:
+    """Per committed epoch: how many files carry its open-window state."""
+    store = CheckpointStore(ckpt_dir)
+    return [len(store.load(e).state_files()) for e in store.committed_epochs()]
+
+
+def _in_process(monkeypatch):
+    """Run task steps in the test process, so patches of module globals
+    reach them."""
+    monkeypatch.setattr(step, "run_in_task", lambda fn, **kw: fn(**kw))
+
+
 @pytest.mark.parametrize("name", sorted(WINDOW_JOBS) + ["route"])
 def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path, monkeypatch, ray_session):
     got = {}
@@ -109,6 +125,7 @@ def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path
         else:
             job = _window_job(stream_dir, base, **WINDOW_JOBS[name])
             assert len(job.run()) == 5  # 4 input epochs + finalize
+            assert max(_state_files(f"{base}/ckpt")) == 1  # num_partitions=4; a few hundred rows fit one file
         assert set(_steps(f"{base}/ckpt")) == {label}
         got[label] = _fingerprint(f"{base}/ckpt")
     assert sum(e[4] for e in got["task"]) > 0
@@ -136,3 +153,76 @@ def test_kill_resume_switching_steps_is_byte_identical(first, stream_dir, tmp_pa
     _window_job(stream_dir, f"{tmp_path}/run").run()
     assert _steps(f"{tmp_path}/run/ckpt") == [first, first, second, second, second]
     assert _fingerprint(f"{tmp_path}/run/ckpt") == _fingerprint(f"{tmp_path}/ref/ckpt")
+
+
+@pytest.mark.parametrize("name", ["tumbling-native", "sliding-bucketed"])
+def test_steps_split_state_alike_past_the_row_bound(name, stream_dir, tmp_path, monkeypatch, ray_session):
+    """With a bound of 60 rows per state file, both steps split the open
+    hour windows of each ~215-row epoch into the same (up to 4) files."""
+    _in_process(monkeypatch)
+    monkeypatch.setattr(window_job, "ROW_GROUP_ROWS", 60)  # the rule's bound, not the writer's row groups
+    got = {}
+    for bound, label in ((ALWAYS, "task"), (NEVER, "dataset")):
+        monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", bound)
+        base = f"{tmp_path}/{label}"
+        _window_job(stream_dir, base, size_s=3600, **WINDOW_JOBS[name]).run()
+        assert set(_steps(f"{base}/ckpt")) == {label}
+        assert max(_state_files(f"{base}/ckpt")) == 4
+        got[label] = _fingerprint(f"{base}/ckpt")
+    assert got["task"] == got["dataset"]
+
+
+@pytest.mark.parametrize("label", ["task", "dataset"])
+def test_resume_from_state_split_per_partition(label, stream_dir, tmp_path, monkeypatch, ray_session):
+    """Epochs 0-1 carry their state in one file per hash partition (the
+    layout before state files were sized by rows); the resumed run reads
+    those files and writes the clean run's bytes from then on."""
+    _in_process(monkeypatch)
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", ALWAYS if label == "task" else NEVER)
+    _window_job(stream_dir, f"{tmp_path}/ref", size_s=3600).run()
+    with monkeypatch.context() as m:
+        m.setattr(window_job, "state_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
+        _window_job(stream_dir, f"{tmp_path}/run", size_s=3600).run(max_epochs=2, finalize=False)
+    assert _state_files(f"{tmp_path}/run/ckpt") == [4, 4]
+    _window_job(stream_dir, f"{tmp_path}/run", size_s=3600).run()
+    assert set(_steps(f"{tmp_path}/run/ckpt")) == {label}
+    assert _state_files(f"{tmp_path}/run/ckpt")[2:] == _state_files(f"{tmp_path}/ref/ckpt")[2:] == [1, 1, 0]
+    ref, run = _fingerprint(f"{tmp_path}/ref/ckpt"), _fingerprint(f"{tmp_path}/run/ckpt")
+    assert [e[:6] + (e[6]["out"],) for e in run] == [e[:6] + (e[6]["out"],) for e in ref]
+    assert run[2:] == ref[2:]
+
+
+@pytest.mark.parametrize("merge_backend", ["native", "bucketed"])
+def test_null_in_an_integer_aggregate_carried_in_state(merge_backend, tmp_path, monkeypatch, ray_session):
+    """An integer column with nulls is written as float64, so the state
+    carried out of epoch 0 holds ``x_max`` as double while epoch 1's live
+    partials hold int64: both steps merge them and write the same bytes."""
+    t0 = pd.Timestamp("2026-01-01")
+    epochs = [[("a", None), ("a", None), ("b", 5), ("c", 7)], [("a", 3), ("b", 4), ("c", None)]]
+    (tmp_path / "in").mkdir()
+    for i, rows in enumerate(epochs):
+        convs, xs = zip(*rows)
+        ts = [t0 + pd.Timedelta(seconds=10 * i + j) for j in range(len(rows))]
+        pq.write_table(
+            pa.table({"conv_id": list(convs), "x": pa.array(xs, pa.int64()), "ts": pa.array(ts, pa.timestamp("us"))}),
+            str(tmp_path / "in" / f"chunk-{i:04d}.parquet"),
+        )
+    got = {}
+    for bound, label in ((ALWAYS, "task"), (NEVER, "dataset")):
+        monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", bound)
+        base = f"{tmp_path}/{label}"
+        job = StreamingWindowedJob(
+            input_dir=str(tmp_path / "in"), out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt", keys=["conv_id"],
+            aggs=[AggSpec(None, "count", "n"), AggSpec("x", "max", "max_x")], size_s=60, allowed_lateness_s=0,
+            num_partitions=4, merge_backend=merge_backend,
+        )
+        assert len(job.run()) == 3  # 2 input epochs + finalize
+        assert _steps(f"{base}/ckpt") == [label] * 3
+        got[label] = _fingerprint(f"{base}/ckpt")
+        out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files())
+        assert sorted(out.select(["conv_id", "n", "max_x"]).to_pylist(), key=lambda r: r["conv_id"]) == [
+            {"conv_id": "a", "n": 3, "max_x": 3.0},
+            {"conv_id": "b", "n": 2, "max_x": 5.0},
+            {"conv_id": "c", "n": 2, "max_x": 7.0},
+        ]
+    assert got["task"] == got["dataset"]

@@ -33,10 +33,12 @@ driver.py's, shared by every streaming job; this module supplies the
 windowed step.
 
 Scale: the Dataset plan's shuffles move PARTIALS (one row per key x
-window per block), not events; state is hash-partitioned Parquet re-read
-each epoch; the job's own process touches only lineage rows and
-manifests, never data (and footers only for an epoch too large for the
-task step).
+window per block), not events. Open-window state is Parquet re-read each
+epoch, hash-partitioned on the first key into ``state_partitions`` files:
+one per ``sink.ROW_GROUP_ROWS`` rows of input plus carried state, at most
+``num_partitions`` (one file for any epoch under 2^20 rows). The
+job's own process touches only lineage rows and manifests, never data
+(and footers only for an epoch too large for the task step).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from vaero_ray.stages.windows import (
 from vaero_ray.streaming import step
 from vaero_ray.streaming.checkpoint import lineage_entry
 from vaero_ray.streaming.driver import WM_FINAL, WM_MIN, Claim, EpochDriver, StepResult, advance_watermark
-from vaero_ray.streaming.sink import write_deterministic
+from vaero_ray.streaming.sink import ROW_GROUP_ROWS, write_deterministic
 
 
 def windows_ending_in(tbl: pa.Table, window_col: str, size_us: int, lo_us: int, hi_us: int) -> pa.Table:
@@ -74,6 +76,25 @@ def windows_ending_in(tbl: pa.Table, window_col: str, size_us: int, lo_us: int, 
     and the new watermark, open ones after the new watermark."""
     wend = pc.add(pc.cast(tbl.column(window_col), pa.int64()), size_us)
     return tbl.filter(pc.and_(pc.greater(wend, lo_us), pc.less_equal(wend, hi_us)))
+
+
+def state_partitions(rows_in: int, lineage_rows: dict, num_partitions: int) -> int:
+    """How many hash partitions hold an epoch's open-window state: one per
+    ``ROW_GROUP_ROWS`` rows of input (``rows_in``, from the footers) plus
+    carried state (``lineage_rows``, path -> rows), at least one, at most
+    ``num_partitions``. Both steps know these counts before reading any
+    data, so they split the state alike and write the same files."""
+    rows = rows_in + sum(lineage_rows.values())
+    return min(num_partitions, max(1, -(-rows // ROW_GROUP_ROWS)))
+
+
+def _unified_partials(parts: list[pa.Table]) -> list[pa.Table]:
+    # the canonical writer stores an integer column with nulls as float64,
+    # so a carried state file can hold a float64 partial where the live
+    # partials or another state file hold int64; promote all of them to
+    # the common type, as the Dataset step's merge shuffle does
+    schema = pa.unify_schemas([p.schema for p in parts], promote_options="permissive")
+    return [p.cast(pa.schema([schema.field(n) for n in p.column_names])) for p in parts]
 
 
 def _int64_partials(tbl: pa.Table, group_cols: list[str]) -> pa.Table:
@@ -123,7 +144,7 @@ def window_step(
         if counts["bytes_in"] + counts["state_bytes_in"] > budget:
             return None
         live = step.read_table(live, columns) if live else None
-        state = step.read_table(state) if state else None
+        state = [step.read_table([pf]) for pf in state]  # each file keeps its own types
     with timer("compute_s"):
         parts = []
         if live is not None:
@@ -134,15 +155,14 @@ def window_step(
             else:
                 panes = partial_table(live, keys, state_aggs, ts_col, slide_s, "__pane")
                 parts.append(expand_pane_partials(panes, slide_s, size_s // slide_s, window_col=window_col))
-        if state is not None:
-            parts.append(state)
+        parts.extend(state)
     if not parts:
         wm = advance_watermark(prev_wm, None, allowed_lateness_s, finalize)
         return StepResult(wm, **counts, step="task", phases=timer.report())
     with timer("compute_s"):
         if merge_backend == "native":
             parts = [_int64_partials(p, group_cols) for p in parts]
-        merged = merge_partial_tables(parts, group_cols, state_aggs)
+        merged = merge_partial_tables(_unified_partials(parts), group_cols, state_aggs)
         mx = pc.max(merged.column(f"{ts_col}_max"))
         epoch_max_ts = mx.cast(pa.int64()).as_py() if mx.is_valid else None
         new_wm = advance_watermark(prev_wm, epoch_max_ts, allowed_lateness_s, finalize)
@@ -152,11 +172,12 @@ def window_step(
         open_ = split(new_wm, WM_FINAL).select(sorted(merged.column_names))
     with timer("write_s"):
         partitions = step.write_partitions(closed, out_dir, epoch, keys[0], num_partitions)
-        state_partitions = step.write_partitions(open_, state_path, epoch, keys[0], num_partitions)
+        n_state = state_partitions(counts["rows_in"], lineage_rows, num_partitions)
+        state_lineage = step.write_partitions(open_, state_path, epoch, keys[0], n_state)
     return StepResult(
         new_wm,
         partitions,
-        state_partitions,
+        state_lineage,
         rows_late=pc.sum(late.column("__pcount")).as_py() or 0,
         **counts,
         epoch_max_ts=epoch_max_ts,
@@ -187,6 +208,8 @@ class StreamingWindowedJob(EpochDriver):
     # metadata while late accounting sums post-transform partials, so
     # collapsing/expanding rows corrupts rows_late silently.
     transform: Callable[[pa.Table], pa.Table] | None = None
+    # hash partitions of each epoch's output (closed windows); open-window
+    # state takes at most this many (``state_partitions``)
     num_partitions: int = 8
     max_files_per_epoch: int = 1
     extra_read_kw: dict = field(default_factory=dict)
@@ -362,7 +385,7 @@ class StreamingWindowedJob(EpochDriver):
             _lineage(
                 write_deterministic(
                     split(new_wm, WM_FINAL).select_columns(cols), state_path, epoch, self.keys[0],
-                    self.num_partitions,
+                    state_partitions(counts["rows_in"], lineage_rows, self.num_partitions),
                 )
             ),
             rows_late,

@@ -44,6 +44,9 @@ import ray.data as rd
 
 from vaero_ray.stages.keyed import BUCKET_COL, hash_bucket
 
+# rows per Parquet row group of every canonical file
+ROW_GROUP_ROWS = 1 << 20
+
 LINEAGE_SCHEMA = pa.schema(
     [("partition", pa.int64()), ("rows", pa.int64()), ("path", pa.string()), ("sha256", pa.string())]
 )
@@ -110,7 +113,7 @@ def write_canonical_file(tbl: pa.Table, path: str) -> tuple[str, str, int]:
     an intermediate."""
     tbl = canonical_table(tbl)
     buf = pa.BufferOutputStream()
-    pq.write_table(tbl, buf, row_group_size=1 << 20)
+    pq.write_table(tbl, buf, row_group_size=ROW_GROUP_ROWS)
     data = buf.getvalue()
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp{os.getpid()}"

@@ -23,6 +23,12 @@ watermark, epoch, plan, budget) — never the job object or its
 checkpoint store — and returns lineage, counters and its phase times;
 the epoch driver (driver.py) commits. The keyed jobs always run as tasks
 (``driver.KeyedStep``); there ``SMALL_EPOCH_BYTES`` budgets a map task.
+
+``write_partitions`` writes one canonical file per non-empty hash
+partition: ``num_partitions`` of them for window output, and
+``job.state_partitions`` for open-window state, a count both forms take
+from the footers and the lineage before reading data, so they split the
+state alike.
 """
 
 from __future__ import annotations
