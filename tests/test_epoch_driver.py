@@ -11,6 +11,8 @@
 - keyed step: the stitch, session, fold and join jobs run no Ray Data
   execution, and write the same bytes whatever their task counts, also
   when a resume switches them.
+- in-process step: a small window, route or keyed epoch starts no Ray
+  task; an over-budget keyed epoch fans out to map and reduce tasks.
 - guard: the driver is the only module that builds a manifest, commits
   it or appends a metrics record.
 """
@@ -21,6 +23,7 @@ import ast
 import glob
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -28,6 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
+from ray.remote_function import RemoteFunction
 
 from vaero_ray.dsl import Vaero
 from vaero_ray.sources.transcripts import make_transcripts
@@ -386,6 +391,42 @@ def test_kill_resume_switching_task_counts_is_byte_identical(
     got, want = _snapshot(base), _snapshot(clean)
     assert sorted(got) == sorted(want)
     assert [p for p in want if got[p] != want[p]] == []
+
+
+@pytest.mark.parametrize("name", ["windowed", "transform", "stitch"])
+def test_a_small_epoch_starts_no_ray_task(name, inputs, tmp_path, monkeypatch):
+    """A window or route step, and a keyed epoch of one map and one reduce
+    task, run in the job's process: starting a Ray task fails the run."""
+
+    def refuse(*a, **kw):
+        raise AssertionError("a Ray task was started")
+
+    for mod, attr in ((RemoteFunction, "_remote"), (step, "remote"), (ray, "remote")):
+        monkeypatch.setattr(mod, attr, refuse)
+    job = _job(name, inputs, str(tmp_path))
+    manifests = job.run()
+    assert len(manifests) == N_CHUNKS + (name != "transform")  # windowed and stitch end with a finalize epoch
+    assert sum(m.rows_out for m in manifests) > 0
+    assert {r["step"] for r in _metrics(job.ckpt_dir)} == {"task"}
+
+
+def test_an_over_budget_keyed_epoch_fans_out_to_ray_tasks(inputs, tmp_path, monkeypatch, ray_session):
+    """One map task per input and state file, ``num_partitions`` reduce
+    tasks per epoch."""
+    started: Counter = Counter()
+    real = RemoteFunction._remote
+
+    def counted(self, *a, **kw):
+        started[self._function.__name__] += 1
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counted)
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", TASK_PER_FILE)
+    job = _job("stitch", inputs, str(tmp_path))
+    manifests = job.run()
+    maps = [len(m.input_files) + (len(job.store.load(m.epoch - 1).state_files()) if m.epoch else 0) for m in manifests]
+    assert started == {"_map_task": sum(maps), "_reduce_task": 3 * sum(n > 0 for n in maps)}
+    assert len(manifests) == N_CHUNKS + 1 and min(maps) > 0
 
 
 @pytest.mark.parametrize("name", ["stitch", "session-point", "fold", "join"])

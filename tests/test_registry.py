@@ -3,13 +3,20 @@ detail/delete semantics over a JSON registry dir)."""
 
 from __future__ import annotations
 
+import glob
+import os
+import sys
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from vaero_ray.dsl import Vaero
 from vaero_ray.registry import JobRegistry
+from vaero_ray.sources.transcripts import make_transcripts
+from vaero_ray.streaming import CheckpointStore
+from vaero_ray.streaming.transform_job import StreamingTransformJob
 
 
 def _write_chunk(d, seq, n=4, base=0):
@@ -85,3 +92,66 @@ def test_registry_lifecycle(tmp_path, ray_session):
     # unknown ids are no-ops (reference prints not-found)
     assert not reg.stop(999)
     assert not reg.delete(999)
+
+
+def _route_graph(masked: bool) -> list:
+    Vaero.reset()
+    src = Vaero().source("parquet", path="unused", interval=0)
+    if masked:
+        src.mask("text", r"user\d+@example\.com", "<email>").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d/%H")
+    else:
+        src.filter_regexp("role", "^(user|tool)$").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d")
+    return Vaero.start()
+
+
+def _outputs(ckpt_dir: str) -> list:
+    """Per committed epoch: (input files, sorted (partition, rows, sha256))."""
+    store = CheckpointStore(ckpt_dir)
+    out = []
+    for e in store.committed_epochs():
+        m = store.load(e)
+        out.append((m.input_files, sorted((k, p["rows"], tuple(p["sha256"])) for k, p in m.partitions.items())))
+    return out
+
+
+def test_concurrent_route_jobs_commit_what_each_commits_alone(tmp_path, ray_session):
+    """Two route jobs of one registry run their steps in one process, in
+    two threads; each commits the bytes it commits when run alone."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    tbl = make_transcripts(n_convs=40, mean_turns=10, seed=5, disorder_frac=0.1)
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("ts", "ascending")]))
+    for i in range(6):
+        lo, hi = i * tbl.num_rows // 6, (i + 1) * tbl.num_rows // 6
+        pq.write_table(tbl.slice(lo, hi - lo), str(in_dir / f"chunk-{i:04d}.parquet"))
+    inputs = sorted(glob.glob(str(in_dir / "*.parquet")))
+
+    reg = JobRegistry(str(tmp_path / "reg"))
+    graphs = {}
+    for masked in (True, False):
+        graph = _route_graph(masked)
+        graphs[reg.add(graph)] = graph
+    ckpts = {j: os.path.join(reg.work_dir, f"{j:06d}", "ckpt") for j in graphs}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two job threads finely
+    try:
+        assert sorted(reg.start(input_dirs={j: str(in_dir) for j in graphs})) == sorted(graphs)
+        deadline = time.monotonic() + 180
+        while time.monotonic() < deadline:
+            if all(CheckpointStore(c).consumed_files() == set(inputs) for c in ckpts.values()):
+                break
+            time.sleep(0.1)
+        for j in graphs:
+            reg.stop(j)
+            reg.wait(j, timeout_s=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for j in graphs:
+        assert reg.detail(j)["status"] == "stopped" and "error" not in reg.detail(j)
+
+    for j, graph in graphs.items():
+        alone = StreamingTransformJob(str(in_dir), f"{tmp_path}/alone{j}/out", f"{tmp_path}/alone{j}/ckpt", graph=graph)
+        alone.run()
+        want = _outputs(alone.ckpt_dir)
+        assert len(want) == len(inputs) and sum(rows for _, parts in want for _, rows, _ in parts) > 0
+        assert _outputs(ckpts[j]) == want

@@ -4,8 +4,8 @@
 one step by patching it and compares every output and state file's
 sha256 (plus the manifest counters) across the two. Both split the
 windowed job's open-window state into ``job.state_partitions`` files
-(one for these small epochs); the tests that patch that rule or its
-bound run the task step in the test process, where the patch is seen."""
+(one for these small epochs). The task step runs in the job's process,
+so a patch of that rule or its bound reaches it."""
 
 from __future__ import annotations
 
@@ -107,12 +107,6 @@ def _state_files(ckpt_dir: str) -> list[int]:
     return [len(store.load(e).state_files()) for e in store.committed_epochs()]
 
 
-def _in_process(monkeypatch):
-    """Run task steps in the test process, so patches of module globals
-    reach them."""
-    monkeypatch.setattr(step, "run_in_task", lambda fn, **kw: fn(**kw))
-
-
 @pytest.mark.parametrize("name", sorted(WINDOW_JOBS) + ["route"])
 def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path, monkeypatch, ray_session):
     got = {}
@@ -159,7 +153,6 @@ def test_kill_resume_switching_steps_is_byte_identical(first, stream_dir, tmp_pa
 def test_steps_split_state_alike_past_the_row_bound(name, stream_dir, tmp_path, monkeypatch, ray_session):
     """With a bound of 60 rows per state file, both steps split the open
     hour windows of each ~215-row epoch into the same (up to 4) files."""
-    _in_process(monkeypatch)
     monkeypatch.setattr(window_job, "ROW_GROUP_ROWS", 60)  # the rule's bound, not the writer's row groups
     got = {}
     for bound, label in ((ALWAYS, "task"), (NEVER, "dataset")):
@@ -177,7 +170,6 @@ def test_resume_from_state_split_per_partition(label, stream_dir, tmp_path, monk
     """Epochs 0-1 carry their state in one file per hash partition (the
     layout before state files were sized by rows); the resumed run reads
     those files and writes the clean run's bytes from then on."""
-    _in_process(monkeypatch)
     monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", ALWAYS if label == "task" else NEVER)
     _window_job(stream_dir, f"{tmp_path}/ref", size_s=3600).run()
     with monkeypatch.context() as m:

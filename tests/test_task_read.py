@@ -27,7 +27,7 @@ import pytest
 from vaero_ray.dsl import Vaero
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec
-from vaero_ray.streaming import step
+from vaero_ray.streaming import job as window_job, step, transform_job
 from vaero_ray.streaming.job import StreamingWindowedJob
 from vaero_ray.streaming.stitch_job import StreamingStitchJob
 from vaero_ray.streaming.transform_job import StreamingTransformJob
@@ -122,16 +122,6 @@ def _job(name: str, input_dir: str, base: str):
     raise ValueError(name)
 
 
-class _Local:
-    """``step.remote(fn)`` run in the test process."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def remote(self, *a, **kw):
-        return self.fn(*a, **kw)
-
-
 def _forbidden(name: str):
     def fn(*a, **kw):
         raise AssertionError(f"{name} called")
@@ -150,15 +140,17 @@ def test_each_file_is_opened_once_by_the_step(name, turns_dir, tmp_path, monkeyp
             opens.append((running[-1] if running else None, str(source)))
             super().__init__(source, *a, **kw)
 
-    def run_in_task(fn, **kw):
+    mod, attr = (window_job, "window_step") if name == "windowed" else (transform_job, "route_step")
+    real_step = getattr(mod, attr)
+
+    def marked(**kw):
         running.append(kw["epoch"])
         try:
-            return fn(**kw)
+            return real_step(**kw)
         finally:
             running.pop()
 
-    monkeypatch.setattr(step, "run_in_task", run_in_task)
-    monkeypatch.setattr(step, "remote", _Local)
+    monkeypatch.setattr(mod, attr, marked)
     monkeypatch.setattr(pq, "ParquetFile", Counted)
     for mod, attr in ((pq, "read_metadata"), (pq, "read_schema"), (pads, "dataset")):
         monkeypatch.setattr(mod, attr, _forbidden(attr))

@@ -17,6 +17,7 @@ The streaming exactly-once variant lives in vaero_ray/streaming/.
 from __future__ import annotations
 
 import logging
+import re
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -26,6 +27,16 @@ logger = logging.getLogger(__name__)
 PREFIX_COL = "vx_prefix"
 
 _RFC3339_FORMATS = ["%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%dT%H:%M:%S%z", "%Y-%m-%d %H:%M:%S"]
+
+# strftime directives whose output depends on a timestamp only down to
+# its day (0), hour (1) or minute (2); "%%", "%n" and "%t" print literals
+_DIRECTIVE_LEVEL = {
+    **dict.fromkeys("YmdyCjaAbBhuwUWGgVeDF", 0),
+    **dict.fromkeys("HIp", 1),
+    **dict.fromkeys("MR", 2),
+    **dict.fromkeys("%nt", 0),
+}
+_FLOOR_UNITS = ("day", "hour", "minute")
 
 
 def _parse_ts(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -60,6 +71,24 @@ def _parse_ts(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return out
 
 
+def _floor_unit(fmt: str) -> str | None:
+    """The coarsest unit a timestamp can be floored to without changing
+    its ``strftime(fmt)``; None when a directive needs a finer one or is
+    not known (``%S`` prints fractional digits in Arrow)."""
+    levels = [_DIRECTIVE_LEVEL.get(d) for d in re.findall(r"%(.)", fmt, re.S)]
+    return None if None in levels else _FLOOR_UNITS[max(levels, default=0)]
+
+
+def _strftime(ts: pa.Array, fmt: str) -> pa.Array:
+    """``pc.strftime(ts, fmt)``, formatting each distinct floored
+    timestamp once: a batch's rows fall in a few days or hours."""
+    unit = _floor_unit(fmt)
+    if unit is None:
+        return pc.strftime(ts, format=fmt)
+    enc = pc.floor_temporal(ts, unit=unit).dictionary_encode()
+    return pc.take(pc.strftime(enc.dictionary, format=fmt), enc.indices)
+
+
 def derive_prefix(tbl: pa.Table, timestamp_key: str = "timestamp", filename_prefix: str = "%Y/%m/%d") -> pa.Table:
     """Append the sink prefix column; DROP rows with unparseable/missing
     timestamps (reference behavior, sinkNode.go:85-89)."""
@@ -74,8 +103,8 @@ def derive_prefix(tbl: pa.Table, timestamp_key: str = "timestamp", filename_pref
     if n_bad:
         logger.warning("sink: dropping %d rows with unparseable %r", n_bad, timestamp_key)
     # strftime directory prefix; '/' separators become partition dirs
-    prefix = pc.strftime(ts, format=filename_prefix)
-    return tbl.append_column(PREFIX_COL, prefix).filter(ok)
+    out = tbl.append_column(PREFIX_COL, _strftime(ts, filename_prefix))
+    return out.filter(ok) if n_bad else out
 
 
 def s3_uri_and_fs(args: dict, fs_factory=None):

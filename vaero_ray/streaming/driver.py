@@ -30,8 +30,9 @@ epoch's ``metrics.jsonl`` record from its manifest.
 A job subclasses ``EpochDriver`` (a plain class: the job's dataclass
 fields and their order are its own) and supplies ``op`` and
 ``epoch_step``. The stitch, session, fold and join jobs build their step
-from sources, a watermark rule and ``per_bucket`` (``KeyedStep``: plain
-Ray map and reduce tasks over pyarrow).
+from sources, a watermark rule and ``per_bucket`` (``KeyedStep``: map
+and reduce tasks over pyarrow, run in the job's process when the epoch
+is one of each).
 """
 
 from __future__ import annotations
@@ -112,7 +113,9 @@ class StepResult:
     state_bytes_in: int = 0
     epoch_max_ts: int | None = None  # max event time seen, for watermark_lag_us
     extra: dict = field(default_factory=dict)  # job-specific manifest fields
-    step: str = "dataset"  # "task": Ray tasks over pyarrow; "dataset": a Ray Data plan
+    # "task": the pyarrow step, in the job's process or in Ray tasks;
+    # "dataset": a Ray Data plan
+    step: str = "dataset"
     phases: dict | None = None  # step.PHASES seconds of a task step
 
 
@@ -251,7 +254,7 @@ class EpochDriver:
 
 
 
-# -- the keyed step: plain Ray map and reduce tasks over pyarrow ---------
+# -- the keyed step: map and reduce tasks over pyarrow -------------------
 @dataclass
 class Source:
     """Files a keyed step reads, and how its map tasks prepare their rows.
@@ -364,28 +367,36 @@ def _task_groups(sources: list[Source], lineage_rows: dict) -> tuple[list[list[t
 
 
 class KeyedStep:
-    """One keyed epoch as plain Ray map and reduce tasks over pyarrow (the
-    shuffle as tasks). Constructing it runs the map tasks (``_map_task``);
-    only their small stats reach the driver: ``maxima``, each source's
-    maximum event time (None without rows), and ``rows_late``. The job
-    computes its watermark from them and calls ``reduce``. Task counts
-    come from the footer bytes, which the job's process reads once per
-    file (``_task_groups``): a map task reads at most
+    """One keyed epoch as map and reduce tasks over pyarrow (the shuffle
+    as tasks). Constructing it runs the map tasks (``_map_task``); only
+    their small stats reach the driver: ``maxima``, each source's maximum
+    event time (None without rows), and ``rows_late``. The job computes
+    its watermark from them and calls ``reduce``. Task counts come from
+    the footer bytes, which the job's process reads once per file
+    (``_task_groups``): a map task reads at most
     ``step.SMALL_EPOCH_BYTES``, and the epoch's bytes over that budget
     set the number of reduce tasks, up to ``num_partitions``. A small
-    epoch is one map and one reduce task."""
+    epoch is one map and one reduce task, and the job's process calls
+    both itself; a larger one runs them as Ray tasks."""
 
     def __init__(self, c: Claim, sources: list[Source], key: str, num_partitions: int):
         groups, self.counts = _task_groups(sources, c.lineage_rows())
         total = self.counts["bytes_in"] + self.counts["state_bytes_in"]
         self.epoch = c.epoch
         self.n_reduce = max(1, min(num_partitions, -(-total // max(step.SMALL_EPOCH_BYTES, 1))))
-        map_task = step.remote(_map_task).options(num_returns=self.n_reduce + 1)
-        self._maps = [map_task.remote(sources, g, c.prev_wm, key, num_partitions, self.n_reduce) for g in groups]
+        # a task round trip buys nothing when there is one task per stage
+        self._inline = len(groups) <= 1 and self.n_reduce == 1
+        if self._inline:
+            self._maps = [_map_task(sources, g, c.prev_wm, key, num_partitions, 1) for g in groups]
+            map_stats = [m[0] for m in self._maps]
+        else:
+            map_task = step.remote(_map_task).options(num_returns=self.n_reduce + 1)
+            self._maps = [map_task.remote(sources, g, c.prev_wm, key, num_partitions, self.n_reduce) for g in groups]
+            map_stats = ray.get([m[0] for m in self._maps])
         self.maxima: list[int | None] = [None] * len(sources)
         self.rows_late = 0
         self._phases: Counter = Counter()
-        for stats, phases in ray.get([m[0] for m in self._maps]):
+        for stats, phases in map_stats:
             self._phases.update(phases)
             for i, late, mx in stats:
                 self.rows_late += late
@@ -405,12 +416,16 @@ class KeyedStep:
             extra=extra or {},
             step="task",
         )
-        reduce_task = step.remote(_reduce_task)
-        refs = [
-            reduce_task.remote(per_bucket, watermark_us, self.epoch, *[m[1 + r] for m in self._maps])
+        args = [
+            (per_bucket, watermark_us, self.epoch, *[m[1 + r] for m in self._maps])
             for r in (range(self.n_reduce) if self._maps else ())
         ]
-        for records, phases in ray.get(refs):
+        if self._inline:
+            reduced = [_reduce_task(*a) for a in args]
+        else:
+            reduce_task = step.remote(_reduce_task)
+            reduced = ray.get([reduce_task.remote(*a) for a in args])
+        for records, phases in reduced:
             self._phases.update(phases)
             for kind, partition, entry in records:
                 (res.partitions if kind == "out" else res.state_partitions)[partition] = entry

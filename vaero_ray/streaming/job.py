@@ -15,12 +15,12 @@ files. Each epoch deterministically claims the next unconsumed files
          open   -> state snapshot (same deterministic writer)
     -> fsync'd atomic manifest commit   (driver.py, in the job's process)
 
-A small epoch runs the step as one Ray task over pyarrow tables
-(``window_step``, see step.py), which opens each input and state file
-once and returns before reading any data when their footers exceed the
-budget; such an epoch then runs as a Ray Data plan (``_dataset_step``:
-per-block partials, a merge shuffle, hash-partitioned writes). Both
-write the same bytes.
+A small epoch runs the step over pyarrow tables in the job's own
+process (``window_step``, see step.py), which opens each input and state
+file once and returns before reading any data when their footers exceed
+the budget; such an epoch then runs as a Ray Data plan
+(``_dataset_step``: per-block partials, a merge shuffle,
+hash-partitioned writes). Both write the same bytes.
 
 Watermark: wm_k = max(wm_{k-1}, max event ts in epoch k - allowed_lateness).
 A window [s, s+size) closes when wm >= s+size; rows arriving for an
@@ -36,9 +36,9 @@ Scale: the Dataset plan's shuffles move PARTIALS (one row per key x
 window per block), not events. Open-window state is Parquet re-read each
 epoch, hash-partitioned on the first key into ``state_partitions`` files:
 one per ``sink.ROW_GROUP_ROWS`` rows of input plus carried state, at most
-``num_partitions`` (one file for any epoch under 2^20 rows). The
-job's own process touches only lineage rows and manifests, never data
-(and footers only for an epoch too large for the task step).
+``num_partitions`` (one file for any epoch under 2^20 rows). An epoch
+under ``step.SMALL_EPOCH_BYTES`` holds its rows in the job's process; a
+larger one leaves them in the Ray Data plan's blocks.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ class StreamingWindowedJob(EpochDriver):
     # columns over few keys) or "bucketed" (one keyed.bucketed_keyed_agg
     # hash exchange — right for many partial columns / high-cardinality
     # keys, e.g. dedup-by-id jobs; see windows.merge_partials). Epochs
-    # small enough for the one-task step (step.py) merge in pyarrow and
+    # small enough for the pyarrow step (step.py) merge in pyarrow and
     # keep the chosen backend's output types.
     merge_backend: str = "native"
     # called at the top of every epoch (reference re-checks secret
@@ -318,8 +318,7 @@ class StreamingWindowedJob(EpochDriver):
         )
         if not step.task_reads(self.extra_read_kw):
             return self._dataset_step(**spec)
-        res = step.run_in_task(
-            window_step,
+        res = window_step(
             **spec,
             budget=step.SMALL_EPOCH_BYTES,
             keys=self.keys,

@@ -1,28 +1,32 @@
-"""Task steps: an epoch as plain Ray tasks over pyarrow.
+"""Task steps: an epoch as plain pyarrow work, run in the job's process.
 
 A windowed or route epoch runs either as a Ray Data plan (several
-executions and shuffles; the only form that scales past one worker's
-heap) or, when the epoch is small, as one Ray task that runs the same
+executions and shuffles; the only form that scales past one process's
+heap) or, when the epoch is small, as one step (``window_step``,
+``route_step``) called in the job's own process that runs the same
 kernels — the compiled transform chain, the window partial/merge/finalize
-functions, ``hash_bucket`` and the canonical writer — over pyarrow tables
-in one process. For a few thousand rows the Ray Data plan is almost all
-fixed cost: each execution and each shuffle costs more than the data it
-moves.
+functions, ``hash_bucket`` and the canonical writer — over pyarrow
+tables. For a few thousand rows the Ray Data plan is almost all fixed
+cost: each execution and each shuffle costs more than the data it moves,
+and even one Ray task round trip (ship the spec, schedule, block on the
+result) costs more CPU than a small epoch's reads and writes.
 
-The task decides whether its epoch is small: it opens each claimed input
-file and carried state file once, on its own thread, and sums the
+The step decides whether its epoch is small: it opens each claimed input
+file and carried state file once, on the calling thread, and sums the
 uncompressed row-group sizes from those footers. When they exceed the
 ``budget`` the driver passed (``SMALL_EPOCH_BYTES``, read when the epoch
 starts) it returns None before reading any data, and the driver runs the
-Ray Data plan. The files the task opened are the ones it reads, and
+Ray Data plan. The files the step opened are the ones it reads, and
 their footers give the epoch's ``rows_in``, ``bytes_in`` and
 ``state_bytes_in``. Both forms write byte-identical files, so an epoch
 may take either one and a resume may switch between them
-(tests/test_small_step.py). The task receives a plain spec (file lists,
+(tests/test_small_step.py). The step receives a plain spec (file lists,
 watermark, epoch, plan, budget) — never the job object or its
 checkpoint store — and returns lineage, counters and its phase times;
-the epoch driver (driver.py) commits. The keyed jobs always run as tasks
-(``driver.KeyedStep``); there ``SMALL_EPOCH_BYTES`` budgets a map task.
+the epoch driver (driver.py) commits. The keyed jobs run as
+``driver.KeyedStep``: there ``SMALL_EPOCH_BYTES`` budgets a map task,
+an epoch of one map and one reduce task runs both in the job's process,
+and a larger one fans out to Ray tasks (``remote``).
 
 ``write_partitions`` writes one canonical file per non-empty hash
 partition: ``num_partitions`` of them for window output, and
@@ -47,7 +51,8 @@ from vaero_ray.streaming.checkpoint import lineage_entry
 from vaero_ray.streaming.sink import write_partition_file
 
 # upper bound on an epoch's input + carried state (uncompressed parquet
-# bytes) for the one-task step; ~3x that is resident in the task at peak
+# bytes) for the one-step form, and on a keyed map task's input; ~3x
+# that is resident at peak in the process that runs it
 SMALL_EPOCH_BYTES = 64 << 20
 
 # phases a task step times for the epoch's metrics record; the Dataset
@@ -176,8 +181,3 @@ def write_partitions(tbl: pa.Table, base_dir: str, epoch: int, key: str, num_par
 def remote(fn):
     """``fn`` as a Ray remote function, built once per process."""
     return ray.remote(fn)
-
-
-def run_in_task(fn, **kw):
-    """``fn(**kw)`` as one Ray task; returns its result."""
-    return ray.get(remote(fn).remote(**kw))

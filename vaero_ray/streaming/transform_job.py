@@ -12,6 +12,12 @@ a crash here reruns the epoch byte-identically and the manifest is the
 commit point (driver.py owns the epoch loop, claim, commit and metrics;
 this module supplies the route step).
 
+An epoch whose input footers fit ``step.SMALL_EPOCH_BYTES`` runs
+``route_step`` over pyarrow tables in the job's own process, with no Ray
+task; a larger epoch, a relational branch (window/join/dedup) or a read
+option besides ``columns`` runs the Ray Data plan (``_dataset_step``).
+Both write the same bytes.
+
 Batch-vs-time sink flushing (batch_max_bytes / batch_max_time,
 sinkNode.go:105-131) degenerates naturally: an epoch IS the flush unit —
 max_files_per_epoch bounds bytes, the poll cadence bounds time.
@@ -96,7 +102,8 @@ def route_step(
         with timer("compute_s"):
             staged = derive_prefix(fused(tbl), ts_key, fmt)
             prefix = staged.column(PREFIX_COL)
-            groups = [staged.filter(pc.equal(prefix, p)) for p in pc.unique(prefix).to_pylist()]
+            values = pc.unique(prefix)
+            groups = [staged] if len(values) == 1 else [staged.filter(pc.equal(prefix, p)) for p in values.to_pylist()]
         with timer("write_s"):
             lineage.extend((bkey, write_prefix_file(g, os.path.join(out_dir, bkey), epoch)) for g in groups)
     return StepResult(0, _partitions(lineage), **counts, step="task", phases=timer.report())
@@ -149,8 +156,8 @@ class StreamingTransformJob(EpochDriver):
             for i, branch in enumerate(self.plan.branches):
                 bkey, ts_key, fmt = _sink_route(i, branch)
                 routes.append((bkey, branch.compile(), ts_key, fmt))
-            res = step.run_in_task(
-                route_step, epoch=c.epoch, files=c.files, budget=step.SMALL_EPOCH_BYTES,
+            res = route_step(
+                epoch=c.epoch, files=c.files, budget=step.SMALL_EPOCH_BYTES,
                 columns=self.extra_read_kw.get("columns"), routes=routes, out_dir=self.out_dir,
             )
             if res is not None:
