@@ -2,6 +2,7 @@
 count reduced, crash-safe fallback, idempotent re-run, GC only after
 commit."""
 
+import datetime
 import glob
 import os
 
@@ -14,11 +15,13 @@ import pytest
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec
 from vaero_ray.streaming import CheckpointStore, StreamingWindowedJob
+from vaero_ray.streaming.checkpoint import EpochManifest, lineage_entry
 from vaero_ray.streaming.compact import (
     compact_committed_output,
     compacted_output_files,
     gc_replaced,
 )
+from vaero_ray.streaming.sink import write_canonical_file
 
 
 def _mk_job(tmp_path, ray_session):
@@ -85,6 +88,41 @@ def test_corrupt_sidecar_falls_back_to_epoch_files(tmp_path, ray_session):
     files = compacted_output_files(store, job.out_dir)
     assert sorted(files) == sorted(store.committed_output_files())
     pd.testing.assert_frame_equal(before, _rows(files))
+
+
+def test_compaction_of_differently_typed_epoch_files_keeps_the_pandas_bytes(tmp_path, ray_session):
+    """One partition's epoch files type columns differently (an all-null
+    column is the null type; an int column with nulls was written as
+    float64, or as int64 by a frame with nullable ``Int64``): the
+    compacted file has the bytes the pandas concat gave it."""
+    ts = pa.timestamp("us")
+    epochs = [
+        pa.table({
+            "s": pa.nulls(2), "i": pa.array([1, 2]), "j": pa.array([1, None], pa.int64()), "b": pa.nulls(2),
+            "t": pa.array([1, 2], ts), "f": pa.array([0.5, None]), "d": pa.nulls(2),
+        }),
+        pa.table({
+            "s": pa.array(["a", None]), "i": pa.array([3.0, None]), "j": pa.array([3, 4]),
+            "b": pa.array([True, None]), "t": pa.array([None, 5], ts), "f": pa.array([1.5, 2.5]),
+            "d": pa.array([datetime.date(2026, 1, 1), None]),
+        }),
+    ]
+    out_dir = str(tmp_path / "out")
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    files = []
+    for e, tbl in enumerate(epochs):
+        f = os.path.join(out_dir, "part-0", f"epoch-{e:08d}.parquet")
+        os.makedirs(os.path.dirname(f), exist_ok=True)
+        pq.write_table(tbl, f)
+        files.append(f)
+        store.commit(EpochManifest(e, [], e, 2, 0, 2, partitions={"0": lineage_entry(2, f, "-")}))
+
+    side = compact_committed_output(store, out_dir)
+
+    # the reference: the pandas concat the compactor used to run
+    df = pd.concat([pq.read_table(f).to_pandas() for f in files], ignore_index=True)
+    _, want, _ = write_canonical_file(pa.Table.from_pandas(df, preserve_index=False), str(tmp_path / "ref.parquet"))
+    assert side["partitions"]["0"]["sha256"] == want
 
 
 def test_recompaction_after_new_epochs_is_crash_safe(tmp_path, ray_session):

@@ -457,3 +457,32 @@ def test_only_the_driver_commits():
             ):
                 offenders.append(f"{os.path.basename(path)}:{node.lineno}")
     assert offenders == []
+
+
+def test_keyed_reduce_runs_without_pandas():
+    """The driver, the stitch, fold and session jobs and the compactor
+    import no pandas, and no ``per_bucket`` name is left in the streaming
+    package: a reduce task calls its job's ``per_task`` once on an Arrow
+    table."""
+    import vaero_ray.streaming as pkg
+
+    root = os.path.dirname(pkg.__file__)
+    imports, per_bucket = [], []
+    for path in sorted(glob.glob(os.path.join(root, "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                mods = []
+            if name in ("driver.py", "stitch_job.py", "fold_job.py", "session_job.py", "compact.py"):
+                imports += [f"{name}:{node.lineno}" for m in mods if m.split(".")[0] == "pandas"]
+            if (isinstance(node, ast.Name) and node.id == "per_bucket") or (
+                isinstance(node, ast.FunctionDef) and node.name == "per_bucket"
+            ):
+                per_bucket.append(f"{name}:{node.lineno}")
+    assert imports == [] and per_bucket == []

@@ -149,3 +149,22 @@ def test_fold_counts_a_null_event_time_late(tmp_path, ray_session):
     assert [m.rows_late for m in ms] == [1, 0, 0]
     out = job.committed_output().to_pandas().sort_values("k", ignore_index=True)
     assert out[["k", "n_events", "ewma"]].values.tolist() == [[1, 2, (30 * 300 + 70 * 100) // 100], [2, 1, 7]]
+
+
+def test_fold_carries_an_accumulator_above_2_pow_53_exactly(tmp_path, ray_session):
+    """A carried key and a new key fold in the same epoch and reduce
+    task: the carried accumulator keeps every bit (no float64 seed)."""
+    import ray.data as rd
+
+    from vaero_ray.stages.cep import ordered_ewma
+
+    big = (1 << 53) + 1
+    rows = [[(1, 10_000, 0, big)], [(1, 10_001, 1, big), (2, 10_001, 2, 5)]]
+    job = _chunked_job(tmp_path, *rows)
+    job.num_partitions = 1
+    job.run()
+    got = job.committed_output().to_pandas().sort_values("k", ignore_index=True)
+    events = pd.DataFrame([r for chunk in rows for r in chunk], columns=["k", "ts", "tie", "v"])
+    want = ordered_ewma(rd.from_pandas(events), "k", "ts", "v", "tie").to_pandas().sort_values("k", ignore_index=True)
+    assert got[["k", "n_events", "ewma"]].values.tolist() == want[["k", "n_events", "ewma"]].values.tolist()
+    assert got["ewma"].tolist()[0] == big

@@ -229,3 +229,21 @@ def test_stream_stream_join_hot_key_chunked(ray_session, tmp_path, monkeypatch):
     exp = _expected(ldf, rdf, 600)
     # 4000x4000 = 16M unfiltered candidates > the 4M cap -> chunked path
     pd.testing.assert_frame_equal(got, exp)
+
+
+def test_left_outer_tracks_a_left_row_by_key_and_id(ray_session, tmp_path):
+    """Two left rows share a ``left_id_col`` value under different keys in
+    one reduce task: the match of one does not mark the other matched."""
+    ts = pa.timestamp("us")
+    for side, tbl in (
+        ("L", pa.table({"k": [1, 2], "ts": pa.array([0, 0], ts), "view_id": [7, 7]})),
+        ("R", pa.table({"k": [1], "ts": pa.array([60_000_000], ts), "buy_id": [1], "amount": [5]})),
+    ):
+        (tmp_path / side).mkdir()
+        pq.write_table(tbl, str(tmp_path / side / "chunk-0000.parquet"))
+    job = _job(str(tmp_path / "L"), str(tmp_path / "R"), tmp_path, "o", join_type="left_outer", left_id_col="view_id")
+    job.num_partitions = 1
+    job.run()
+    got = job.committed_output().to_pandas().sort_values("k", ignore_index=True)
+    assert got["k"].tolist() == [1, 2]
+    assert got["buy_id"].tolist()[0] == 1 and pd.isna(got["buy_id"].tolist()[1])

@@ -259,3 +259,63 @@ def test_extent_mode_rejects_reversed_extents(ray_session, tmp_path):
     )
     with pytest.raises(Exception):
         job.run()
+
+
+def _by_key(r: dict) -> tuple:
+    return r["k"] is None, r["k"] or "", r["start_us"]
+
+
+def _merge_loop(rows: list, gap_us: int, pcols: dict) -> list:
+    """Reference fragment merge, one row at a time: rows sorted by (key,
+    start, end) with null keys last chain into the running session
+    while ``start - max(end so far) <= gap``; sums skip NaN (none is 0),
+    min/max skip NaN (none is NaN)."""
+    rows = sorted(rows, key=lambda r: (*_by_key(r), r["end_us"]))
+    out = []
+    for r in rows:
+        if out and out[-1]["k"] == r["k"] and r["start_us"] - out[-1]["end_us"] <= gap_us:
+            s = out[-1]
+            s["end_us"] = max(s["end_us"], r["end_us"])
+            s["__n"] += r["__n"]
+            for c, red in pcols.items():
+                v = r[c]
+                if v == v:
+                    s[c] = v if s[c] != s[c] else {"sum": s[c] + v, "min": min(s[c], v), "max": max(s[c], v)}[red]
+        else:
+            out.append({**r, **{c: (0.0 if r[c] != r[c] else r[c]) for c, red in pcols.items() if red == "sum"}})
+    return out
+
+
+def test_fragment_merge_matches_a_row_loop(tmp_path):
+    """The numpy merge (segmented cummax, ``reduceat``) against a plain
+    loop over random fragments with null keys, NaN values and
+    out-of-order overlap: keys, bounds, counts, ints, min and max equal;
+    float sums within float64 rounding (the order of additions may
+    differ from a compensated sum)."""
+    aggs = [AggSpec(None, "count", "n"), AggSpec("f", "sum", "fs"), AggSpec("f", "min", "fmin"),
+            AggSpec("f", "max", "fmax"), AggSpec("i", "sum", "isum"), AggSpec("i", "max", "imax")]
+    job = StreamingSessionJob(str(tmp_path / "in"), str(tmp_path / "out"), str(tmp_path / "ckpt"), key="k",
+                              aggs=aggs, gap_s=60)
+    pcols = {"__p_fs": "sum", "__p_fmin": "min", "__p_fmax": "max", "__p_isum": "sum", "__p_imax": "max"}
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        start = rng.integers(0, 3600, n) * 1_000_000
+        f = rng.normal(size=n) * 10.0 ** rng.integers(-2, 4, n)
+        f[rng.random(n) < 0.1] = np.nan
+        tbl = pa.table({
+            "k": [None if rng.random() < 0.1 else f"u{u}" for u in rng.integers(0, 5, n)],
+            "start_us": start, "end_us": start + rng.integers(0, 300, n) * 1_000_000,
+            "__n": rng.integers(1, 5, n), "__p_fs": f, "__p_fmin": f, "__p_fmax": f,
+            "__p_isum": rng.integers(-100, 100, n), "__p_imax": rng.integers(-100, 100, n),
+        })
+        got = job._merge_fragments(tbl, set()).to_pylist()
+        want = _merge_loop(tbl.to_pylist(), 60 * 1_000_000, pcols)
+        got, want = sorted(got, key=_by_key), sorted(want, key=_by_key)
+        exact = ["k", "start_us", "end_us", "__n", "__p_fmin", "__p_fmax", "__p_isum", "__p_imax"]
+
+        def cells(rs):
+            return [["nan" if r[c] != r[c] else r[c] for c in exact] for r in rs]
+
+        assert cells(got) == cells(want)
+        np.testing.assert_allclose([r["__p_fs"] for r in got], [r["__p_fs"] for r in want], rtol=1e-12, atol=1e-9)

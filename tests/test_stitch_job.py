@@ -4,6 +4,7 @@ late handling (kill-resume: test_epoch_driver.py)."""
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
@@ -59,7 +60,8 @@ def test_pluggable_session_emitter(stream, tmp_path, ray_session):
     """StreamingStitchJob(emitter=...) reuses the buffer/close/commit
     machinery for session AGGREGATES instead of stitched text."""
 
-    def session_stats(df: pd.DataFrame) -> pd.DataFrame:
+    def session_stats(closed: pa.Table) -> pa.Table:
+        df = closed.to_pandas()
         g = df.groupby("conv_id", sort=False)
         out = pd.DataFrame(
             {
@@ -69,7 +71,7 @@ def test_pluggable_session_emitter(stream, tmp_path, ray_session):
             }
         )
         out.index.name = "conv_id"
-        return out.reset_index()
+        return pa.Table.from_pandas(out.reset_index(), preserve_index=False)
 
     stream_d, tbl = stream
     job = StreamingStitchJob(

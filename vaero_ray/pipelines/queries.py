@@ -754,15 +754,16 @@ def q_streaming_pattern_counts(sf_dir: str):
     shutil.rmtree(out_d, ignore_errors=True)
     shutil.rmtree(ckpt_d, ignore_errors=True)
 
-    def emit(closed: "pd.DataFrame") -> "pd.DataFrame":
-        return regex_counts_df(
-            closed,
+    def emit(closed: pa.Table) -> pa.Table:
+        counts = regex_counts_df(
+            closed.to_pandas(),
             "conv_id",
             ["turn_idx"],
             "role",
             {"user": "u", "assistant": "a", "tool": "t"},
             r"at+a",
         )
+        return pa.Table.from_pandas(counts, preserve_index=False)
 
     job = StreamingStitchJob(
         input_dir=ind,

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -98,11 +97,10 @@ def compact_committed_output(store: CheckpointStore, out_dir: str,
     @ray.remote
     def _compact_one(bucket: str, files: list[str], out_dir: str,
                      through: int) -> tuple[str, dict]:
-        # concatenated in pandas: epoch files of one partition may type a
+        # permissive concat: epoch files of one partition may type a
         # column differently (an all-null column is the null type)
-        df = pd.concat(
-            [pq.read_table(f).to_pandas() for f in files], ignore_index=True
-        )
+        tbl = pa.concat_tables([pq.read_table(f) for f in files],
+                               promote_options="permissive")
         # Generation-unique name: a re-compaction after more epochs commit
         # must NOT overwrite the prior generation's file in place — until
         # the new sidecar commits, the old sidecar is still the read view
@@ -114,9 +112,7 @@ def compact_committed_output(store: CheckpointStore, out_dir: str,
         path = os.path.join(
             out_dir, f"part-{bucket}", f"compacted-{through:08d}.parquet"
         )
-        p, digest, rows = write_canonical_file(
-            pa.Table.from_pandas(df, preserve_index=False), path
-        )
+        p, digest, rows = write_canonical_file(tbl, path)
         return bucket, {"file": p, "sha256": digest, "rows": rows,
                         "through": through, "replaces": sorted(files)}
 

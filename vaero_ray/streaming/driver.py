@@ -30,9 +30,11 @@ epoch's ``metrics.jsonl`` record from its manifest.
 A job subclasses ``EpochDriver`` (a plain class: the job's dataclass
 fields and their order are its own) and supplies ``op`` and
 ``epoch_step``. The stitch, session, fold and join jobs build their step
-from sources, a watermark rule and ``per_bucket`` (``KeyedStep``: map
-and reduce tasks over pyarrow, run in the job's process when the epoch
-is one of each).
+from sources, a watermark rule and ``per_task`` (``KeyedStep``: map and
+reduce tasks over pyarrow, run in the job's process when the epoch is
+one of each). A reduce task calls ``per_task`` once on its whole Arrow
+table and writes the tables it returns one file per hash bucket, with
+the writer the windowed job uses (``step.write_partitions``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -55,8 +56,7 @@ from vaero_ray.io import read_parquet
 from vaero_ray.stages.keyed import BUCKET_COL, hash_bucket
 from vaero_ray.stages.windows import US
 from vaero_ray.streaming import step
-from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest, lineage_entry
-from vaero_ray.streaming.sink import write_partition_file
+from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
 
 WM_FINAL = 1 << 62  # watermark value marking end-of-stream finalization
 WM_MIN = -(1 << 62)  # watermark before the first epoch
@@ -271,15 +271,18 @@ class Source:
 
 
 class Write(NamedTuple):
-    """A frame ``per_bucket`` returns; its reduce task writes it."""
+    """A table ``per_task`` returns. Its reduce task writes it as one
+    file per hash bucket of its first column, the key, at
+    ``base_dir/part-{bucket}``, under the manifest key ``prefix`` +
+    bucket."""
 
     kind: str  # "out" or "state"
-    frame: pd.DataFrame
+    table: pa.Table
     base_dir: str
-    partition: str = ""  # manifest key; default: the bucket
+    prefix: str = ""
 
 
-def _event_us(col: pa.ChunkedArray) -> pa.ChunkedArray:
+def event_us(col: pa.ChunkedArray) -> pa.ChunkedArray:
     """Event times as int64 microseconds (an integer column already is)."""
     if pa.types.is_timestamp(col.type):
         col = pc.cast(col, pa.timestamp("us"), safe=False)
@@ -305,7 +308,7 @@ def _map_task(
             if src.ts_col is not None:
                 if src.transform is not None:
                     tbl = src.transform(tbl)
-                ts = _event_us(tbl.column(src.ts_col))
+                ts = event_us(tbl.column(src.ts_col))
                 mx = pc.max(ts).as_py()
                 kept = tbl.filter(pc.fill_null(pc.greater(ts, prev_wm), False))
                 late, tbl = tbl.num_rows - kept.num_rows, kept
@@ -321,22 +324,19 @@ def _map_task(
     return (stats, timer.report()), *pieces
 
 
-def _reduce_task(per_bucket: Callable, watermark_us: int, epoch: int, *pieces: pa.Table) -> tuple:
-    """Concatenate one reduce task's pieces, convert them to pandas once,
-    and call ``per_bucket(df, bucket, watermark_us)`` per bucket, writing
-    the frames it returns. Returns (lineage records, phase seconds)."""
+def _reduce_task(per_task: Callable, watermark_us: int, epoch: int, num_partitions: int, *pieces: pa.Table) -> tuple:
+    """Concatenate one reduce task's pieces, call ``per_task(tbl,
+    watermark_us)`` once on them, and write each table it returns one
+    file per hash bucket. Returns (lineage records, phase seconds)."""
     timer = step.PhaseTimer()
     records = []
     with timer("compute_s"):
-        groups = pa.concat_tables(pieces, promote_options="permissive").to_pandas().groupby(BUCKET_COL)
-    for bucket, group in groups:
-        with timer("compute_s"):
-            writes = per_bucket(group.drop(columns=[BUCKET_COL]).reset_index(drop=True), int(bucket), watermark_us)
-        with timer("write_s"):
-            for w in writes:
-                tbl = pa.Table.from_pandas(w.frame, preserve_index=False)
-                path, sha, rows = write_partition_file(tbl, w.base_dir, int(bucket), epoch)
-                records.append((w.kind, w.partition or str(bucket), lineage_entry(rows, path, sha)))
+        tbl = pa.concat_tables(pieces, promote_options="permissive").drop_columns([BUCKET_COL])
+        writes = per_task(tbl, watermark_us)
+    with timer("write_s"):
+        for w in writes:
+            lineage = step.write_partitions(w.table, w.base_dir, epoch, w.table.column_names[0], num_partitions)
+            records += [(w.kind, w.prefix + bucket, entry) for bucket, entry in lineage.items()]
     return records, timer.report()
 
 
@@ -377,12 +377,14 @@ class KeyedStep:
     ``step.SMALL_EPOCH_BYTES``, and the epoch's bytes over that budget
     set the number of reduce tasks, up to ``num_partitions``. A small
     epoch is one map and one reduce task, and the job's process calls
-    both itself; a larger one runs them as Ray tasks."""
+    both itself; a larger one runs them as Ray tasks. Every reduce task
+    holds all rows of its keys, so ``per_task`` sees whole keys, and
+    each bucket's files are the same however many tasks ran."""
 
     def __init__(self, c: Claim, sources: list[Source], key: str, num_partitions: int):
         groups, self.counts = _task_groups(sources, c.lineage_rows())
         total = self.counts["bytes_in"] + self.counts["state_bytes_in"]
-        self.epoch = c.epoch
+        self.epoch, self.num_partitions = c.epoch, num_partitions
         self.n_reduce = max(1, min(num_partitions, -(-total // max(step.SMALL_EPOCH_BYTES, 1))))
         # a task round trip buys nothing when there is one task per stage
         self._inline = len(groups) <= 1 and self.n_reduce == 1
@@ -403,10 +405,10 @@ class KeyedStep:
                 if mx is not None and (self.maxima[i] is None or mx > self.maxima[i]):
                     self.maxima[i] = mx
 
-    def reduce(self, per_bucket: Callable, watermark_us: int, extra: dict | None = None) -> StepResult:
-        """Call ``per_bucket(df, bucket, watermark_us) -> list[Write]``
-        for every non-empty bucket in the reduce tasks, which write the
-        frames; only lineage comes back."""
+    def reduce(self, per_task: Callable, watermark_us: int, extra: dict | None = None) -> StepResult:
+        """Call ``per_task(tbl, watermark_us) -> list[Write]`` once in
+        every reduce task, on all of its rows; the task writes the
+        tables and only lineage comes back."""
         known = [m for m in self.maxima if m is not None]
         res = StepResult(
             watermark_us,
@@ -417,7 +419,7 @@ class KeyedStep:
             step="task",
         )
         args = [
-            (per_bucket, watermark_us, self.epoch, *[m[1 + r] for m in self._maps])
+            (per_task, watermark_us, self.epoch, self.num_partitions, *[m[1 + r] for m in self._maps])
             for r in (range(self.n_reduce) if self._maps else ())
         ]
         if self._inline:

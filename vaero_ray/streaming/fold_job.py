@@ -14,9 +14,9 @@ Model (the epoch loop, claim, commit and metrics are driver.py's):
   by the watermark horizon and the live key count respectively;
 - per epoch one keyed step (driver.py ``KeyedStep``) over live,
   buffered and fold rows on hash(key) — a key's events and its carried
-  accumulator always meet in the same bucket, whose reduce task folds
-  its mature events (seeded by the carried accumulator), writes the new
-  buf/fold state partitions in-task, and returns lineage only;
+  accumulator always meet in the same reduce task, which folds its
+  mature events (seeded by the carried accumulator) in numpy, writes
+  the new buf/fold state files in-task, and returns lineage only;
 - rows are emitted at FINALIZE (wm = infinity folds everything and the
   per-key accumulators become the output — exactly the batch
   ``cep.ordered_ewma`` rows, giving stream == batch parity). A live
@@ -24,9 +24,8 @@ Model (the epoch loop, claim, commit and metrics are driver.py's):
   is the current per-entity signal, updated every epoch.
 
 The union rides ONE all-int64 schema (key, tsus, tie, v, acc, n, kind)
-with zeros instead of nulls — a padded mixed-schema union would degrade
-int64 to float64 in the pandas bucket kernels (the join_job
-state-snapshot trap).
+with zeros instead of nulls, so every column reaches the fold as an
+exact int64 numpy array.
 
 Fold step is the integer EWMA ``(a*v + (d-a)*e) // d`` (see
 stages/cep.ordered_ewma for the exactness contract); the rank-step
@@ -45,7 +44,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from vaero_ray.streaming import step
@@ -107,46 +105,39 @@ class StreamingFoldJob(EpochDriver):
 
     # ------------------------------------------------------------ fold math
 
-    def _fold_seeded(
-        self, ev: pd.DataFrame, folds: pd.DataFrame
-    ) -> pd.DataFrame:
-        """Fold (key, tsus, tie)-sorted mature events seeded by carried
-        (key, acc, n); returns the updated fold table for EVERY key seen
-        (touched or not)."""
+    def _fold_seeded(self, ev: dict, folds: dict) -> dict:
+        """Fold mature events (``_EV_COLS`` arrays) in (key, tsus, tie)
+        order, seeded by the carried fold rows (``_FOLD_COLS`` arrays);
+        returns the fold arrays for EVERY key seen (touched or not)."""
         a, d = self.alpha_num, self.alpha_den
         b = d - a
-        ev = ev.sort_values(["key", "tsus", "tie"], kind="mergesort")
-        key = ev["key"].to_numpy()
-        v = ev["v"].to_numpy()
+        order = np.lexsort((ev["tie"], ev["tsus"], ev["key"]))
+        key, v = ev["key"][order], ev["v"][order]
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else np.array([], np.int64)
         lens = np.diff(np.r_[starts, len(key)]).astype(np.int64)
-        seg_keys = key[starts] if len(key) else np.array([], np.int64)
+        seg_keys = key[starts]
 
-        carried = folds.set_index("key") if len(folds) else None
-        if carried is not None:
-            seed_acc = carried["acc"].reindex(seg_keys)
-            seeded = seed_acc.notna().to_numpy()
-            seed_n = carried["n"].reindex(seg_keys).fillna(0).to_numpy().astype(np.int64)
-            seed_acc = seed_acc.to_numpy()
-        else:
-            seeded = np.zeros(len(seg_keys), dtype=bool)
-            seed_n = np.zeros(len(seg_keys), dtype=np.int64)
-            seed_acc = np.zeros(len(seg_keys))
-
-        state = np.where(seeded, np.nan_to_num(seed_acc), v[starts] if len(key) else 0).astype(
-            np.int64
-        )
+        # carried seeds, looked up in int64 (no float round trip)
+        corder = np.argsort(folds["key"], kind="stable")
+        ckey = folds["key"][corder]
+        pos = np.searchsorted(ckey, seg_keys)
+        seeded = pos < len(ckey)
+        seeded[seeded] = ckey[pos[seeded]] == seg_keys[seeded]
+        hit = corder[pos[seeded]]
+        state, seed_n = v[starts], np.zeros(len(seg_keys), np.int64)
+        state[seeded], seed_n[seeded] = folds["acc"][hit], folds["n"][hit]
         for r in range(int(lens.max()) if len(lens) else 0):
             # seeded keys fold from their first event; unseeded keys start
             # AT their first event (e_0 = v_0), so they skip r == 0
             apply = (lens > r) & (seeded | (r >= 1))
             idx = starts[apply] + r
             state[apply] = (a * v[idx] + b * state[apply]) // d
-        touched = pd.DataFrame({"key": seg_keys, "acc": state, "n": seed_n + lens})
-        if carried is None:
-            return touched
-        untouched = folds[~folds["key"].isin(set(seg_keys))][_FOLD_COLS]
-        return pd.concat([touched, untouched], ignore_index=True)
+        untouched = ~np.isin(folds["key"], seg_keys)
+        return {
+            "key": np.r_[seg_keys, folds["key"][untouched]],
+            "acc": np.r_[state, folds["acc"][untouched]],
+            "n": np.r_[seed_n + lens, folds["n"][untouched]],
+        }
 
     # ------------------------------------------------------------ epochs
 
@@ -174,27 +165,18 @@ class StreamingFoldJob(EpochDriver):
         key_out, val_out = self.key_col, self.out_val
         fold_fn = self._fold_seeded
 
-        def per_bucket(df: pd.DataFrame, bucket: int, wm: int) -> list[Write]:
-            ev = df[df["kind"] == 0]
-            mature_mask = ev["tsus"] <= wm
-            mature, future = ev[mature_mask][_EV_COLS], ev[~mature_mask][_EV_COLS]
-            new_folds = fold_fn(mature, df[df["kind"] == 1][_FOLD_COLS])
+        def per_task(tbl: pa.Table, wm: int) -> list[Write]:
+            col = {c: tbl.column(c).to_numpy() for c in _UNION_COLS}
+            ev = col["kind"] == 0
+            mature, future = ev & (col["tsus"] <= wm), ev & (col["tsus"] > wm)
+            fold_rows = col["kind"] == 1
+            folds = fold_fn({c: col[c][mature] for c in _EV_COLS}, {c: col[c][fold_rows] for c in _FOLD_COLS})
             if finalize:
-                if not len(new_folds):
-                    return []
-                out = pd.DataFrame(
-                    {
-                        key_out: new_folds["key"].to_numpy(),
-                        "n_events": new_folds["n"].to_numpy(),
-                        val_out: new_folds["acc"].to_numpy(),
-                    }
-                )
+                out = pa.table({key_out: folds["key"], "n_events": folds["n"], val_out: folds["acc"]})
                 return [Write("out", out, out_dir)]
-            writes = []
-            if len(new_folds):
-                writes.append(Write("state", new_folds, os.path.join(state_dir, "fold"), f"f{bucket}"))
-            if len(future):
-                writes.append(Write("state", future, os.path.join(state_dir, "buf"), f"b{bucket}"))
-            return writes
+            return [
+                Write("state", pa.table(folds), os.path.join(state_dir, "fold"), "f"),
+                Write("state", tbl.select(_EV_COLS).filter(pa.array(future)), os.path.join(state_dir, "buf"), "b"),
+            ]
 
-        return ks.reduce(per_bucket, new_wm)
+        return ks.reduce(per_task, new_wm)

@@ -29,10 +29,12 @@ LATE: dropped and counted.
 Epoch mechanics (driver.py's epoch loop, commit protocol and keyed
 step): one ``KeyedStep`` per epoch — map tasks drop late rows and pad
 new rows of both sides plus both state buffers to the union schema with
-typed nulls, tagged ``__side``/``__st``; per bucket, a reduce task joins
-and writes its output file and state partitions deterministically, and
-only lineage reaches the driver. fsync'd manifest = the commit point; a
-SIGKILL anywhere reruns the epoch byte-identically.
+typed nulls, tagged ``__side``/``__st``; each reduce task converts its
+rows to pandas once, joins them with the pandas kernel below (the one
+keyed kernel not yet ported to Arrow), and writes each bucket's output
+file and state partitions deterministically; only lineage reaches the
+driver. fsync'd manifest = the commit point; a SIGKILL anywhere reruns
+the epoch byte-identically.
 
 Scale: state per key is bounded by the rows inside ``within + lateness``
 of the watermark (the contract every watermarked stream-stream join
@@ -106,7 +108,7 @@ class StreamingJoinJob(EpochDriver):
         # state snapshot, which cannot define the other side's columns),
         # (b) which payload columns are ints, for exact dtype restoration
         # after the padded union (typed nulls degrade int64 -> float64
-        # inside pandas buckets)
+        # inside the pandas kernel)
         self._int_cols: set = set()
         self._types: dict = {}
         for d, cols in ((self.left_dir, self.left_cols), (self.right_dir, self.right_cols)):
@@ -132,8 +134,8 @@ class StreamingJoinJob(EpochDriver):
 
     def _pad(self, side: int, st: int, all_cols: list, types: dict):
         """Stateless pad-to-union-schema + side/state tags (typed nulls
-        keep Arrow ints int — the pandas degradation is handled per
-        bucket via the footer-schema int restore)."""
+        keep Arrow ints int — the pandas degradation is handled in the
+        reduce via the footer-schema int restore)."""
 
         def fn(tbl: pa.Table) -> pa.Table:
             if tbl.schema.metadata:
@@ -193,7 +195,8 @@ class StreamingJoinJob(EpochDriver):
         int_cols, left_id_col = self._int_cols, self.left_id_col
         out_dir, state_dir = self.out_dir, self.store.state_path_for(epoch)
 
-        def per_bucket(df: pd.DataFrame, bucket: int, new_wm: int) -> list[Write]:
+        def per_task(tbl: pa.Table, new_wm: int) -> list[Write]:
+            df = tbl.to_pandas()
             df = df.assign(__tsus=df[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64))
             writes = []
 
@@ -261,7 +264,11 @@ class StreamingJoinJob(EpochDriver):
             # snapshot keeps its NATIVE schema (no null padding on disk)
             l_keep_all = pd.concat([l_buf, l_new], ignore_index=True)
             if outer and len(l_keep_all):
-                hit = l_keep_all[left_id_col].isin(pairs[left_id_col].unique() if len(pairs) else [])
+                # a left row is its (key, id): a reduce task holds many keys
+                ids = [key, left_id_col]
+                hit = pd.MultiIndex.from_frame(l_keep_all[ids]).isin(
+                    pd.MultiIndex.from_frame(pairs[ids]) if len(pairs) else []
+                )
                 l_keep_all = l_keep_all.assign(
                     __matched=(l_keep_all["__matched"].astype(bool) | hit).astype(np.int8)
                 )
@@ -292,7 +299,8 @@ class StreamingJoinJob(EpochDriver):
                     snap[ts_col] = frame["__tsus"].to_numpy().astype("datetime64[us]")
                     for c in keep_cols:
                         snap[c] = frame[c].to_numpy()
-                    writes.append(Write("state", snap, os.path.join(state_dir, tag_), f"{tag_}:{bucket}"))
+                    snap = pa.Table.from_pandas(snap, preserve_index=False)
+                    writes.append(Write("state", snap, os.path.join(state_dir, tag_), f"{tag_}:"))
             if out_frames:
                 out = pd.concat(out_frames, ignore_index=True)
                 if outer:
@@ -301,10 +309,10 @@ class StreamingJoinJob(EpochDriver):
                     for c in rcols:
                         if c in int_cols:
                             out[c] = out[c].astype("Int64")
-                writes.append(Write("out", out, out_dir))
+                writes.append(Write("out", pa.Table.from_pandas(out, preserve_index=False), out_dir))
             return writes
 
-        return ks.reduce(per_bucket, min(wm_l, wm_r), extra={"wm_l": wm_l, "wm_r": wm_r})
+        return ks.reduce(per_task, min(wm_l, wm_r), extra={"wm_l": wm_l, "wm_r": wm_r})
 
 
 def _in_dir(files: list, d: str) -> list:

@@ -14,7 +14,7 @@ stream for a week without growing state.
 
 Correctness of fragment merging: two events belong to one session iff
 they chain with inter-event gaps <= gap_s. Block-local fragments are
-sub-chains; the per-bucket merge sorts fragments by (key, start) and
+sub-chains; the per-task merge sorts fragments by (key, start) and
 chains fragment i into the running session when
 ``start_i - cummax(end_0..end_{i-1}) <= gap`` (cummax handles
 out-of-order overlap between state and live fragments) — exactly the
@@ -29,17 +29,20 @@ watermark) are dropped and counted, same contract as job.py/stitch_job.
 Epoch protocol, exactly-once commit, resume and metrics are driver.py's,
 and so is the keyed step (``KeyedStep``: map tasks fragment, reduce
 tasks merge, close and write both output and state in-task); only
-lineage and per-task stats ever reach the driver.
+lineage and per-task stats ever reach the driver. Fragments, merge and
+finalize run on pyarrow tables and numpy arrays (``_seg_reduce`` states
+the null rules of a partial).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import methodcaller
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from vaero_ray.stages.windows import US, AggSpec
@@ -52,16 +55,39 @@ from vaero_ray.streaming.driver import (
     StepResult,
     Write,
     advance_watermark,
+    event_us,
 )
 
 _BASE_COLS = ["start_us", "end_us", "__n"]
+_NAT = np.iinfo(np.int64).min  # a null time, as int64 microseconds
+
+
+def _us(col: pa.ChunkedArray) -> np.ndarray:
+    """Times as int64 microseconds, a null as ``_NAT``."""
+    return pc.fill_null(event_us(col), _NAT).to_numpy()
 
 
 def _seg_cummax(vals: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
-    """Cummax within segments (C-implemented grouped cummax, no loop)."""
+    """Cummax within segments, exact for int64: dense ranks offset by
+    segment, so one running max never carries across a segment start."""
     if not len(vals):
         return vals.copy()
-    return pd.Series(vals).groupby(np.cumsum(seg_starts)).cummax().to_numpy()
+    uniq, rank = np.unique(vals, return_inverse=True)
+    offset = (np.cumsum(seg_starts) - 1) * len(uniq)
+    return uniq[np.maximum.accumulate(rank + offset) - offset]
+
+
+def _seg_reduce(red: str, col: pa.ChunkedArray, seg: np.ndarray):
+    """``red`` (sum, min or max) of ``col`` over the segments starting at
+    ``seg``, skipping nulls and NaN: a sum of none is 0, a min or max of
+    none is NaN (numbers) or null."""
+    vals = col.to_numpy()
+    if vals.dtype.kind in "iuf":
+        if red == "sum":
+            return np.add.reduceat(np.where(np.isnan(vals), 0, vals) if vals.dtype.kind == "f" else vals, seg)
+        return getattr(np, "f" + red).reduceat(vals, seg)
+    ids = np.repeat(np.arange(len(seg)), np.diff(np.r_[seg, len(vals)]))
+    return pa.table({"s": ids, "v": col}).group_by("s", use_threads=False).aggregate([("v", red)]).column(f"v_{red}")
 
 
 @dataclass
@@ -134,96 +160,69 @@ class StreamingSessionJob(EpochDriver):
         return {n[len("__pt_"):] for n in names if n.startswith("__pt_")}
 
     # -- fragment construction (per-block combiner) --------------------
-    @staticmethod
-    def _col_us(series: "pd.Series") -> np.ndarray:
-        arr = series.to_numpy()
-        if np.issubdtype(arr.dtype, np.datetime64):
-            return arr.astype("datetime64[us]").astype(np.int64)
-        return arr.astype(np.int64)
-
-    def _fragments(self, df: pd.DataFrame, ts_aliases: set) -> pd.DataFrame:
+    def _fragments(self, tbl: pa.Table, ts_aliases: set) -> pa.Table:
         """Each row is a fragment — ``[ts, ts]``, or ``[ts, end]`` in
         extent mode — pre-merged by the shared chain rule: one partial
         row per block-local fragment."""
-        s = self._col_us(df[self.ts_col])
-        e = s if self.end_col is None else self._col_us(df[self.end_col])
+        s = _us(tbl.column(self.ts_col))
+        e = s if self.end_col is None else _us(tbl.column(self.end_col))
         if (e < s).any():
             raise ValueError(f"{self.end_col} < {self.ts_col}: reversed extent")
-        frame = pd.DataFrame(
-            {
-                self.key: df[self.key].to_numpy(),
-                "start_us": s,
-                "end_us": e,
-                "__n": np.ones(len(df), dtype=np.int64),
-            }
-        )
+        cols = {self.key: tbl.column(self.key), "start_us": s, "end_us": e, "__n": np.ones(len(s), np.int64)}
         for alias, fn, col, pcol in self._pcols(ts_aliases):
-            if pcol.startswith("__pt_"):
-                frame[pcol] = df[col].to_numpy().astype("datetime64[us]").astype(np.int64)
-            else:
-                frame[pcol] = df[col].to_numpy()
-        return self._merge_fragments(frame, ts_aliases)
+            cols[pcol] = _us(tbl.column(col)) if pcol.startswith("__pt_") else tbl.column(col)
+        return self._merge_fragments(pa.table(cols), ts_aliases)
 
-    # -- fragment merge (per bucket) ------------------------------------
-    def _merge_fragments(self, df: pd.DataFrame, ts_aliases: set) -> pd.DataFrame:
+    # -- fragment merge (per task) ---------------------------------------
+    def _merge_fragments(self, tbl: pa.Table, ts_aliases: set) -> pa.Table:
+        if not tbl.num_rows:
+            return tbl
         gap_us = self.gap_s * US
-        df = df.sort_values([self.key, "start_us", "end_us"], kind="mergesort").reset_index(drop=True)
-        start = df["start_us"].to_numpy()
-        end = df["end_us"].to_numpy()
-        # factorized codes: NULL-keyed fragments form ONE group (raw
-        # eq(shift) is False for NaN==NaN, splitting every null fragment
-        # into its own never-merged segment)
-        codes = pd.factorize(df[self.key], use_na_sentinel=False)[0].astype(np.int64)
-        key_change = np.ones(len(df), dtype=bool)
-        if len(df) > 1:
-            key_change[1:] = codes[1:] != codes[:-1]
-        run_end = _seg_cummax(end, key_change)
-        prev_run_end = np.empty_like(run_end)
-        if len(run_end):
-            prev_run_end[0] = 0
-            prev_run_end[1:] = run_end[:-1]
-        brk = key_change | (start - prev_run_end > gap_us)
-        df = df.assign(__seg=np.cumsum(brk.astype(np.int64)))
-        g = df.groupby("__seg", sort=False)
-        out = pd.DataFrame(
-            {
-                self.key: g[self.key].first(),
-                "start_us": g["start_us"].min(),
-                "end_us": g["end_us"].max(),
-                "__n": g["__n"].sum(),
-            }
-        )
+        tbl = tbl.sort_by([(self.key, "ascending"), ("start_us", "ascending"), ("end_us", "ascending")])
+        start, end = tbl.column("start_us").to_numpy(), tbl.column("end_us").to_numpy()
+        # dictionary codes: NULL-keyed fragments form ONE group (raw
+        # comparison is null for null == null, splitting every null
+        # fragment into its own never-merged segment)
+        key = tbl.column(self.key)
+        codes = pc.dictionary_encode(key.combine_chunks(), null_encoding="encode").indices.to_numpy()
+        brk = np.r_[True, codes[1:] != codes[:-1]]
+        run_end = _seg_cummax(end, brk)
+        brk[1:] |= start[1:] - run_end[:-1] > gap_us
+        seg = np.flatnonzero(brk)
+        out = {
+            self.key: key.take(seg),
+            "start_us": start[seg],
+            "end_us": np.maximum.reduceat(end, seg),
+            "__n": np.add.reduceat(tbl.column("__n").to_numpy(), seg),
+        }
         for alias, fn, col, pcol in self._pcols(ts_aliases):
-            red = "sum" if fn in ("sum", "mean") else fn
-            out[pcol] = getattr(g[pcol], red)()
-        return out.reset_index(drop=True)
+            out[pcol] = _seg_reduce("sum" if fn in ("sum", "mean") else fn, tbl.column(pcol), seg)
+        return pa.table(out)
 
-    def _finalize(self, df: pd.DataFrame, ts_aliases: set) -> pd.DataFrame:
-        out = pd.DataFrame({self.key: df[self.key]})
+    def _finalize(self, tbl: pa.Table, ts_aliases: set) -> pa.Table:
+        n = tbl.column("__n")
+        out = {self.key: tbl.column(self.key)}
         pmap = {a: (f, p) for a, f, _, p in self._pcols(ts_aliases)}
         for a in self.aggs:
             if a.fn == "count":
-                out[a.alias] = df["__n"].astype("int64")
+                out[a.alias] = n
                 continue
             fn, pcol = pmap[a.alias]
             if a.fn == "mean":
-                out[a.alias] = df[pcol] / df["__n"]
+                out[a.alias] = tbl.column(pcol).to_numpy() / n.to_numpy()
             elif pcol.startswith("__pt_"):
-                out[a.alias] = df[pcol].astype("int64").astype("datetime64[us]")
+                us = tbl.column(pcol).to_numpy()
+                out[a.alias] = pa.array(us, mask=us == _NAT).cast(pa.timestamp("us"))
             else:
-                out[a.alias] = df[pcol]
-        return out.reset_index(drop=True)
+                out[a.alias] = tbl.column(pcol)
+        return pa.table(out)
 
     # -- one epoch ------------------------------------------------------
     def epoch_step(self, c: Claim) -> StepResult:
         state_files = c.state_files()
         ts_aliases = self._ts_aliases_from(c.files, state_files)
         cols = self._fragment_cols(ts_aliases)
-        frag = self._fragments
-
-        def fragments(tbl: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(frag(tbl.to_pandas(), ts_aliases), preserve_index=False).select(cols)
-
+        fragments = partial(self._fragments, ts_aliases=ts_aliases)
         # extent mode's ts_col is the extent START: the watermark advances
         # on it (an extent's end is not its event time)
         live = Source(c.files, fragments, self.ts_col, self.transform, step.task_read_columns(self.extra_read_kw))
@@ -232,15 +231,12 @@ class StreamingSessionJob(EpochDriver):
         gap_us, out_dir, state_dir = self.gap_s * US, self.out_dir, self.store.state_path_for(c.epoch)
         merge_fn, fin_fn = self._merge_fragments, self._finalize
 
-        def per_bucket(df: pd.DataFrame, bucket: int, wm: int) -> list[Write]:
-            merged = merge_fn(df, ts_aliases)
-            closed_mask = (merged["end_us"] + gap_us) <= wm
-            closed, open_ = merged[closed_mask], merged[~closed_mask]
-            writes = []
-            if len(closed):
-                writes.append(Write("out", fin_fn(closed, ts_aliases), out_dir))
-            if len(open_):
-                writes.append(Write("state", open_[cols], state_dir))
-            return writes
+        def per_task(tbl: pa.Table, wm: int) -> list[Write]:
+            merged = merge_fn(tbl, ts_aliases)
+            closed = pa.array(merged.column("end_us").to_numpy() + gap_us <= wm)
+            return [
+                Write("out", fin_fn(merged.filter(closed), ts_aliases), out_dir),
+                Write("state", merged.filter(pc.invert(closed)), state_dir),
+            ]
 
-        return ks.reduce(per_bucket, new_wm)
+        return ks.reduce(per_task, new_wm)

@@ -26,13 +26,15 @@ checkpoint store — and returns lineage, counters and its phase times;
 the epoch driver (driver.py) commits. The keyed jobs run as
 ``driver.KeyedStep``: there ``SMALL_EPOCH_BYTES`` budgets a map task,
 an epoch of one map and one reduce task runs both in the job's process,
-and a larger one fans out to Ray tasks (``remote``).
+and a larger one fans out to Ray tasks (``remote``). A keyed reduce task
+calls its job's kernel once on one Arrow table and writes every table
+the kernel returns through ``write_partitions``.
 
 ``write_partitions`` writes one canonical file per non-empty hash
-partition: ``num_partitions`` of them for window output, and
-``job.state_partitions`` for open-window state, a count both forms take
-from the footers and the lineage before reading data, so they split the
-state alike.
+partition: ``num_partitions`` of them for window output and for every
+keyed job's output and state, and ``job.state_partitions`` for
+open-window state, a count both forms take from the footers and the
+lineage before reading data, so they split the state alike.
 """
 
 from __future__ import annotations

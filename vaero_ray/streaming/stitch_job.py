@@ -12,11 +12,12 @@ Model (the epoch loop, claim, commit and metrics are driver.py's):
 - a conversation CLOSES when ``wm >= max(conv ts) + gap`` — no turn can
   still arrive for it without being late (session-complete rule);
 - per epoch, one keyed step (driver.py ``KeyedStep``): new turns and
-  state meet by hash(conv_id) bucket; per bucket, a reduce task stitches
-  the closed conversations (turn-ordered concat, per-role counts —
-  semantics of stages/stitch.py stitch_conversations) and writes BOTH
-  its output file and its state partition deterministically in-task;
-  only lineage reaches the driver;
+  state meet by hash(conv_id) bucket; each reduce task stitches the
+  closed conversations of all its buckets in one pyarrow call
+  (turn-ordered concat, per-role counts — semantics of stages/stitch.py
+  stitch_conversations) and writes BOTH the output and the state files
+  of each bucket deterministically in-task; only lineage reaches the
+  driver;
 - late turns (ts <= previous watermark) are dropped and counted. A
   conversation re-appearing after its close necessarily implies an
   event-time gap > ``gap_s``, so it is emitted as a NEW segment of the
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field
 from operator import methodcaller
 from typing import Callable
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from vaero_ray.stages.windows import US
 from vaero_ray.streaming import step
@@ -46,31 +47,38 @@ from vaero_ray.streaming.driver import (
     StepResult,
     Write,
     advance_watermark,
+    event_us,
 )
 
 TURN_COLS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+_ROLES = ("user", "assistant", "tool")
 
 
-def stitch_convs_df(df: pd.DataFrame, sep: str = "\n") -> pd.DataFrame:
-    """Vectorized conversation-stitch over every conversation in ``df``
-    (same output schema as stages/stitch.py stitch_conversations)."""
-    df = df.sort_values(["conv_id", "turn_idx"], kind="mergesort")
-    keys = df["conv_id"]
-    line = df["role"].str.cat(df["text"], sep=": ")
-    g = df.groupby("conv_id", sort=False)
-    out = pd.DataFrame(
-        {
-            "n_turns": g.size().astype("int64"),
-            "n_user": df["role"].eq("user").groupby(keys, sort=False).sum().astype("int64"),
-            "n_assistant": df["role"].eq("assistant").groupby(keys, sort=False).sum().astype("int64"),
-            "n_tool": df["role"].eq("tool").groupby(keys, sort=False).sum().astype("int64"),
-            "transcript": line.groupby(keys, sort=False).agg(sep.join),
-            "first_ts": g["ts"].min().astype("datetime64[us]"),
-            "last_ts": g["ts"].max().astype("datetime64[us]"),
-        }
+def stitch_convs(tbl: pa.Table, sep: str = "\n") -> pa.Table:
+    """Stitch every conversation in ``tbl`` into one row (same output
+    schema as stages/stitch.py stitch_conversations): its turns as
+    ``role: text`` lines in turn order, ties in input order."""
+    tbl = tbl.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+    role, text = (tbl.column(c).cast(pa.string()) for c in ("role", "text"))
+    cols = {
+        "conv_id": tbl.column("conv_id"),
+        "line": pc.binary_join_element_wise(role, text, ": "),
+        "ts": pc.cast(tbl.column("ts"), pa.timestamp("us"), safe=False),
+    }
+    for r in _ROLES:
+        cols[f"n_{r}"] = pc.fill_null(pc.equal(role, r), False).cast(pa.int64())
+    # single-threaded: the list aggregate keeps each group's row order
+    g = pa.table(cols).group_by("conv_id", use_threads=False).aggregate(
+        [([], "count_all"), *[(f"n_{r}", "sum") for r in _ROLES], ("line", "list"), ("ts", "min"), ("ts", "max")]
     )
-    out.index.name = "conv_id"
-    return out.reset_index()
+    return pa.table({
+        "conv_id": g.column("conv_id"),
+        "n_turns": g.column("count_all"),
+        **{f"n_{r}": g.column(f"n_{r}_sum") for r in _ROLES},
+        "transcript": pc.binary_join(g.column("line_list"), sep),
+        "first_ts": g.column("ts_min"),
+        "last_ts": g.column("ts_max"),
+    })
 
 
 @dataclass
@@ -80,11 +88,12 @@ class StreamingStitchJob(EpochDriver):
     ckpt_dir: str
     gap_s: int = 1800  # completion gap: conv closes when wm passes last ts + gap
     allowed_lateness_s: int = 0
-    # emitter: closed conversations' buffered turns -> output rows.
-    # Default stitches whole conversations; pass any vectorized
-    # per-bucket fn (e.g. session aggregates) for other session-window
-    # outputs — the buffering/close/commit machinery is shared.
-    emitter: Callable[[pd.DataFrame], pd.DataFrame] | None = None
+    # emitter: closed conversations' buffered turns -> output rows, a
+    # table whose first column is conv_id. Default stitches whole
+    # conversations; pass any vectorized table fn (e.g. session
+    # aggregates) for other session-window outputs — the
+    # buffering/close/commit machinery is shared.
+    emitter: Callable[[pa.Table], pa.Table] | None = None
     # per-epoch ROW-PRESERVING table function on the live input (column
     # derivation/casts only — rows_in/rows_late accounting assumes the
     # transform keeps the row count; see session_job/job contract)
@@ -106,21 +115,19 @@ class StreamingStitchJob(EpochDriver):
         # the watermark advances on the live rows only: state maxima are
         # <= prev_wm + gap by construction and can't advance the clock
         new_wm = advance_watermark(c.prev_wm, ks.maxima[0], self.allowed_lateness_s, c.finalize)
-        gap_us, emit = self.gap_s * US, self.emitter or stitch_convs_df
+        gap_us, emit = self.gap_s * US, self.emitter or stitch_convs
         out_dir, state_dir = self.out_dir, self.store.state_path_for(c.epoch)
 
-        def per_bucket(df: pd.DataFrame, bucket: int, wm: int) -> list[Write]:
-            # normalize to datetime64[us] FIRST (session_job does the
-            # same): a bare astype(int64) of a [ns]/[s] column would be
-            # off 1000x vs the microsecond watermark
-            tsus = pd.Series(df["ts"].to_numpy().astype("datetime64[us]").astype("int64"), index=df.index)
-            closed_mask = (tsus.groupby(df["conv_id"], sort=False).transform("max") + gap_us) <= wm
-            closed, open_ = df[closed_mask], df[~closed_mask]
-            writes = []
-            if len(closed):
-                writes.append(Write("out", emit(closed), out_dir))
-            if len(open_):
-                writes.append(Write("state", open_, state_dir))
+        def per_task(tbl: pa.Table, wm: int) -> list[Write]:
+            # event_us normalizes to microseconds FIRST: a bare int64
+            # cast of a [ns]/[s] column would be off 1000x vs the watermark
+            last = pa.table({"conv_id": tbl.column("conv_id"), "ts": event_us(tbl.column("ts"))})
+            last = last.group_by("conv_id", use_threads=False).aggregate([("ts", "max")])
+            done = last.filter(pc.less_equal(pc.add(last.column("ts_max"), gap_us), wm)).column("conv_id")
+            closed = pc.is_in(tbl.column("conv_id"), done)
+            writes = [Write("state", tbl.filter(pc.invert(closed)), state_dir)]
+            if len(done):
+                writes.append(Write("out", emit(tbl.filter(closed)), out_dir))
             return writes
 
-        return ks.reduce(per_bucket, new_wm)
+        return ks.reduce(per_task, new_wm)
