@@ -3,9 +3,10 @@ replaced wrote.
 
 ``pandas_writer`` below is that former writer, kept as the reference:
 sort a DataFrame on every column with a stable sort, convert it back to
-Arrow, drop the schema metadata and write. Engine tables reached it
-through ``to_pandas()``; tables the jobs build as DataFrames reached it
-directly."""
+Arrow, drop the schema metadata and write. Tables reach it through
+``to_pandas`` with pandas' nullable integer dtypes (``_to_frame``), so
+an integer column with nulls keeps its type and values, as the writer
+keeps them."""
 
 from __future__ import annotations
 
@@ -21,6 +22,16 @@ import pyarrow.parquet as pq
 import pytest
 
 from vaero_ray.streaming.sink import canonical_table, write_canonical_file
+
+NULLABLE_INTS = {
+    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(), pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
+    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(), pa.uint32(): pd.UInt32Dtype(),
+    pa.uint64(): pd.UInt64Dtype(),
+}
+
+
+def _to_frame(tbl: pa.Table) -> pd.DataFrame:
+    return tbl.to_pandas(types_mapper=NULLABLE_INTS.get)
 
 
 def pandas_writer(df: pd.DataFrame, path: str) -> str:
@@ -64,7 +75,7 @@ def test_same_bytes_as_pandas_writer(name, tmp_path):
     tbl = pa.table(CASES[name])
     # several chunks, like a table filtered out of a concatenated read
     tbl = pa.concat_tables([tbl.slice(0, 1), tbl.slice(1)])
-    want = pandas_writer(tbl.to_pandas(), f"{tmp_path}/want.parquet")
+    want = pandas_writer(_to_frame(tbl), f"{tmp_path}/want.parquet")
     path, sha, rows = write_canonical_file(tbl, f"{tmp_path}/got/part.parquet")
     assert (path, rows) == (f"{tmp_path}/got/part.parquet", tbl.num_rows)
     assert sha == want == _sha(path)
@@ -89,6 +100,16 @@ def test_frame_built_tables_keep_pandas_types(tmp_path):
     assert pq.read_schema(f"{tmp_path}/got.parquet").field("n").type == pa.int64()
 
 
+def test_an_integer_column_with_nulls_keeps_its_type_and_values(tmp_path):
+    big = (1 << 53) + 1  # a float64 would round it to 2**53
+    tbl = pa.table({"i": pa.array([big, None, -big], pa.int64()), "u": pa.array([None, 7, 1], pa.uint32())})
+    path, _, _ = write_canonical_file(tbl, f"{tmp_path}/i.parquet")
+    got = pq.read_table(path)
+    assert got.schema == pa.schema([pa.field("i", pa.int64()), pa.field("u", pa.uint32())])
+    assert got.column("i").to_pylist() == [-big, big, None]
+    assert got.column("u").to_pylist() == [1, None, 7]
+
+
 def test_random_tables_match_pandas_writer(tmp_path):
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -107,7 +128,7 @@ def test_random_tables_match_pandas_writer(tmp_path):
             }
         )
         tbl = tbl.select(list(rng.permutation(tbl.column_names)))
-        want = pandas_writer(tbl.to_pandas(), f"{tmp_path}/want.parquet")
+        want = pandas_writer(_to_frame(tbl), f"{tmp_path}/want.parquet")
         _, sha, _ = write_canonical_file(tbl, f"{tmp_path}/got.parquet")
         assert sha == want, tbl.schema
 
@@ -138,7 +159,7 @@ def test_decimals_keep_their_declared_type(tmp_path):
     declared type and the same values."""
     d = pa.array([decimal.Decimal("2.25"), None, decimal.Decimal("1.50")], pa.decimal128(10, 2))
     tbl = pa.table({"d": d})
-    pandas_writer(tbl.to_pandas(), f"{tmp_path}/want.parquet")
+    pandas_writer(_to_frame(tbl), f"{tmp_path}/want.parquet")
     write_canonical_file(tbl, f"{tmp_path}/got.parquet")
     got, want = pq.read_table(f"{tmp_path}/got.parquet"), pq.read_table(f"{tmp_path}/want.parquet")
     assert got.schema.field("d").type == pa.decimal128(10, 2)

@@ -23,6 +23,8 @@ from vaero_ray.streaming.compact import (
 )
 from vaero_ray.streaming.sink import write_canonical_file
 
+from .test_canonical_writer import _to_frame
+
 
 def _mk_job(tmp_path, ray_session):
     d = str(tmp_path / "stream")
@@ -92,9 +94,10 @@ def test_corrupt_sidecar_falls_back_to_epoch_files(tmp_path, ray_session):
 
 def test_compaction_of_differently_typed_epoch_files_keeps_the_pandas_bytes(tmp_path, ray_session):
     """One partition's epoch files type columns differently (an all-null
-    column is the null type; an int column with nulls was written as
-    float64, or as int64 by a frame with nullable ``Int64``): the
-    compacted file has the bytes the pandas concat gave it."""
+    column is the null type; an int column with nulls is int64, or
+    float64 in a file written before integer columns kept their type):
+    the compacted file has the bytes the pandas concat of nullable-int
+    frames gives it."""
     ts = pa.timestamp("us")
     epochs = [
         pa.table({
@@ -119,10 +122,39 @@ def test_compaction_of_differently_typed_epoch_files_keeps_the_pandas_bytes(tmp_
 
     side = compact_committed_output(store, out_dir)
 
-    # the reference: the pandas concat the compactor used to run
-    df = pd.concat([pq.read_table(f).to_pandas() for f in files], ignore_index=True)
+    # the reference: the pandas concat the compactor used to run, with
+    # integer columns as pandas' nullable integers
+    df = pd.concat([_to_frame(pq.read_table(f)) for f in files], ignore_index=True)
     _, want, _ = write_canonical_file(pa.Table.from_pandas(df, preserve_index=False), str(tmp_path / "ref.parquet"))
     assert side["partitions"]["0"]["sha256"] == want
+
+
+def test_compacting_a_left_outer_join_keeps_its_integers(tmp_path, ray_session):
+    """A left-outer join writes an int64 right column with nulls (its
+    unmatched left rows); compacted, it stays int64 with exact values."""
+    from vaero_ray.streaming.join_job import StreamingJoinJob
+
+    big = (1 << 53) + 1  # a float64 would round it to 2**53
+    ts = pa.timestamp("us")
+    for i in range(2):  # two epochs: each writes an output file
+        for side, tbl in (
+            ("L", pa.table({"user_id": [1, 2], "ts": pa.array([3600e6 * i] * 2, ts), "view_id": [10 + i, 20 + i]})),
+            ("R", pa.table({"user_id": [1], "ts": pa.array([3600e6 * i + 1e6], ts), "purchase_id": [big + i]})),
+        ):
+            os.makedirs(tmp_path / side, exist_ok=True)
+            pq.write_table(tbl, str(tmp_path / side / f"chunk-{i:04d}.parquet"))
+    job = StreamingJoinJob(
+        left_dir=str(tmp_path / "L"), right_dir=str(tmp_path / "R"), out_dir=str(tmp_path / "out"),
+        ckpt_dir=str(tmp_path / "ckpt"), key="user_id", within_s=60, left_cols=["view_id"],
+        right_cols=["purchase_id"], num_partitions=1, join_type="left_outer", left_id_col="view_id",
+    )
+    job.run()
+    store = CheckpointStore(job.ckpt_dir)
+    assert len(store.committed_output_files()) >= 2
+    side = compact_committed_output(store, job.out_dir)
+    got = pq.read_table(side["partitions"]["0"]["file"])
+    assert got.schema.field("purchase_id").type == pa.int64()
+    assert sorted(got.column("purchase_id").to_pylist(), key=lambda v: (v is None, v)) == [big, big + 1, None, None]
 
 
 def test_recompaction_after_new_epochs_is_crash_safe(tmp_path, ray_session):

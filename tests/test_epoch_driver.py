@@ -460,13 +460,15 @@ def test_only_the_driver_commits():
 
 
 def test_keyed_reduce_runs_without_pandas():
-    """The driver, the stitch, fold and session jobs and the compactor
-    import no pandas, and no ``per_bucket`` name is left in the streaming
-    package: a reduce task calls its job's ``per_task`` once on an Arrow
-    table."""
+    """The driver, the keyed jobs, the compactor and the canonical writer
+    import no pandas and the writer has no DataFrame branch
+    (``pandas_metadata``), and no ``per_bucket`` name is left in the
+    streaming package: a reduce task calls its job's ``per_task`` once on
+    an Arrow table."""
     import vaero_ray.streaming as pkg
 
     root = os.path.dirname(pkg.__file__)
+    arrow_only = ("driver.py", "stitch_job.py", "fold_job.py", "session_job.py", "join_job.py", "compact.py", "sink.py")
     imports, per_bucket = [], []
     for path in sorted(glob.glob(os.path.join(root, "*.py"))):
         name = os.path.basename(path)
@@ -479,8 +481,10 @@ def test_keyed_reduce_runs_without_pandas():
                 mods = [node.module or ""]
             else:
                 mods = []
-            if name in ("driver.py", "stitch_job.py", "fold_job.py", "session_job.py", "compact.py"):
+            if name in arrow_only:
                 imports += [f"{name}:{node.lineno}" for m in mods if m.split(".")[0] == "pandas"]
+                if isinstance(node, ast.Attribute) and node.attr == "pandas_metadata":
+                    imports.append(f"{name}:{node.lineno}")
             if (isinstance(node, ast.Name) and node.id == "per_bucket") or (
                 isinstance(node, ast.FunctionDef) and node.name == "per_bucket"
             ):

@@ -195,8 +195,9 @@ def test_stream_stream_left_outer_matches_batch(ray_session, tmp_path):
 
 
 def test_stream_stream_join_hot_key_chunked(ray_session, tmp_path, monkeypatch):
-    """A single celebrity key (every row shares it) must still produce the
-    exact pair set while the merge runs in bounded chunks."""
+    """A single celebrity key (every row shares it) still produces the
+    exact pair set: the sorted interval match builds only the pairs
+    inside the window, never the key's full product."""
     n = 4000
     ld, rdir = tmp_path / "HL", tmp_path / "HR"
     ld.mkdir(), rdir.mkdir()
@@ -227,7 +228,7 @@ def test_stream_stream_join_hot_key_chunked(ray_session, tmp_path, monkeypatch):
     job.run()
     got = _canon(job.committed_output().to_pandas())
     exp = _expected(ldf, rdf, 600)
-    # 4000x4000 = 16M unfiltered candidates > the 4M cap -> chunked path
+    # 4000x4000 = 16M same-key candidates, of which few fall in the window
     pd.testing.assert_frame_equal(got, exp)
 
 
@@ -247,3 +248,103 @@ def test_left_outer_tracks_a_left_row_by_key_and_id(ray_session, tmp_path):
     got = job.committed_output().to_pandas().sort_values("k", ignore_index=True)
     assert got["k"].tolist() == [1, 2]
     assert got["buy_id"].tolist()[0] == 1 and pd.isna(got["buy_id"].tolist()[1])
+
+
+def _write_sides(tmp_path, left: pa.Table, right: pa.Table) -> None:
+    for side, tbl in (("L", left), ("R", right)):
+        (tmp_path / side).mkdir()
+        pq.write_table(tbl, str(tmp_path / side / "chunk-0000.parquet"))
+
+
+def test_null_integer_payloads_keep_their_type(ray_session, tmp_path):
+    """A null in an integer payload column, on either side, is carried
+    through: the stream completes and the column stays int64."""
+    ts = pa.timestamp("us")
+    _write_sides(
+        tmp_path,
+        pa.table({"k": [1, 1], "ts": pa.array([0, 1_000_000], ts), "view_id": pa.array([10, None], pa.int64())}),
+        pa.table({
+            "k": [1, 1], "ts": pa.array([2_000_000, 3_000_000], ts),
+            "buy_id": pa.array([None, 21], pa.int64()), "amount": pa.array([5, None], pa.int64()),
+        }),
+    )
+    job = _job(str(tmp_path / "L"), str(tmp_path / "R"), tmp_path, "o")
+    job.run()
+    got = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files())
+    for c in ("k", "view_id", "buy_id", "amount"):
+        assert got.schema.field(c).type == pa.int64(), c
+    rows = sorted((r["view_id"] or 0, r["buy_id"] or 0, r["amount"]) for r in got.to_pylist())
+    assert rows == [(0, 0, 5), (0, 21, None), (10, 0, 5), (10, 21, None)]
+
+
+def test_null_keys_never_match(ray_session, tmp_path):
+    """A null key equals nothing (SQL ``=``): a null-key view and a
+    null-key purchase make no pair. In a left-outer join the null-key
+    view is emitted once, with a null right side, when it is evicted."""
+    ts = pa.timestamp("us")
+    _write_sides(
+        tmp_path,
+        pa.table({"k": pa.array([None, 1], pa.int64()), "ts": pa.array([0, 0], ts), "view_id": [1, 2]}),
+        pa.table({
+            "k": pa.array([None, 1], pa.int64()), "ts": pa.array([60_000_000] * 2, ts), "buy_id": [7, 8],
+            "amount": [5, 6],
+        }),
+    )
+    inner = _job(str(tmp_path / "L"), str(tmp_path / "R"), tmp_path, "i")
+    inner.run()
+    got = pa.concat_tables(pq.read_table(f) for f in inner.store.committed_output_files())
+    assert got.schema.field("k").type == pa.int64()
+    assert got.select(["k", "view_id", "buy_id"]).to_pylist() == [{"k": 1, "view_id": 2, "buy_id": 8}]
+
+    outer = _job(str(tmp_path / "L"), str(tmp_path / "R"), tmp_path, "o", join_type="left_outer",
+                 left_id_col="view_id")
+    outer.run()
+    got = pa.concat_tables(pq.read_table(f) for f in outer.store.committed_output_files())
+    assert sorted(got.select(["k", "view_id", "buy_id", "ts_r"]).to_pylist(), key=lambda r: r["view_id"]) == [
+        {"k": None, "view_id": 1, "buy_id": None, "ts_r": None},
+        {"k": 1, "view_id": 2, "buy_id": 8, "ts_r": got.column("ts_r").drop_null()[0].as_py()},
+    ]
+
+
+def test_a_null_key_moves_no_other_key_to_another_task(ray_session, tmp_path, monkeypatch):
+    """With one map task per file and one reduce task per bucket, key 1
+    reaches the same reduce task from a left file that also holds a null
+    key as from a right file that holds none, so the pair is made."""
+    from vaero_ray.streaming import step
+
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", -1)
+    ts = pa.timestamp("us")
+    _write_sides(
+        tmp_path,
+        pa.table({"k": pa.array([None, 1, 2, 3], pa.int64()), "ts": pa.array([0] * 4, ts), "view_id": [1, 2, 3, 4]}),
+        pa.table({"k": [1, 2, 3], "ts": pa.array([60_000_000] * 3, ts), "buy_id": [7, 8, 9], "amount": [5, 6, 7]}),
+    )
+    job = _job(str(tmp_path / "L"), str(tmp_path / "R"), tmp_path, "o")
+    job.run()
+    got = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files())
+    assert sorted(got.select(["k", "view_id", "buy_id"]).to_pylist(), key=lambda r: r["k"]) == [
+        {"k": 1, "view_id": 2, "buy_id": 7},
+        {"k": 2, "view_id": 3, "buy_id": 8},
+        {"k": 3, "view_id": 4, "buy_id": 9},
+    ]
+
+
+def test_interval_pairs_match_a_nested_loop():
+    """The sorted interval match against a plain double loop over random
+    rows with shared, null (-1) and colliding keys and tied times."""
+    from vaero_ray.streaming.join_job import interval_pairs
+
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        codes = rng.integers(-1, 4, n)
+        ts = rng.integers(0, 20, n) * 1_000_000
+        side = rng.random(n) < 0.5
+        left, right = np.flatnonzero(side), np.flatnonzero(~side)
+        within = int(rng.integers(0, 6)) * 1_000_000
+        li, ri = interval_pairs(codes, ts, left, right, within)
+        want = sorted(
+            (int(a), int(b)) for a in left for b in right
+            if codes[a] >= 0 and codes[a] == codes[b] and ts[a] <= ts[b] <= ts[a] + within
+        )
+        assert sorted(zip(li.tolist(), ri.tolist())) == want

@@ -319,3 +319,31 @@ def test_fragment_merge_matches_a_row_loop(tmp_path):
 
         assert cells(got) == cells(want)
         np.testing.assert_allclose([r["__p_fs"] for r in got], [r["__p_fs"] for r in want], rtol=1e-12, atol=1e-9)
+
+
+def test_a_timestamp_min_skips_nulls(ray_session, tmp_path):
+    """A session's min over a timestamp column skips null times, as its
+    max does and as a numeric min does; a session whose times are all
+    null gets null for both."""
+    base = pd.Timestamp("2026-01-01").value // 1000
+    sec = 1_000_000
+    t2 = pa.array([5 * sec, None, 7 * sec, None], pa.int64()).cast(pa.timestamp("us"))
+    tbl = pa.table({
+        "user_id": ["a", "a", "a", "b"],
+        "ts": pa.array(base + np.array([0, 1, 2, 3]) * sec).cast(pa.timestamp("us")),
+        "t2": t2,
+    })
+    ind = str(tmp_path / "in")
+    _write_chunks(tbl, ind, k=2)
+    job = StreamingSessionJob(
+        input_dir=ind, out_dir=str(tmp_path / "out"), ckpt_dir=str(tmp_path / "ck"), key="user_id",
+        aggs=[AggSpec("t2", "min", "t2min"), AggSpec("t2", "max", "t2max")], gap_s=3600, num_partitions=2,
+    )
+    job.run()
+    out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files())
+    got = sorted(out.select(["user_id", "t2min", "t2max"]).to_pylist(), key=lambda r: r["user_id"])
+    as_ts = t2.to_pylist()
+    assert got == [
+        {"user_id": "a", "t2min": as_ts[0], "t2max": as_ts[2]},
+        {"user_id": "b", "t2min": None, "t2max": None},
+    ]

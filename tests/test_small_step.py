@@ -17,6 +17,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from tools.fingerprint import fingerprint as _fingerprint
 from vaero_ray.dsl import Vaero
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec
@@ -79,21 +80,6 @@ def _route_job(stream_d: str, base: str) -> StreamingTransformJob:
     )
     src.filter_regexp("role", "^tool$").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d")
     return StreamingTransformJob(stream_d, f"{base}/out", f"{base}/ckpt", graph=Vaero.start())
-
-
-def _fingerprint(ckpt_dir: str) -> list:
-    """Per committed epoch: counters plus (partition, rows, sha256) of
-    every output and state file — everything but absolute paths."""
-    store = CheckpointStore(ckpt_dir)
-    out = []
-    for e in store.committed_epochs():
-        m = store.load(e)
-        files = {
-            kind: sorted((k, p["rows"], tuple(p["sha256"])) for k, p in parts.items())
-            for kind, parts in (("out", m.partitions), ("state", m.state_partitions))
-        }
-        out.append((m.epoch, m.watermark_us, m.rows_in, m.rows_late, m.rows_out, m.state_rows, files))
-    return out
 
 
 def _steps(ckpt_dir: str) -> list[str]:

@@ -251,3 +251,43 @@ def test_stale_state_file_from_aborted_attempt_ignored(stream_dir, tmp_path, ray
     job.run()
     got = _norm(job.committed_output().to_pandas())
     pd.testing.assert_frame_equal(want, got)
+
+
+@pytest.mark.parametrize("bound", [1 << 62, -1], ids=["task", "dataset"])
+def test_resume_from_state_holding_an_integer_aggregate_as_float(bound, tmp_path, monkeypatch, ray_session):
+    """State written before integer columns kept their type holds an
+    integer partial with a null as float64: a run that resumes from it
+    emits a clean run's values."""
+    from vaero_ray.streaming.sink import write_canonical_file
+
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", bound)
+    t0 = pd.Timestamp("2026-01-01")
+    os.makedirs(tmp_path / "in")
+    for i, (convs, xs) in enumerate([(["a", "b"], [None, 5]), (["a", "b"], [3, 4])]):
+        ts = pa.array([t0 + pd.Timedelta(seconds=10 * i + j) for j in range(2)], pa.timestamp("us"))
+        tbl = pa.table({"conv_id": convs, "x": pa.array(xs, pa.int64()), "ts": ts})
+        pq.write_table(tbl, str(tmp_path / "in" / f"chunk-{i:04d}.parquet"))
+    aggs = [AggSpec(None, "count", "n"), AggSpec("x", "max", "max_x"), AggSpec("x", "sum", "sum_x")]
+
+    def job(sub: str) -> StreamingWindowedJob:
+        return _job(str(tmp_path / "in"), str(tmp_path / sub), keys=["conv_id"], aggs=aggs, size_s=60,
+                    allowed_lateness_s=0)
+
+    def rows(j: StreamingWindowedJob) -> list:
+        out = pa.concat_tables(pq.read_table(f) for f in j.store.committed_output_files())
+        return sorted(out.select(["conv_id", "n", "max_x", "sum_x"]).to_pylist(), key=lambda r: r["conv_id"])
+
+    clean = job("clean")
+    clean.run()
+    old = job("old")
+    m = old.run_epoch()
+    [path] = m.state_files()
+    state = pq.read_table(path)
+    assert state.schema.field("x_max").type == pa.int64() and state.column("x_max").null_count == 1
+    floats = {n: state.column(n).cast(pa.float64()) for n in state.column_names if state.column(n).null_count}
+    write_canonical_file(pa.table({n: floats.get(n, state.column(n)) for n in state.column_names}), path)
+    old.run()
+    assert rows(old) == rows(clean) == [
+        {"conv_id": "a", "n": 2, "max_x": 3, "sum_x": 3},
+        {"conv_id": "b", "n": 2, "max_x": 5, "sum_x": 9},
+    ]

@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 BUCKET_COL = "__bucket"
@@ -159,18 +160,25 @@ def derive_num_buckets(
     return max(lo, min(derived, MAX_DERIVED_BUCKETS))
 
 
-def hash_bucket(values, num_buckets: int) -> "pd.Series":
+def hash_bucket(values, num_buckets: int) -> np.ndarray:
     """Deterministic (cross-process) bucket of a key array. An Arrow key
-    column is hashed as the pandas column it converts to."""
-    import numpy as np
-
+    column is hashed as the pandas column it converts to, except that an
+    integer column with nulls hashes its values as integers, not as the
+    float64 pandas would hold them in, so a key's bucket never depends
+    on a null in another row; a null hashes as NaN."""
+    nulls = None
     if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        if pa.types.is_integer(values.type) and values.null_count:
+            nulls = np.asarray(pc.is_null(values))
+            values = pc.fill_null(values, 0)
         values = values.to_pandas()
     arr = values.to_numpy() if hasattr(values, "to_numpy") else np.asarray(values)
     if arr.dtype == object or arr.dtype.kind in "USO":
         h = pd.util.hash_array(arr.astype(object), categorize=False)
     else:
         h = pd.util.hash_array(arr, categorize=False)
+    if nulls is not None:
+        h[nulls] = pd.util.hash_array(np.array([np.nan]), categorize=False)[0]
     return (h % num_buckets).astype("int64")
 
 

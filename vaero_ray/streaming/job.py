@@ -89,8 +89,8 @@ def state_partitions(rows_in: int, lineage_rows: dict, num_partitions: int) -> i
 
 
 def _unified_partials(parts: list[pa.Table]) -> list[pa.Table]:
-    # the canonical writer stores an integer column with nulls as float64,
-    # so a carried state file can hold a float64 partial where the live
+    # a state file written before the canonical writer kept integer types
+    # holds an integer partial with nulls as float64 where the live
     # partials or another state file hold int64; promote all of them to
     # the common type, as the Dataset step's merge shuffle does
     schema = pa.unify_schemas([p.schema for p in parts], promote_options="permissive")
@@ -362,6 +362,15 @@ class StreamingWindowedJob(EpochDriver):
         merged = merge_partials(
             unioned, self._group_cols, self._state_aggs, None,
             backend=self.merge_backend, num_buckets=self.num_partitions,
+        )
+        # the bucketed (pandas) merge holds an integer partial with nulls
+        # as float64: cast to the types the task step's merge gives
+        empty = unioned.schema().base_schema.empty_table()
+        if self.merge_backend == "native":
+            empty = _int64_partials(empty, self._group_cols)
+        schema = merge_partial_tables([empty], self._group_cols, self._state_aggs).schema
+        merged = merged.map_batches(
+            lambda t: t.cast(pa.schema([schema.field(n) for n in t.column_names])), batch_format="pyarrow"
         )
         # materialize ONCE: everything below consumes these small partial
         # blocks repeatedly (late/closed/open splits + watermark max)

@@ -8,7 +8,8 @@ bounded by the time window and the watermark, never by stream length.
 
 Semantics (inner join): emit ``(l, r)`` where ``l.key == r.key`` and
 ``l.ts <= r.ts <= l.ts + within_s`` — the "B happens within T after A"
-shape (views -> purchase-within-window). Output equals the batch
+shape (views -> purchase-within-window). A null key equals nothing, as
+in SQL, so a null-key row never matches. Output equals the batch
 interval join over all non-late rows; the parity is exact because a
 pair is emitted exactly once, in the epoch its LATER side arrives:
 
@@ -29,12 +30,13 @@ LATE: dropped and counted.
 Epoch mechanics (driver.py's epoch loop, commit protocol and keyed
 step): one ``KeyedStep`` per epoch — map tasks drop late rows and pad
 new rows of both sides plus both state buffers to the union schema with
-typed nulls, tagged ``__side``/``__st``; each reduce task converts its
-rows to pandas once, joins them with the pandas kernel below (the one
-keyed kernel not yet ported to Arrow), and writes each bucket's output
-file and state partitions deterministically; only lineage reaches the
-driver. fsync'd manifest = the commit point; a SIGKILL anywhere reruns
-the epoch byte-identically.
+typed nulls, tagged ``__side``/``__st``; each reduce task matches its
+rows once (``interval_pairs``: both sides get dense key codes, the right
+rows are sorted by (code, ts) and two binary searches per left row give
+its exact ``[ts_l, ts_l + within]`` range, so only true pairs are
+built), then writes its output and both sides' state with the
+canonical writer; only lineage reaches the driver. fsync'd manifest =
+the commit point; a SIGKILL anywhere reruns the epoch byte-identically.
 
 Scale: state per key is bounded by the rows inside ``within + lateness``
 of the watermark (the contract every watermarked stream-stream join
@@ -49,8 +51,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from vaero_ray.stages.windows import US
@@ -64,7 +66,35 @@ from vaero_ray.streaming.driver import (
     StepResult,
     Write,
     advance_watermark,
+    event_us,
 )
+
+
+def _key_codes(col: pa.ChunkedArray) -> np.ndarray:
+    """Dense int64 codes of ``col``'s values; a null gets -1."""
+    return pc.fill_null(pc.dictionary_encode(col.combine_chunks()).indices, -1).to_numpy().astype(np.int64)
+
+
+def interval_pairs(
+    codes: np.ndarray, ts: np.ndarray, left: np.ndarray, right: np.ndarray, within_us: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of the row indices ``left`` x ``right`` with equal key
+    codes (-1, a null key, matches nothing) and ``ts[l] <= ts[r] <=
+    ts[l] + within_us``, as (left rows, right rows). The right rows are
+    sorted by (code, ts) and two binary searches per left row find its
+    range, so no pair outside the window is ever built."""
+    left, right = left[codes[left] >= 0], right[codes[right] >= 0]
+    nl, nr = len(left), len(right)
+    # (code, ts) as one exact int64: code * n + the rank of ts among
+    # every right time and left bound
+    vals, rank = np.unique(np.concatenate([ts[right], ts[left], ts[left] + within_us]), return_inverse=True)
+    rkey = codes[right] * len(vals) + rank[:nr]
+    order = np.argsort(rkey, kind="stable")
+    rkey, lkey = rkey[order], codes[left] * len(vals)
+    lo = np.searchsorted(rkey, lkey + rank[nr : nr + nl], "left")
+    cnt = np.searchsorted(rkey, lkey + rank[nr + nl :], "right") - lo
+    pos = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    return np.repeat(left, cnt), right[order[pos]]
 
 
 @dataclass
@@ -103,13 +133,9 @@ class StreamingJoinJob(EpochDriver):
         if self.join_type == "left_outer":
             if self.left_id_col is None or self.left_id_col not in self.left_cols:
                 raise ValueError("left_outer requires left_id_col (one of left_cols)")
-        # footer schemas, read ONCE at init: (a) the union-schema types
-        # for null-padding (a finalize epoch may see only ONE side's
-        # state snapshot, which cannot define the other side's columns),
-        # (b) which payload columns are ints, for exact dtype restoration
-        # after the padded union (typed nulls degrade int64 -> float64
-        # inside the pandas kernel)
-        self._int_cols: set = set()
+        # union-schema types from the footer schemas, read ONCE at init:
+        # a finalize epoch may see only ONE side's state snapshot, which
+        # cannot define the other side's columns
         self._types: dict = {}
         for d, cols in ((self.left_dir, self.left_cols), (self.right_dir, self.right_cols)):
             fs = sorted(glob.glob(os.path.join(d, "*.parquet")))
@@ -118,9 +144,6 @@ class StreamingJoinJob(EpochDriver):
                 for c in [self.key, self.ts_col] + list(cols):
                     if c in sch.names and c not in self._types:
                         self._types[c] = sch.field(c).type
-                for c in cols:
-                    if c in sch.names and pa.types.is_integer(sch.field(c).type):
-                        self._int_cols.add(c)
 
     # -- epoch plumbing: two input directories -------------------------
     def pending_files(self) -> list:
@@ -133,9 +156,8 @@ class StreamingJoinJob(EpochDriver):
         return self._unconsumed(self.left_dir)[:n] + self._unconsumed(self.right_dir)[:n]
 
     def _pad(self, side: int, st: int, all_cols: list, types: dict):
-        """Stateless pad-to-union-schema + side/state tags (typed nulls
-        keep Arrow ints int — the pandas degradation is handled in the
-        reduce via the footer-schema int restore)."""
+        """Stateless pad-to-union-schema + side/state tags; typed nulls
+        keep every column's type."""
 
         def fn(tbl: pa.Table) -> pa.Table:
             if tbl.schema.metadata:
@@ -156,9 +178,7 @@ class StreamingJoinJob(EpochDriver):
     def epoch_step(self, c: Claim) -> StepResult:
         # per-side watermarks ride the manifest's extra; each side's buffer
         # snapshot keeps its NATIVE schema (separate files, "L:"/"R:"
-        # partition keys): a padded mixed-side state file would write the
-        # null-padded int columns as float64 and poison the next epoch's
-        # schema union
+        # partition keys)
         extra = c.last.extra if c.last is not None else {}
         wm_l, wm_r = extra.get("wm_l", WM_MIN), extra.get("wm_r", WM_MIN)
         lf, rf = _in_dir(c.files, self.left_dir), _in_dir(c.files, self.right_dir)
@@ -191,126 +211,50 @@ class StreamingJoinJob(EpochDriver):
         wm_r = advance_watermark(wm_r, ks.maxima[1], self.allowed_lateness_s, finalize)
 
         key, ts_col = self.key, self.ts_col
-        lcols, rcols = list(self.left_cols), list(self.right_cols)
-        int_cols, left_id_col = self._int_cols, self.left_id_col
+        lcols, rcols, left_id_col = list(self.left_cols), list(self.right_cols), self.left_id_col
         out_dir, state_dir = self.out_dir, self.store.state_path_for(epoch)
 
         def per_task(tbl: pa.Table, new_wm: int) -> list[Write]:
-            df = tbl.to_pandas()
-            df = df.assign(__tsus=df[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64))
-            writes = []
-
-            def side_frame(side: int, cols: list) -> pd.DataFrame:
-                sub = df[df["__side"] == side][[key, "__tsus"] + cols].copy()
-                for c in cols:
-                    if c in int_cols:
-                        sub[c] = sub[c].astype("int64")  # undo null-pad float64
-                return sub
-
-            l_all = side_frame(0, lcols)
-            r_all = side_frame(1, rcols)
+            codes, ts = _key_codes(tbl.column(key)), event_us(tbl.column(ts_col)).to_numpy()
+            left, new = tbl.column("__side").to_numpy() == 0, tbl.column("__st").to_numpy() == 0
+            l_all, r_all = np.flatnonzero(left), np.flatnonzero(~left)
+            # new_L x (buf_R U new_R), then buf_L x new_R
+            l1, r1 = interval_pairs(codes, ts, np.flatnonzero(left & new), r_all, within_us)
+            l2, r2 = interval_pairs(codes, ts, np.flatnonzero(left & ~new), np.flatnonzero(~left & new), within_us)
+            li, ri = np.concatenate([l1, l2]), np.concatenate([r1, r2])
+            # eviction under the NEW global watermark
+            evict = ts[l_all] + within_us <= new_wm
+            l_keep, r_keep = l_all[~evict], r_all[ts[r_all] > new_wm]
             if outer:
-                # live left rows were null-padded -> NaN; state carries 0/1
-                mcol = df[df["__side"] == 0]["__matched"]
-                l_all = l_all.assign(__matched=mcol.fillna(0).astype(np.int8).to_numpy())
-            new_m = (df["__st"] == 0).to_numpy()
-            l_new = l_all[new_m[df["__side"].to_numpy() == 0]]
-            r_new = r_all[new_m[df["__side"].to_numpy() == 1]]
-            l_buf = l_all[~new_m[df["__side"].to_numpy() == 0]]
-            r_buf = r_all[~new_m[df["__side"].to_numpy() == 1]]
-
-            def join(lf_: pd.DataFrame, rf_: pd.DataFrame) -> pd.DataFrame:
-                if not len(lf_) or not len(rf_):
-                    return pd.DataFrame()
-                if outer:
-                    lf_ = lf_.drop(columns=["__matched"])
-
-                def one(chunk: pd.DataFrame) -> pd.DataFrame:
-                    m = chunk.merge(rf_, on=key, suffixes=("_l", "_r"))
-                    d = m["__tsus_r"] - m["__tsus_l"]
-                    return m[(d >= 0) & (d <= within_us)]
-
-                # hot-key guard (range_join's bounded-temporaries rule): a
-                # celebrity key makes the UNFILTERED merge product blow up
-                # even when the time filter keeps little; chunk the left
-                # side so each temp stays ~CAND_CAP candidate rows. Output
-                # exact regardless (chunks are a partition of lf_).
-                rcnt = rf_[key].value_counts()
-                est = int(lf_[key].map(rcnt).fillna(0).sum())
-                CAND_CAP = 4_000_000
-                if est <= CAND_CAP:
-                    return one(lf_)
-                n_chunks = -(-est // CAND_CAP)
-                step = -(-len(lf_) // n_chunks)
-                return pd.concat(
-                    [one(lf_.iloc[i : i + step]) for i in range(0, len(lf_), step)],
-                    ignore_index=True,
-                )
-
-            pairs = pd.concat(
-                [join(l_new, pd.concat([r_buf, r_new], ignore_index=True)), join(l_buf, r_new)],
-                ignore_index=True,
-            )
-            out_frames = []
-            if len(pairs):
-                out = pd.DataFrame({key: pairs[key]})
-                out["ts_l"] = pairs["__tsus_l"].to_numpy().astype("datetime64[us]")
-                out["ts_r"] = pairs["__tsus_r"].to_numpy().astype("datetime64[us]")
-                for c in lcols + rcols:
-                    out[c] = pairs[c].to_numpy()
-                out_frames.append(out)
-
-            # eviction under the NEW global watermark; each side's
-            # snapshot keeps its NATIVE schema (no null padding on disk)
-            l_keep_all = pd.concat([l_buf, l_new], ignore_index=True)
-            if outer and len(l_keep_all):
                 # a left row is its (key, id): a reduce task holds many keys
-                ids = [key, left_id_col]
-                hit = pd.MultiIndex.from_frame(l_keep_all[ids]).isin(
-                    pd.MultiIndex.from_frame(pairs[ids]) if len(pairs) else []
-                )
-                l_keep_all = l_keep_all.assign(
-                    __matched=(l_keep_all["__matched"].astype(bool) | hit).astype(np.int8)
-                )
-            for tag_, frame, keep_cols in (
-                ("L", l_keep_all, lcols + (["__matched"] if outer else [])),
-                ("R", pd.concat([r_buf, r_new], ignore_index=True), rcols),
-            ):
-                if tag_ == "L":
-                    keep = frame["__tsus"] + within_us > new_wm
-                    if outer:
-                        # outer result: left rows proven unmatchable emit
-                        # ONCE, with a null right side, at eviction time
-                        ev = frame[~keep & (frame["__matched"] == 0)]
-                        if len(ev):
-                            out = pd.DataFrame({key: ev[key]})
-                            out["ts_l"] = ev["__tsus"].to_numpy().astype("datetime64[us]")
-                            out["ts_r"] = pd.Series(pd.NaT, index=ev.index, dtype="datetime64[us]").to_numpy()
-                            for c in lcols:
-                                out[c] = ev[c].to_numpy()
-                            for c in rcols:
-                                out[c] = None
-                            out_frames.append(out)
-                    frame = frame[keep]
-                else:
-                    frame = frame[frame["__tsus"] > new_wm]
-                if len(frame):
-                    snap = pd.DataFrame({key: frame[key]})
-                    snap[ts_col] = frame["__tsus"].to_numpy().astype("datetime64[us]")
-                    for c in keep_cols:
-                        snap[c] = frame[c].to_numpy()
-                    snap = pa.Table.from_pandas(snap, preserve_index=False)
-                    writes.append(Write("state", snap, os.path.join(state_dir, tag_), f"{tag_}:"))
-            if out_frames:
-                out = pd.concat(out_frames, ignore_index=True)
-                if outer:
-                    # nullable Int64 keeps right ints int64-typed in Arrow
-                    # (NaN-degraded float64 would change the output schema)
-                    for c in rcols:
-                        if c in int_cols:
-                            out[c] = out[c].astype("Int64")
-                writes.append(Write("out", pa.Table.from_pandas(out, preserve_index=False), out_dir))
-            return writes
+                ident = codes * (len(tbl) + 1) + _key_codes(tbl.column(left_id_col)) + 1
+                matched = pc.fill_null(tbl.column("__matched"), 0).to_numpy().astype(bool) | np.isin(ident, ident[li])
+                # outer result: left rows proven unmatchable emit ONCE,
+                # with a null right side, at eviction time
+                lone = l_all[evict & ~matched[l_all]]
+                li, ri = np.concatenate([li, lone]), np.concatenate([ri, np.full(len(lone), -1)])
+
+            def take(col: str, rows: np.ndarray) -> pa.ChunkedArray:
+                return tbl.column(col).take(pa.array(rows, mask=rows < 0))  # row -1: null
+
+            def times(rows: np.ndarray) -> pa.Array:
+                return pa.array(ts[rows], pa.timestamp("us"), mask=rows < 0)
+
+            def state(rows: np.ndarray, cols: list) -> dict:
+                return {key: take(key, rows), ts_col: times(rows), **{c: take(c, rows) for c in cols}}
+
+            # each side's snapshot keeps its NATIVE schema (no null padding)
+            l_state = state(l_keep, lcols)
+            if outer:
+                l_state["__matched"] = pa.array(matched[l_keep].astype(np.int8))
+            out = {key: take(key, li), "ts_l": times(li), "ts_r": times(ri)}
+            out.update({c: take(c, li) for c in lcols})
+            out.update({c: take(c, ri) for c in rcols})
+            return [
+                Write("state", pa.table(l_state), os.path.join(state_dir, "L"), "L:"),
+                Write("state", pa.table(state(r_keep, rcols)), os.path.join(state_dir, "R"), "R:"),
+                Write("out", pa.table(out), out_dir),
+            ]
 
         return ks.reduce(per_task, min(wm_l, wm_r), extra={"wm_l": wm_l, "wm_r": wm_r})
 

@@ -60,6 +60,7 @@ from vaero_ray.streaming.driver import (
 
 _BASE_COLS = ["start_us", "end_us", "__n"]
 _NAT = np.iinfo(np.int64).min  # a null time, as int64 microseconds
+_MAX_US = np.iinfo(np.int64).max
 
 
 def _us(col: pa.ChunkedArray) -> np.ndarray:
@@ -77,11 +78,15 @@ def _seg_cummax(vals: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     return uniq[np.maximum.accumulate(rank + offset) - offset]
 
 
-def _seg_reduce(red: str, col: pa.ChunkedArray, seg: np.ndarray):
+def _seg_reduce(red: str, col: pa.ChunkedArray, seg: np.ndarray, times: bool = False):
     """``red`` (sum, min or max) of ``col`` over the segments starting at
     ``seg``, skipping nulls and NaN: a sum of none is 0, a min or max of
-    none is NaN (numbers) or null."""
+    none is NaN (numbers) or null (``_NAT`` for ``times``, int64
+    microseconds with ``_NAT`` for null)."""
     vals = col.to_numpy()
+    if times and red == "min":
+        low = np.minimum.reduceat(np.where(vals == _NAT, _MAX_US, vals), seg)
+        return np.where(low == _MAX_US, _NAT, low)
     if vals.dtype.kind in "iuf":
         if red == "sum":
             return np.add.reduceat(np.where(np.isnan(vals), 0, vals) if vals.dtype.kind == "f" else vals, seg)
@@ -196,7 +201,8 @@ class StreamingSessionJob(EpochDriver):
             "__n": np.add.reduceat(tbl.column("__n").to_numpy(), seg),
         }
         for alias, fn, col, pcol in self._pcols(ts_aliases):
-            out[pcol] = _seg_reduce("sum" if fn in ("sum", "mean") else fn, tbl.column(pcol), seg)
+            red = "sum" if fn in ("sum", "mean") else fn
+            out[pcol] = _seg_reduce(red, tbl.column(pcol), seg, times=pcol.startswith("__pt_"))
         return pa.table(out)
 
     def _finalize(self, tbl: pa.Table, ts_aliases: set) -> pa.Table:

@@ -13,15 +13,12 @@ The canonical form (``canonical_table``) is computed in pyarrow:
   trip (``to_pandas`` -> sort -> ``from_pandas``) left them, so files
   keep their bytes: ``large_string``/``large_binary``/fixed-size binary
   become ``string``/``binary``, ``date64`` becomes ``date32``, times
-  become ``time64[us]``, NaN becomes null, an integer column with nulls
-  becomes ``float64``, and an all-null column of a type pandas holds as
-  Python objects (strings, binaries, bools, dates, times, decimals,
-  nested) becomes the ``null`` type. Two deliberate differences: a
-  dictionary column is written decoded to its value type (Arrow cannot
-  sort dictionaries), and a decimal keeps its declared precision (pandas
-  re-inferred it from the values, so it varied between files). A table
-  converted from a DataFrame (it carries pandas metadata) already has
-  the round-trip types and is only decoded;
+  become ``time64[us]``, NaN becomes null, and an all-null column of a
+  type pandas holds as Python objects (strings, binaries, bools, dates,
+  times, decimals, nested) becomes the ``null`` type. An integer column
+  keeps its type and exact values, nulls included. A dictionary column
+  is written decoded to its value type (Arrow cannot sort dictionaries),
+  and a decimal keeps its declared precision;
 - rows are sorted on every column, ascending, nulls last (a stable sort,
   like pandas' mergesort);
 - the schema carries no metadata and every field is nullable.
@@ -78,8 +75,6 @@ def _round_trip_types(col: pa.ChunkedArray) -> pa.ChunkedArray:
     t, n, nulls = col.type, len(col), col.null_count
     if pa.types.is_floating(t) and nulls < n and pc.any(pc.is_nan(col)).as_py():
         col = pc.if_else(pc.is_nan(col), pa.scalar(None, t), col)
-    elif pa.types.is_integer(t) and nulls:
-        col = col.cast(pa.float64(), safe=False)
     elif nulls == n and (_held_as_objects(t) or (pa.types.is_boolean(t) and n)):
         col = pa.chunked_array([pa.nulls(n)])
     return col
@@ -88,12 +83,11 @@ def _round_trip_types(col: pa.ChunkedArray) -> pa.ChunkedArray:
 def canonical_table(tbl: pa.Table) -> pa.Table:
     """``tbl`` in canonical form: normalized types, plain schema, rows
     sorted on every column (module docstring)."""
-    from_frame = tbl.schema.pandas_metadata is not None
     cols = []
     for col in tbl.columns:
         if pa.types.is_dictionary(col.type):
             col = col.cast(col.type.value_type)
-        cols.append(col if from_frame else _round_trip_types(col))
+        cols.append(_round_trip_types(col))
     tbl = pa.table(cols, schema=pa.schema([pa.field(n, c.type) for n, c in zip(tbl.column_names, cols)]))
     try:
         order = pc.sort_indices(
