@@ -80,6 +80,48 @@ def test_compaction_preserves_rows_and_shrinks_files(tmp_path, ray_session):
     pd.testing.assert_frame_equal(before, final)
 
 
+def test_compaction_over_per_partition_and_one_file_epochs(tmp_path, ray_session, monkeypatch):
+    """Epochs 0-1 write their output as one file per hash partition (the
+    layout before output files were sized by rows), later epochs as one
+    file: compaction keeps the union of their rows, each row once."""
+    from vaero_ray.streaming import job as window_job
+
+    d = str(tmp_path / "stream")
+    tbl = make_transcripts(n_convs=60, mean_turns=12, seed=11, disorder_frac=0.1)
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[("ts", "ascending")]))
+    os.makedirs(d)
+    n = tbl.num_rows
+    for i in range(5):
+        lo, hi = i * n // 5, (i + 1) * n // 5
+        pq.write_table(tbl.slice(lo, hi - lo), os.path.join(d, f"chunk-{i:04d}.parquet"))
+
+    def job():
+        return StreamingWindowedJob(
+            input_dir=d, out_dir=str(tmp_path / "out"), ckpt_dir=str(tmp_path / "ckpt"), keys=["conv_id"],
+            aggs=[AggSpec(None, "count", "n_turns")], ts_col="ts", size_s=600, allowed_lateness_s=30,
+            num_partitions=4,
+        )
+
+    with monkeypatch.context() as m:
+        m.setattr(window_job, "file_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
+        job().run(max_epochs=2, finalize=False)
+    j = job()
+    j.run()
+    store = CheckpointStore(j.ckpt_dir)
+    per_epoch = [sum(len(p["files"]) for p in store.load(e).partitions.values()) for e in store.committed_epochs()]
+    assert per_epoch[:2] == [4, 4] and max(per_epoch[2:]) == 1
+    before_files = store.committed_output_files()
+    before = _rows(before_files)
+    assert len(before) == sum(store.load(e).rows_out for e in store.committed_epochs())
+
+    compact_committed_output(store, j.out_dir)
+    after_files = compacted_output_files(store, j.out_dir)
+    assert len(after_files) < len(before_files)
+    pd.testing.assert_frame_equal(before, _rows(after_files))
+    gc_replaced(j.out_dir)
+    pd.testing.assert_frame_equal(before, _rows(compacted_output_files(store, j.out_dir)))
+
+
 def test_corrupt_sidecar_falls_back_to_epoch_files(tmp_path, ray_session):
     job = _mk_job(tmp_path, ray_session)
     store = CheckpointStore(job.ckpt_dir)

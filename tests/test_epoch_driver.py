@@ -13,6 +13,8 @@
   when a resume switches them.
 - in-process step: a small window, route or keyed epoch starts no Ray
   task; an over-budget keyed epoch fans out to map and reduce tasks.
+- input listing: a directory name with glob characters is read
+  literally.
 - guard: the driver is the only module that builds a manifest, commits
   it or appends a metrics record.
 """
@@ -23,6 +25,7 @@ import ast
 import glob
 import json
 import os
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -318,6 +321,19 @@ def test_one_complete_metrics_record_per_epoch(name, inputs, clean_runs, tmp_pat
     manifests = empty.run()
     assert len(manifests) == (0 if name == "transform" else 1)
     _assert_one_record_per_epoch(empty)
+
+
+@pytest.mark.parametrize("name", ["windowed", "join"])
+def test_input_directory_named_with_glob_characters(name, inputs, clean_runs, tmp_path, ray_session):
+    """An input directory whose name holds ``[`` is listed literally: the
+    job commits what it commits reading the same files from a plain-named
+    directory."""
+    copies = {d: shutil.copytree(inputs[d], str(tmp_path / f"in[{d}]x")) for d in ("turns", "left", "right")}
+    job = _job(name, {**inputs, **copies}, str(tmp_path / "run"))
+    job.run()
+    want = _fingerprint(f"{clean_runs(name)}/ckpt")
+    assert len(want) == N_CHUNKS + 1 and sum(e[4] for e in want) > 0
+    assert _fingerprint(job.ckpt_dir) == want
 
 
 @pytest.mark.parametrize("name", KEYED)

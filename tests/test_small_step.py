@@ -3,9 +3,10 @@
 ``step.SMALL_EPOCH_BYTES`` picks the step per epoch; each test forces
 one step by patching it and compares every output and state file's
 sha256 (plus the manifest counters) across the two. Both split the
-windowed job's open-window state into ``job.state_partitions`` files
-(one for these small epochs). The task step runs in the job's process,
-so a patch of that rule or its bound reaches it."""
+windowed job's closed-window output and its open-window state into
+``job.file_partitions`` files (one each for these small epochs). The
+task step runs in the job's process, so a patch of that rule or its
+bound reaches it."""
 
 from __future__ import annotations
 
@@ -93,6 +94,12 @@ def _state_files(ckpt_dir: str) -> list[int]:
     return [len(store.load(e).state_files()) for e in store.committed_epochs()]
 
 
+def _out_files(ckpt_dir: str) -> list[int]:
+    """Per committed epoch: how many files hold its closed-window output."""
+    store = CheckpointStore(ckpt_dir)
+    return [sum(len(p["files"]) for p in store.load(e).partitions.values()) for e in store.committed_epochs()]
+
+
 @pytest.mark.parametrize("name", sorted(WINDOW_JOBS) + ["route"])
 def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path, monkeypatch, ray_session):
     got = {}
@@ -105,11 +112,16 @@ def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path
         else:
             job = _window_job(stream_dir, base, **WINDOW_JOBS[name])
             assert len(job.run()) == 5  # 4 input epochs + finalize
-            assert max(_state_files(f"{base}/ckpt")) == 1  # num_partitions=4; a few hundred rows fit one file
+            # num_partitions=4; a few hundred rows fit one output and one state file
+            assert max(_state_files(f"{base}/ckpt")) == 1
+            assert max(_out_files(f"{base}/ckpt")) == 1
         assert set(_steps(f"{base}/ckpt")) == {label}
         got[label] = _fingerprint(f"{base}/ckpt")
     assert sum(e[4] for e in got["task"]) > 0
     assert got["task"] == got["dataset"]
+    # a one-file epoch's rows digest is that file's sha256
+    one_file = [e for e in got["task"] if [len(p[2]) for p in e[6]["out"]] == [1]]
+    assert [e[7] for e in one_file] == [e[6]["out"][0][2][0] for e in one_file]
 
 
 @pytest.mark.parametrize("first", ["task", "dataset"])
@@ -137,8 +149,9 @@ def test_kill_resume_switching_steps_is_byte_identical(first, stream_dir, tmp_pa
 
 @pytest.mark.parametrize("name", ["tumbling-native", "sliding-bucketed"])
 def test_steps_split_state_alike_past_the_row_bound(name, stream_dir, tmp_path, monkeypatch, ray_session):
-    """With a bound of 60 rows per state file, both steps split the open
-    hour windows of each ~215-row epoch into the same (up to 4) files."""
+    """With a bound of 60 rows per file, both steps split the closed and
+    the open hour windows of each ~215-row epoch into the same (up to 4)
+    files."""
     monkeypatch.setattr(window_job, "ROW_GROUP_ROWS", 60)  # the rule's bound, not the writer's row groups
     got = {}
     for bound, label in ((ALWAYS, "task"), (NEVER, "dataset")):
@@ -147,26 +160,28 @@ def test_steps_split_state_alike_past_the_row_bound(name, stream_dir, tmp_path, 
         _window_job(stream_dir, base, size_s=3600, **WINDOW_JOBS[name]).run()
         assert set(_steps(f"{base}/ckpt")) == {label}
         assert max(_state_files(f"{base}/ckpt")) == 4
+        assert 1 < max(_out_files(f"{base}/ckpt")) <= 4
         got[label] = _fingerprint(f"{base}/ckpt")
     assert got["task"] == got["dataset"]
 
 
 @pytest.mark.parametrize("label", ["task", "dataset"])
 def test_resume_from_state_split_per_partition(label, stream_dir, tmp_path, monkeypatch, ray_session):
-    """Epochs 0-1 carry their state in one file per hash partition (the
-    layout before state files were sized by rows); the resumed run reads
-    those files and writes the clean run's bytes from then on."""
+    """Epochs 0-1 write their output and carry their state in one file
+    per hash partition (the layout before files were sized by rows); the
+    resumed run reads those files and writes the clean run's bytes from
+    then on. Epochs 0-1 hold the clean run's rows in other files."""
     monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", ALWAYS if label == "task" else NEVER)
     _window_job(stream_dir, f"{tmp_path}/ref", size_s=3600).run()
     with monkeypatch.context() as m:
-        m.setattr(window_job, "state_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
+        m.setattr(window_job, "file_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
         _window_job(stream_dir, f"{tmp_path}/run", size_s=3600).run(max_epochs=2, finalize=False)
-    assert _state_files(f"{tmp_path}/run/ckpt") == [4, 4]
+    assert _state_files(f"{tmp_path}/run/ckpt") == _out_files(f"{tmp_path}/run/ckpt") == [4, 4]
     _window_job(stream_dir, f"{tmp_path}/run", size_s=3600).run()
     assert set(_steps(f"{tmp_path}/run/ckpt")) == {label}
     assert _state_files(f"{tmp_path}/run/ckpt")[2:] == _state_files(f"{tmp_path}/ref/ckpt")[2:] == [1, 1, 0]
     ref, run = _fingerprint(f"{tmp_path}/ref/ckpt"), _fingerprint(f"{tmp_path}/run/ckpt")
-    assert [e[:6] + (e[6]["out"],) for e in run] == [e[:6] + (e[6]["out"],) for e in ref]
+    assert [e[:6] + (e[7],) for e in run[:2]] == [e[:6] + (e[7],) for e in ref[:2]]
     assert run[2:] == ref[2:]
 
 

@@ -4,27 +4,50 @@
 Usage: python tools/fingerprint.py CKPT_DIR...
 
 For each committed epoch of each checkpoint directory, one JSON line:
-the manifest counters (epoch, watermark, rows in/late/out, state rows)
-plus (partition, rows, sha256) of every output and state file. It reads
-only the manifests, so it works on checkpoints any version wrote, and
-two runs wrote the same bytes exactly when their lines ``diff`` equal.
+the manifest counters (epoch, watermark, rows in/late/out, state rows),
+(partition, rows, sha256) of every output and state file, and the
+sha256 of the canonical Parquet bytes of all the epoch's output rows
+(``sink.canonical_bytes``; for a one-file epoch, that file's sha256).
+The counters and per-file entries come from the manifests, so they work
+on checkpoints any version wrote, and two runs wrote the same bytes
+exactly when their lines ``diff`` equal. The rows digest reads the
+epoch's output files, which must still be in place; two runs that split
+the same rows into different files have the same rows digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from vaero_ray.streaming.checkpoint import CheckpointStore  # noqa: E402
+from vaero_ray.streaming.sink import canonical_bytes  # noqa: E402
+
+
+def rows_digest(files: list[str]) -> str | None:
+    """sha256 of the canonical Parquet bytes of all rows of ``files``
+    (None for no files): the same for any split of the same rows."""
+    if not files:
+        return None
+    tables = []
+    for f in files:
+        with pq.ParquetFile(f) as pf:
+            tables.append(pf.read())
+    tbl = pa.concat_tables(tables, promote_options="permissive")
+    return hashlib.sha256(canonical_bytes(tbl)[0]).hexdigest()
 
 
 def fingerprint(ckpt_dir: str) -> list:
     """Per committed epoch: (epoch, watermark_us, rows_in, rows_late,
     rows_out, state_rows, {"out"|"state": sorted (partition, rows,
-    sha256s)})."""
+    sha256s)}, rows digest of the output files)."""
     store = CheckpointStore(ckpt_dir)
     out = []
     for e in store.committed_epochs():
@@ -33,7 +56,8 @@ def fingerprint(ckpt_dir: str) -> list:
             kind: sorted((k, p["rows"], tuple(p["sha256"])) for k, p in parts.items())
             for kind, parts in (("out", m.partitions), ("state", m.state_partitions))
         }
-        out.append((m.epoch, m.watermark_us, m.rows_in, m.rows_late, m.rows_out, m.state_rows, files))
+        digest = rows_digest(sorted(f for p in m.partitions.values() for f in p["files"]))
+        out.append((m.epoch, m.watermark_us, m.rows_in, m.rows_late, m.rows_out, m.state_rows, files, digest))
     return out
 
 

@@ -119,6 +119,12 @@ class StepResult:
     phases: dict | None = None  # step.PHASES seconds of a task step
 
 
+def input_files(input_dir: str) -> list[str]:
+    """The Parquet files in ``input_dir``, sorted. The directory name is
+    matched literally: a ``[`` in it is no glob class."""
+    return sorted(glob.glob(os.path.join(glob.escape(input_dir), "*.parquet")))
+
+
 def _files(lineage: dict) -> int:
     return sum(len(p["files"]) for p in lineage.values())
 
@@ -152,7 +158,7 @@ class EpochDriver:
     # -- epoch planning (pure function of committed manifests) ---------
     def _unconsumed(self, input_dir: str) -> list[str]:
         consumed = self.store.consumed_files()
-        return [f for f in sorted(glob.glob(os.path.join(input_dir, "*.parquet"))) if f not in consumed]
+        return [f for f in input_files(input_dir) if f not in consumed]
 
     def pending_files(self) -> list[str]:
         return self._unconsumed(self.input_dir)

@@ -34,11 +34,13 @@ windowed step.
 
 Scale: the Dataset plan's shuffles move PARTIALS (one row per key x
 window per block), not events. Open-window state is Parquet re-read each
-epoch, hash-partitioned on the first key into ``state_partitions`` files:
+epoch. An epoch's closed-window output and its open-window state are
+each hash-partitioned on the first key into ``file_partitions`` files:
 one per ``sink.ROW_GROUP_ROWS`` rows of input plus carried state, at most
-``num_partitions`` (one file for any epoch under 2^20 rows). An epoch
-under ``step.SMALL_EPOCH_BYTES`` holds its rows in the job's process; a
-larger one leaves them in the Ray Data plan's blocks.
+``num_partitions`` (one output file and one state file for any epoch
+under 2^20 rows). An epoch under ``step.SMALL_EPOCH_BYTES`` holds its
+rows in the job's process; a larger one leaves them in the Ray Data
+plan's blocks.
 """
 
 from __future__ import annotations
@@ -78,12 +80,13 @@ def windows_ending_in(tbl: pa.Table, window_col: str, size_us: int, lo_us: int, 
     return tbl.filter(pc.and_(pc.greater(wend, lo_us), pc.less_equal(wend, hi_us)))
 
 
-def state_partitions(rows_in: int, lineage_rows: dict, num_partitions: int) -> int:
-    """How many hash partitions hold an epoch's open-window state: one per
-    ``ROW_GROUP_ROWS`` rows of input (``rows_in``, from the footers) plus
-    carried state (``lineage_rows``, path -> rows), at least one, at most
+def file_partitions(rows_in: int, lineage_rows: dict, num_partitions: int) -> int:
+    """How many hash partitions hold an epoch's closed-window output, and
+    how many its open-window state: one per ``ROW_GROUP_ROWS`` rows of
+    input (``rows_in``, from the footers) plus carried state
+    (``lineage_rows``, path -> rows), at least one, at most
     ``num_partitions``. Both steps know these counts before reading any
-    data, so they split the state alike and write the same files."""
+    data, so they split output and state alike and write the same files."""
     rows = rows_in + sum(lineage_rows.values())
     return min(num_partitions, max(1, -(-rows // ROW_GROUP_ROWS)))
 
@@ -171,9 +174,9 @@ def window_step(
         closed = finalize_table(split(prev_wm, new_wm), group_cols, aggs)
         open_ = split(new_wm, WM_FINAL).select(sorted(merged.column_names))
     with timer("write_s"):
-        partitions = step.write_partitions(closed, out_dir, epoch, keys[0], num_partitions)
-        n_state = state_partitions(counts["rows_in"], lineage_rows, num_partitions)
-        state_lineage = step.write_partitions(open_, state_path, epoch, keys[0], n_state)
+        n_files = file_partitions(counts["rows_in"], lineage_rows, num_partitions)
+        partitions = step.write_partitions(closed, out_dir, epoch, keys[0], n_files)
+        state_lineage = step.write_partitions(open_, state_path, epoch, keys[0], n_files)
     return StepResult(
         new_wm,
         partitions,
@@ -208,8 +211,8 @@ class StreamingWindowedJob(EpochDriver):
     # metadata while late accounting sums post-transform partials, so
     # collapsing/expanding rows corrupts rows_late silently.
     transform: Callable[[pa.Table], pa.Table] | None = None
-    # hash partitions of each epoch's output (closed windows); open-window
-    # state takes at most this many (``state_partitions``)
+    # upper bound on the hash partitions of each epoch's output (closed
+    # windows) and of its open-window state (``file_partitions``)
     num_partitions: int = 8
     max_files_per_epoch: int = 1
     extra_read_kw: dict = field(default_factory=dict)
@@ -387,13 +390,13 @@ class StreamingWindowedJob(EpochDriver):
 
         final = finalize_partials(split(prev_wm, new_wm), self._group_cols, self.aggs, None)
         rows_late = int(split(WM_MIN, prev_wm).sum("__pcount") or 0)
+        n_files = file_partitions(counts["rows_in"], lineage_rows, self.num_partitions)
         return StepResult(
             new_wm,
-            _lineage(write_deterministic(final, self.out_dir, epoch, self.keys[0], self.num_partitions)),
+            _lineage(write_deterministic(final, self.out_dir, epoch, self.keys[0], n_files)),
             _lineage(
                 write_deterministic(
-                    split(new_wm, WM_FINAL).select_columns(cols), state_path, epoch, self.keys[0],
-                    state_partitions(counts["rows_in"], lineage_rows, self.num_partitions),
+                    split(new_wm, WM_FINAL).select_columns(cols), state_path, epoch, self.keys[0], n_files
                 )
             ),
             rows_late,

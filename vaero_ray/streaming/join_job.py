@@ -46,7 +46,6 @@ buffers, hash-partitioned on the join key.
 
 from __future__ import annotations
 
-import glob
 import os
 from dataclasses import dataclass, field
 
@@ -67,6 +66,7 @@ from vaero_ray.streaming.driver import (
     Write,
     advance_watermark,
     event_us,
+    input_files,
 )
 
 
@@ -138,7 +138,7 @@ class StreamingJoinJob(EpochDriver):
         # cannot define the other side's columns
         self._types: dict = {}
         for d, cols in ((self.left_dir, self.left_cols), (self.right_dir, self.right_cols)):
-            fs = sorted(glob.glob(os.path.join(d, "*.parquet")))
+            fs = input_files(d)
             if fs:
                 sch = pq.read_schema(fs[0])
                 for c in [self.key, self.ts_col] + list(cols):
@@ -260,6 +260,7 @@ class StreamingJoinJob(EpochDriver):
 
 
 def _in_dir(files: list, d: str) -> list:
-    """The files ``_unconsumed(d)`` listed: the glob's own spelling of ``d``."""
-    d = os.path.dirname(os.path.join(d, "*.parquet"))
-    return [f for f in files if os.path.dirname(f) == d]
+    """The files ``_unconsumed(d)`` listed. The glob may spell ``d``
+    otherwise (``a//b`` as ``a/b``), so both sides are normalized."""
+    d = os.path.normpath(d)
+    return [f for f in files if os.path.normpath(os.path.dirname(f)) == d]

@@ -98,6 +98,15 @@ def canonical_table(tbl: pa.Table) -> pa.Table:
     return tbl.take(order).combine_chunks()
 
 
+def canonical_bytes(tbl: pa.Table) -> tuple[pa.Buffer, int]:
+    """(Parquet bytes of ``tbl`` in canonical form, rows): what
+    ``write_canonical_file`` writes."""
+    tbl = canonical_table(tbl)
+    buf = pa.BufferOutputStream()
+    pq.write_table(tbl, buf, row_group_size=ROW_GROUP_ROWS)
+    return buf.getvalue(), tbl.num_rows
+
+
 def write_canonical_file(tbl: pa.Table, path: str) -> tuple[str, str, int]:
     """Canonical in-task write of one partition file at an explicit path:
     canonical form -> Parquet bytes in memory -> sha256 of those bytes
@@ -105,16 +114,13 @@ def write_canonical_file(tbl: pa.Table, path: str) -> tuple[str, str, int]:
     be unique per (partition, epoch) — callers that write concurrent
     partitions must derive the path from the partition key, never share
     an intermediate."""
-    tbl = canonical_table(tbl)
-    buf = pa.BufferOutputStream()
-    pq.write_table(tbl, buf, row_group_size=ROW_GROUP_ROWS)
-    data = buf.getvalue()
+    data, rows = canonical_bytes(tbl)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
-    return path, hashlib.sha256(data).hexdigest(), tbl.num_rows
+    return path, hashlib.sha256(data).hexdigest(), rows
 
 
 def write_partition_file(tbl: pa.Table, base_dir: str, bucket: int, epoch: int) -> tuple[str, str, int]:

@@ -31,10 +31,11 @@ calls its job's kernel once on one Arrow table and writes every table
 the kernel returns through ``write_partitions``.
 
 ``write_partitions`` writes one canonical file per non-empty hash
-partition: ``num_partitions`` of them for window output and for every
-keyed job's output and state, and ``job.state_partitions`` for
-open-window state, a count both forms take from the footers and the
-lineage before reading data, so they split the state alike.
+partition: ``num_partitions`` of them for every keyed job's output and
+state, and ``job.file_partitions`` for window output and open-window
+state alike, a count both forms take from the footers and the lineage
+before reading data, so they split output and state alike. A count of
+one writes the whole table as ``part-0`` without hashing it.
 """
 
 from __future__ import annotations
@@ -171,6 +172,9 @@ def write_partitions(tbl: pa.Table, base_dir: str, epoch: int, key: str, num_par
     lineage ``{partition: {"rows", "files", "sha256"}}``."""
     if not tbl.num_rows:
         return {}
+    if num_partitions == 1:  # every row hashes to bucket 0
+        path, digest, rows = write_partition_file(tbl, base_dir, 0, epoch)
+        return {"0": lineage_entry(rows, path, digest)}
     buckets = np.asarray(hash_bucket(tbl.column(key), num_partitions))
     out = {}
     for b in np.unique(buckets):
