@@ -84,7 +84,7 @@ def test_compaction_over_per_partition_and_one_file_epochs(tmp_path, ray_session
     """Epochs 0-1 write their output as one file per hash partition (the
     layout before output files were sized by rows), later epochs as one
     file: compaction keeps the union of their rows, each row once."""
-    from vaero_ray.streaming import job as window_job
+    from vaero_ray.streaming import driver
 
     d = str(tmp_path / "stream")
     tbl = make_transcripts(n_convs=60, mean_turns=12, seed=11, disorder_frac=0.1)
@@ -103,7 +103,7 @@ def test_compaction_over_per_partition_and_one_file_epochs(tmp_path, ray_session
         )
 
     with monkeypatch.context() as m:
-        m.setattr(window_job, "file_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
+        m.setattr(driver, "file_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
         job().run(max_epochs=2, finalize=False)
     j = job()
     j.run()

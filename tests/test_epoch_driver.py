@@ -8,9 +8,10 @@
   and manifest file must equal a clean run's bytes.
 - metrics: every committed epoch, empty and finalize epochs included,
   has exactly one ``metrics.jsonl`` record with the common keys.
-- keyed step: the stitch, session, fold and join jobs run no Ray Data
-  execution, and write the same bytes whatever their task counts, also
-  when a resume switches them.
+- keyed step: the windowed, route, stitch, session, fold and join jobs
+  run no Ray Data execution, and write the same bytes whatever their
+  task counts, also when a resume switches them; a keyed checkpoint that
+  holds one state file per hash bucket resumes under the row rule.
 - in-process step: a small window, route or keyed epoch starts no Ray
   task; an over-budget keyed epoch fans out to map and reduce tasks.
 - input listing: a directory name with glob characters is read
@@ -133,6 +134,10 @@ def _route_graph() -> list:
     return Vaero.start()
 
 
+def _text_len(tbl: pa.Table) -> pa.Table:
+    return tbl.append_column("tlen", pc.utf8_length(tbl.column("text")))
+
+
 SESSION_AGGS = [AggSpec(None, "count", "n"), AggSpec("ts", "min", "start_ts"), AggSpec("value", "sum", "total")]
 EXTENT_AGGS = [AggSpec(None, "count", "n"), AggSpec("ts", "min", "start_ts"), AggSpec("end_us", "max", "end_us")]
 
@@ -142,10 +147,17 @@ def _job(name: str, inputs: dict, base: str, empty: bool = False, **kw) -> Epoch
         return inputs["empty" if empty else d]
 
     dirs = dict(out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt", **kw)
-    if name == "windowed":
+    if name.startswith("windowed"):
+        window = {
+            "windowed": {},
+            "windowed-sliding": dict(slide_s=300),
+            "windowed-transform": dict(
+                transform=_text_len, aggs=[AggSpec("tlen", "sum", "chars"), AggSpec("tlen", "mean", "mean_chars")]
+            ),
+        }[name]
+        spec = {"aggs": [AggSpec(None, "count", "n_turns"), AggSpec("ts", "max", "last_ts")], **window, **dirs}
         return StreamingWindowedJob(
-            src("turns"), keys=["conv_id"], size_s=600, allowed_lateness_s=30, num_partitions=3,
-            aggs=[AggSpec(None, "count", "n_turns"), AggSpec("ts", "max", "last_ts")], **dirs,
+            src("turns"), keys=["conv_id"], size_s=600, allowed_lateness_s=30, num_partitions=3, **spec
         )
     if name == "transform":
         return StreamingTransformJob(src("turns"), graph=_route_graph(), **dirs)
@@ -176,6 +188,8 @@ def _job(name: str, inputs: dict, base: str, empty: bool = False, **kw) -> Epoch
 
 JOBS = ["windowed", "transform", "stitch", "session-point", "session-extent", "fold", "join"]
 KEYED = ["stitch", "session-point", "session-extent", "fold", "join", "join-outer"]
+# every job at every size runs on KeyedStep but a route job with a relational branch
+STEPPED = KEYED + ["windowed", "windowed-sliding", "windowed-transform", "transform"]
 
 
 @pytest.fixture(scope="module")
@@ -336,8 +350,12 @@ def test_input_directory_named_with_glob_characters(name, inputs, clean_runs, tm
     assert _fingerprint(job.ckpt_dir) == want
 
 
-@pytest.mark.parametrize("name", KEYED)
+ONE_TASK, TASK_PER_FILE = 1 << 62, -1  # step.SMALL_EPOCH_BYTES
+
+
+@pytest.mark.parametrize("name", STEPPED)
 def test_keyed_jobs_run_no_ray_data_execution(name, inputs, tmp_path, monkeypatch, ray_session):
+    """At the default budget and at one map task per file."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     calls = []
@@ -348,33 +366,41 @@ def test_keyed_jobs_run_no_ray_data_execution(name, inputs, tmp_path, monkeypatc
         return real(self, *a, **kw)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    job = _job(name, inputs, str(tmp_path))
-    assert len(job.run()) == N_CHUNKS + 1
-    assert sum(m.rows_out for m in (job.store.load(e) for e in job.store.committed_epochs())) > 0
+    for budget in (step.SMALL_EPOCH_BYTES, TASK_PER_FILE):
+        monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", budget)
+        job = _job(name, inputs, f"{tmp_path}/{budget}")
+        assert len(job.run()) == N_CHUNKS + (name != "transform")  # a route job has no finalize epoch
+        assert sum(m.rows_out for m in (job.store.load(e) for e in job.store.committed_epochs())) > 0
+        assert {r["step"] for r in _metrics(job.ckpt_dir)} == {"task"}
     assert calls == []
 
 
-ONE_TASK, TASK_PER_FILE = 1 << 62, -1  # step.SMALL_EPOCH_BYTES
-
-
-@pytest.mark.parametrize("name", KEYED)
+@pytest.mark.parametrize("name", STEPPED)
 def test_keyed_task_counts_write_identical_bytes(name, inputs, tmp_path, monkeypatch, ray_session):
     """One map and one reduce task per epoch, or one map task per file
-    and ``num_partitions`` reduce tasks: the same bytes."""
-    groups = []
-    real = driver._task_groups
+    and one reduce task per written file: the same bytes. Epochs claim
+    two files, and a bound of 40 rows per file splits each table into up
+    to ``num_partitions`` files."""
+    groups, n_files = [], []
+    real_groups, real_files = driver._task_groups, driver.file_partitions
 
     def recorded(*args):
-        out = real(*args)
+        out = real_groups(*args)
         groups.append(len(out[0]))
         return out
 
+    def counted(*args):
+        n_files.append(real_files(*args))
+        return n_files[-1]
+
     monkeypatch.setattr(driver, "_task_groups", recorded)
+    monkeypatch.setattr(driver, "file_partitions", counted)
+    monkeypatch.setattr(driver, "ROW_GROUP_ROWS", 40)
     got = {}
     for budget in (ONE_TASK, TASK_PER_FILE):
         monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", budget)
         groups.clear()
-        job = _job(name, inputs, f"{tmp_path}/{budget}")
+        job = _job(name, inputs, f"{tmp_path}/{budget}", max_files_per_epoch=2)
         job.run()
         got[budget] = _fingerprint(job.ckpt_dir)
         if budget == ONE_TASK:
@@ -382,15 +408,16 @@ def test_keyed_task_counts_write_identical_bytes(name, inputs, tmp_path, monkeyp
         else:
             assert max(groups) > 1
     assert sum(e[4] for e in got[ONE_TASK]) > 0
+    assert max(n_files) > 1
     assert got[ONE_TASK] == got[TASK_PER_FILE]
 
 
-@pytest.mark.parametrize("name", KEYED)
+@pytest.mark.parametrize("name", STEPPED)
 def test_kill_resume_switching_task_counts_is_byte_identical(
     name, inputs, clean_runs, tmp_path, monkeypatch, ray_session
 ):
     """Epochs up to the kill run one map and one reduce task; the resume
-    runs one map task per file and ``num_partitions`` reduce tasks."""
+    runs one Ray map task per file."""
     clean = clean_runs(name)
     base = str(tmp_path / "run")
     monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", ONE_TASK)
@@ -407,6 +434,29 @@ def test_kill_resume_switching_task_counts_is_byte_identical(
     got, want = _snapshot(base), _snapshot(clean)
     assert sorted(got) == sorted(want)
     assert [p for p in want if got[p] != want[p]] == []
+
+
+@pytest.mark.parametrize("name", KEYED)
+def test_resume_from_state_in_one_file_per_bucket(name, inputs, clean_runs, tmp_path, monkeypatch, ray_session):
+    """Epochs up to the kill write one file per non-empty hash bucket of
+    ``num_partitions`` (the layout before files were sized by rows); the
+    resumed run reads that state and writes the clean run's bytes from
+    then on, at most one output and one state file per table. The early
+    epochs hold the clean run's rows in other files."""
+    clean = _fingerprint(f"{clean_runs(name)}/ckpt")
+    base = str(tmp_path / "run")
+    with monkeypatch.context() as m:
+        m.setattr(driver, "file_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
+        job = _job(name, inputs, base)
+        for _ in range(KILL_EPOCH + 1):
+            job.run_epoch()
+    old = _fingerprint(f"{base}/ckpt")
+    assert max(len(e[6]["state"]) for e in old) > 2  # fold and join carry two state tables
+    _job(name, inputs, base).run()
+    got = _fingerprint(f"{base}/ckpt")
+    assert [e[:6] + (e[7],) for e in got] == [e[:6] + (e[7],) for e in clean]
+    assert got[KILL_EPOCH + 1 :] == clean[KILL_EPOCH + 1 :]
+    assert max(len(e[6]["out"]) for e in clean) <= 1 and max(len(e[6]["state"]) for e in clean) <= 2
 
 
 @pytest.mark.parametrize("name", ["windowed", "transform", "stitch"])
@@ -428,7 +478,8 @@ def test_a_small_epoch_starts_no_ray_task(name, inputs, tmp_path, monkeypatch):
 
 def test_an_over_budget_keyed_epoch_fans_out_to_ray_tasks(inputs, tmp_path, monkeypatch, ray_session):
     """One map task per input and state file, ``num_partitions`` reduce
-    tasks per epoch."""
+    tasks per epoch once the row bound gives each table that many
+    files."""
     started: Counter = Counter()
     real = RemoteFunction._remote
 
@@ -438,6 +489,7 @@ def test_an_over_budget_keyed_epoch_fans_out_to_ray_tasks(inputs, tmp_path, monk
 
     monkeypatch.setattr(RemoteFunction, "_remote", counted)
     monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", TASK_PER_FILE)
+    monkeypatch.setattr(driver, "ROW_GROUP_ROWS", 1)
     job = _job("stitch", inputs, str(tmp_path))
     manifests = job.run()
     maps = [len(m.input_files) + (len(job.store.load(m.epoch - 1).state_files()) if m.epoch else 0) for m in manifests]
@@ -445,7 +497,7 @@ def test_an_over_budget_keyed_epoch_fans_out_to_ray_tasks(inputs, tmp_path, monk
     assert len(manifests) == N_CHUNKS + 1 and min(maps) > 0
 
 
-@pytest.mark.parametrize("name", ["stitch", "session-point", "fold", "join"])
+@pytest.mark.parametrize("name", ["stitch", "session-point", "fold", "join", "windowed", "transform"])
 def test_keyed_jobs_reject_read_options_the_task_read_ignores(name, inputs, tmp_path):
     with pytest.raises(ValueError, match="'filter'"):
         _job(name, inputs, str(tmp_path / "bad"), extra_read_kw={"filter": None})
@@ -476,15 +528,17 @@ def test_only_the_driver_commits():
 
 
 def test_keyed_reduce_runs_without_pandas():
-    """The driver, the keyed jobs, the compactor and the canonical writer
-    import no pandas and the writer has no DataFrame branch
+    """The driver, the windowed and keyed jobs, the compactor and the
+    canonical writer import no pandas and the writer has no DataFrame branch
     (``pandas_metadata``), and no ``per_bucket`` name is left in the
     streaming package: a reduce task calls its job's ``per_task`` once on
     an Arrow table."""
     import vaero_ray.streaming as pkg
 
     root = os.path.dirname(pkg.__file__)
-    arrow_only = ("driver.py", "stitch_job.py", "fold_job.py", "session_job.py", "join_job.py", "compact.py", "sink.py")
+    arrow_only = (
+        "driver.py", "job.py", "stitch_job.py", "fold_job.py", "session_job.py", "join_job.py", "compact.py", "sink.py"
+    )
     imports, per_bucket = [], []
     for path in sorted(glob.glob(os.path.join(root, "*.py"))):
         name = os.path.basename(path)

@@ -168,3 +168,24 @@ def test_fold_carries_an_accumulator_above_2_pow_53_exactly(tmp_path, ray_sessio
     want = ordered_ewma(rd.from_pandas(events), "k", "ts", "v", "tie").to_pandas().sort_values("k", ignore_index=True)
     assert got[["k", "n_events", "ewma"]].values.tolist() == want[["k", "n_events", "ewma"]].values.tolist()
     assert got["ewma"].tolist()[0] == big
+
+
+def test_fold_drops_a_null_value_and_counts_it_late(tmp_path, ray_session):
+    """A row without a value cannot fold: it is dropped and counted with
+    the late rows. The key's accumulator is the batch EWMA over its
+    valued events, and every key stays int64."""
+    import ray.data as rd
+
+    from vaero_ray.stages.cep import ordered_ewma
+
+    job = _chunked_job(tmp_path, [(1, 10_000, 0, 10), (1, 10_001, 1, None), (2, 10_002, 2, 5)])
+    job.num_partitions = 1
+    ms = job.run()
+    assert sum(m.rows_late for m in ms) == 1
+    out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files())
+    assert out.schema.field("k").type == out.schema.field("ewma").type == pa.int64()
+    got = out.sort_by("k").select(["k", "n_events", "ewma"]).to_pylist()
+    events = pd.DataFrame([(1, 10_000, 0, 10), (2, 10_002, 2, 5)], columns=["k", "ts", "tie", "v"])
+    want = ordered_ewma(rd.from_pandas(events), "k", "ts", "v", "tie").to_pandas().sort_values("k")
+    assert got == want[["k", "n_events", "ewma"]].to_dict("records")
+    assert got[0] == {"k": 1, "n_events": 1, "ewma": 10}

@@ -1,11 +1,16 @@
-"""The one-task step and the Ray Data step write the same bytes.
+"""Windowed and route epochs write the same bytes at every task count.
 
-``step.SMALL_EPOCH_BYTES`` picks the step per epoch; each test forces
-one step by patching it and compares every output and state file's
-sha256 (plus the manifest counters) across the two. Both split the
-windowed job's closed-window output and its open-window state into
-``job.file_partitions`` files (one each for these small epochs). The
-task step runs in the job's process, so a patch of that rule or its
+``step.SMALL_EPOCH_BYTES`` sets a keyed step's task counts per epoch;
+each test forces them by patching it and compares every output and state
+file's sha256 (plus the manifest counters) across the two. The ids
+``task`` and ``dataset`` name the two budgets, which chose between the
+in-process step and a Ray Data plan before every windowed and route
+epoch ran as ``driver.KeyedStep``: ``task`` (``1 << 62``) is one map and
+one reduce task in the job's process, ``dataset`` (``-1``) one Ray map
+task per file and as many reduce tasks as the epoch has files. The
+windowed job splits its closed-window output and its open-window state
+into ``driver.file_partitions`` files (one each for these small epochs);
+a small epoch runs in the job's process, so a patch of that rule or its
 bound reaches it."""
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from tools.fingerprint import fingerprint as _fingerprint
 from vaero_ray.dsl import Vaero
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec
-from vaero_ray.streaming import CheckpointStore, StreamingWindowedJob, job as window_job, step
+from vaero_ray.streaming import CheckpointStore, StreamingWindowedJob, driver, step
 from vaero_ray.streaming.transform_job import StreamingTransformJob
 
-ALWAYS, NEVER = 1 << 62, -1
+BUDGETS = {"task": 1 << 62, "dataset": -1}
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +49,11 @@ def _text_len(tbl: pa.Table) -> pa.Table:
     return tbl.append_column("tlen", pc.utf8_length(tbl.column("text")))
 
 
+# "-native" dates from the merge backends, since deleted: every job
+# merges its partials one way
 WINDOW_JOBS = {
     "tumbling-native": dict(),
-    "tumbling-bucketed": dict(merge_backend="bucketed"),
     "sliding-native": dict(slide_s=100),
-    "sliding-bucketed": dict(slide_s=100, merge_backend="bucketed"),
     "transform": dict(
         transform=_text_len,
         aggs=[AggSpec("tlen", "sum", "chars"), AggSpec("tlen", "mean", "mean_chars"), AggSpec("tlen", "min", "min_chars")],
@@ -100,11 +105,29 @@ def _out_files(ckpt_dir: str) -> list[int]:
     return [sum(len(p["files"]) for p in store.load(e).partitions.values()) for e in store.committed_epochs()]
 
 
+def _maps(monkeypatch) -> list[int]:
+    """Map tasks per epoch, recorded from ``driver._task_groups`` from now on."""
+    groups: list[int] = []
+    real = driver._task_groups
+
+    def recorded(*args):
+        out = real(*args)
+        groups.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(driver, "_task_groups", recorded)
+    return groups
+
+
 @pytest.mark.parametrize("name", sorted(WINDOW_JOBS) + ["route"])
 def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path, monkeypatch, ray_session):
+    """One map and one reduce task per epoch, or one map task per file:
+    the same bytes, and no step but the keyed one."""
     got = {}
-    for bound, label in ((ALWAYS, "task"), (NEVER, "dataset")):
+    maps = _maps(monkeypatch)
+    for label, bound in BUDGETS.items():
         monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", bound)
+        maps.clear()
         base = f"{tmp_path}/{label}"
         if name == "route":
             job = _route_job(stream_dir, base)
@@ -115,7 +138,9 @@ def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path
             # num_partitions=4; a few hundred rows fit one output and one state file
             assert max(_state_files(f"{base}/ckpt")) == 1
             assert max(_out_files(f"{base}/ckpt")) == 1
-        assert set(_steps(f"{base}/ckpt")) == {label}
+        # one file per epoch: at -1 a windowed epoch's state file is a map task of its own
+        assert max(maps) == 1 + (label == "dataset" and name != "route")
+        assert set(_steps(f"{base}/ckpt")) == {"task"}
         got[label] = _fingerprint(f"{base}/ckpt")
     assert sum(e[4] for e in got["task"]) > 0
     assert got["task"] == got["dataset"]
@@ -126,11 +151,10 @@ def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path
 
 @pytest.mark.parametrize("first", ["task", "dataset"])
 def test_kill_resume_switching_steps_is_byte_identical(first, stream_dir, tmp_path, monkeypatch, ray_session):
-    """Epochs 0-1 take one step; epoch 2 is killed before its manifest
-    commit; a fresh job object resumes with the other step."""
-    bounds = {"task": ALWAYS, "dataset": NEVER}
+    """Epochs 0-1 run at one task count; epoch 2 is killed before its
+    manifest commit; a fresh job object resumes at the other."""
     second = "dataset" if first == "task" else "task"
-    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", bounds[first])
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", BUDGETS[first])
     ref = _window_job(stream_dir, f"{tmp_path}/ref")
     ref.run()
 
@@ -141,28 +165,51 @@ def test_kill_resume_switching_steps_is_byte_identical(first, stream_dir, tmp_pa
     with pytest.raises(RuntimeError):
         crash.run_epoch()
 
-    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", bounds[second])
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", BUDGETS[second])
     _window_job(stream_dir, f"{tmp_path}/run").run()
-    assert _steps(f"{tmp_path}/run/ckpt") == [first, first, second, second, second]
+    assert _steps(f"{tmp_path}/run/ckpt") == ["task"] * 5
     assert _fingerprint(f"{tmp_path}/run/ckpt") == _fingerprint(f"{tmp_path}/ref/ckpt")
 
 
-@pytest.mark.parametrize("name", ["tumbling-native", "sliding-bucketed"])
+@pytest.mark.parametrize("name", ["tumbling-native", "sliding-native"])
 def test_steps_split_state_alike_past_the_row_bound(name, stream_dir, tmp_path, monkeypatch, ray_session):
-    """With a bound of 60 rows per file, both steps split the closed and
-    the open hour windows of each ~215-row epoch into the same (up to 4)
-    files."""
-    monkeypatch.setattr(window_job, "ROW_GROUP_ROWS", 60)  # the rule's bound, not the writer's row groups
+    """With a bound of 60 rows per file, both task counts split the
+    closed and the open hour windows of each ~215-row epoch into the
+    same (up to 4) files; one map task per file feeds one reduce task
+    per file."""
+    monkeypatch.setattr(driver, "ROW_GROUP_ROWS", 60)  # the rule's bound, not the writer's row groups
     got = {}
-    for bound, label in ((ALWAYS, "task"), (NEVER, "dataset")):
+    for label, bound in BUDGETS.items():
         monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", bound)
         base = f"{tmp_path}/{label}"
         _window_job(stream_dir, base, size_s=3600, **WINDOW_JOBS[name]).run()
-        assert set(_steps(f"{base}/ckpt")) == {label}
         assert max(_state_files(f"{base}/ckpt")) == 4
         assert 1 < max(_out_files(f"{base}/ckpt")) <= 4
         got[label] = _fingerprint(f"{base}/ckpt")
     assert got["task"] == got["dataset"]
+
+
+def test_sliding_files_hold_at_most_the_row_bound_on_average(stream_dir, tmp_path, monkeypatch, ray_session):
+    """A sliding epoch's rows are its input rows times ``size_s/slide_s``
+    windows: the row rule counts them so, and gives each epoch's output
+    and state enough hash files for at most 60 rows each on average (a
+    hash bucket holds whole keys, so one file may hold more). Counting
+    input rows once gave epoch 0's 313 closed rows 4 files."""
+    monkeypatch.setattr(driver, "ROW_GROUP_ROWS", 60)
+    counted = []
+    real = driver.file_partitions
+
+    def recorded(rows_in, lineage_rows, num_partitions):
+        counted.append((rows_in, real(rows_in, lineage_rows, num_partitions)))
+        return counted[-1][1]
+
+    monkeypatch.setattr(driver, "file_partitions", recorded)
+    job = _window_job(stream_dir, str(tmp_path), size_s=3600, slide_s=100, num_partitions=64)
+    manifests = job.run()
+    assert [r for r, _ in counted] == [36 * m.rows_in for m in manifests]
+    for m, (_, n_files) in zip(manifests, counted):
+        assert m.rows_out <= 60 * n_files and m.state_rows <= 60 * n_files
+    assert manifests[0].rows_out > 60 * 4
 
 
 @pytest.mark.parametrize("label", ["task", "dataset"])
@@ -171,25 +218,25 @@ def test_resume_from_state_split_per_partition(label, stream_dir, tmp_path, monk
     per hash partition (the layout before files were sized by rows); the
     resumed run reads those files and writes the clean run's bytes from
     then on. Epochs 0-1 hold the clean run's rows in other files."""
-    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", ALWAYS if label == "task" else NEVER)
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", BUDGETS[label])
     _window_job(stream_dir, f"{tmp_path}/ref", size_s=3600).run()
     with monkeypatch.context() as m:
-        m.setattr(window_job, "file_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
+        m.setattr(driver, "file_partitions", lambda rows_in, lineage_rows, num_partitions: num_partitions)
         _window_job(stream_dir, f"{tmp_path}/run", size_s=3600).run(max_epochs=2, finalize=False)
     assert _state_files(f"{tmp_path}/run/ckpt") == _out_files(f"{tmp_path}/run/ckpt") == [4, 4]
     _window_job(stream_dir, f"{tmp_path}/run", size_s=3600).run()
-    assert set(_steps(f"{tmp_path}/run/ckpt")) == {label}
+    assert set(_steps(f"{tmp_path}/run/ckpt")) == {"task"}
     assert _state_files(f"{tmp_path}/run/ckpt")[2:] == _state_files(f"{tmp_path}/ref/ckpt")[2:] == [1, 1, 0]
     ref, run = _fingerprint(f"{tmp_path}/ref/ckpt"), _fingerprint(f"{tmp_path}/run/ckpt")
     assert [e[:6] + (e[7],) for e in run[:2]] == [e[:6] + (e[7],) for e in ref[:2]]
     assert run[2:] == ref[2:]
 
 
-@pytest.mark.parametrize("merge_backend", ["native", "bucketed"])
-def test_null_in_an_integer_aggregate_carried_in_state(merge_backend, tmp_path, monkeypatch, ray_session):
-    """An integer column with nulls is written as float64, so the state
-    carried out of epoch 0 holds ``x_max`` as double while epoch 1's live
-    partials hold int64: both steps merge them and write the same bytes."""
+def test_null_in_an_integer_aggregate_carried_in_state(tmp_path, monkeypatch, ray_session):
+    """An integer partial keeps its type with a null: the state carried
+    out of epoch 0 holds ``x_max`` as int64 with a null, epoch 1's live
+    partials hold int64, and both task counts merge them into int64
+    output and write the same bytes."""
     t0 = pd.Timestamp("2026-01-01")
     epochs = [[("a", None), ("a", None), ("b", 5), ("c", 7)], [("a", 3), ("b", 4), ("c", None)]]
     (tmp_path / "in").mkdir()
@@ -201,21 +248,41 @@ def test_null_in_an_integer_aggregate_carried_in_state(merge_backend, tmp_path, 
             str(tmp_path / "in" / f"chunk-{i:04d}.parquet"),
         )
     got = {}
-    for bound, label in ((ALWAYS, "task"), (NEVER, "dataset")):
+    for label, bound in BUDGETS.items():
         monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", bound)
         base = f"{tmp_path}/{label}"
         job = StreamingWindowedJob(
             input_dir=str(tmp_path / "in"), out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt", keys=["conv_id"],
             aggs=[AggSpec(None, "count", "n"), AggSpec("x", "max", "max_x")], size_s=60, allowed_lateness_s=0,
-            num_partitions=4, merge_backend=merge_backend,
+            num_partitions=4,
         )
-        assert len(job.run()) == 3  # 2 input epochs + finalize
-        assert _steps(f"{base}/ckpt") == [label] * 3
+        [state] = job.run_epoch().state_files()
+        assert pq.read_schema(state).field("x_max").type == pa.int64()
+        assert len(job.run()) == 2  # epoch 1 + finalize
         got[label] = _fingerprint(f"{base}/ckpt")
         out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files())
+        assert out.schema.field("max_x").type == pa.int64()
         assert sorted(out.select(["conv_id", "n", "max_x"]).to_pylist(), key=lambda r: r["conv_id"]) == [
-            {"conv_id": "a", "n": 3, "max_x": 3.0},
-            {"conv_id": "b", "n": 2, "max_x": 5.0},
-            {"conv_id": "c", "n": 2, "max_x": 7.0},
+            {"conv_id": "a", "n": 3, "max_x": 3},
+            {"conv_id": "b", "n": 2, "max_x": 5},
+            {"conv_id": "c", "n": 2, "max_x": 7},
         ]
     assert got["task"] == got["dataset"]
+
+
+def test_an_integer_partial_above_2_pow_53_next_to_a_null(tmp_path, monkeypatch, ray_session):
+    """One Ray map task per file: ``max(x)`` of 2^53+1 in one window and
+    of a null in another merges and writes as the exact int64."""
+    monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", -1)
+    (tmp_path / "in").mkdir()
+    ts = pa.array([pd.Timestamp("2026-01-01")] * 2, pa.timestamp("us"))
+    x = pa.array([(1 << 53) + 1, None], pa.int64())
+    pq.write_table(pa.table({"conv_id": ["a", "b"], "x": x, "ts": ts}), str(tmp_path / "in" / "chunk-0.parquet"))
+    job = StreamingWindowedJob(
+        input_dir=str(tmp_path / "in"), out_dir=f"{tmp_path}/out", ckpt_dir=f"{tmp_path}/ckpt", keys=["conv_id"],
+        aggs=[AggSpec("x", "max", "max_x")], size_s=60,
+    )
+    job.run()
+    out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files()).sort_by("conv_id")
+    assert out.schema.field("max_x").type == pa.int64()
+    assert out.column("max_x").to_pylist() == [9007199254740993, None]

@@ -127,7 +127,7 @@ def test_metrics_written(stream_dir, tmp_path, monkeypatch, ray_session):
     stream_d, _ = stream_dir
     job = _job(stream_d, f"{tmp_path}/m")
     job.run(max_epochs=2, finalize=False)
-    # an epoch above the small-epoch bound takes the Ray Data step
+    # an epoch above the map-task budget runs its tasks as Ray tasks
     monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", -1)
     job.run(max_epochs=1, finalize=False)
     lines = open(f"{tmp_path}/m/ckpt/metrics.jsonl").read().strip().splitlines()
@@ -139,13 +139,12 @@ def test_metrics_written(stream_dir, tmp_path, monkeypatch, ray_session):
         for field in ("epoch", "rows_in", "rows_late", "rows_out", "state_rows", "watermark_us", "wall_s",
                       "step", "bytes_in", "state_bytes_in", "read_s", "compute_s", "write_s", "files_written"):
             assert field in rec
-    assert [r["step"] for r in recs] == ["task", "task", "dataset"]
-    # the task times its phases from inside; the Dataset step's plan
-    # fuses them, so it records none
-    for rec in recs[:2]:
+    assert [r["step"] for r in recs] == ["task", "task", "task"]
+    # the tasks time their phases from inside, in the job's process or not
+    for rec in recs:
         assert all(rec[p] >= 0 for p in ("read_s", "compute_s", "write_s"))
+    for rec in recs[:2]:
         assert rec["read_s"] + rec["compute_s"] + rec["write_s"] <= rec["wall_s"]
-    assert recs[2]["read_s"] is recs[2]["compute_s"] is recs[2]["write_s"] is None
     for e, rec in enumerate(recs):
         m = job.store.load(e)
         written = [f for p in (*m.partitions.values(), *m.state_partitions.values()) for f in p["files"]]
@@ -253,6 +252,9 @@ def test_stale_state_file_from_aborted_attempt_ignored(stream_dir, tmp_path, ray
     pd.testing.assert_frame_equal(want, got)
 
 
+# the ids name the budgets that chose the in-process step or the Ray Data
+# plan before every windowed epoch ran on KeyedStep: one task, or one Ray
+# map task per file
 @pytest.mark.parametrize("bound", [1 << 62, -1], ids=["task", "dataset"])
 def test_resume_from_state_holding_an_integer_aggregate_as_float(bound, tmp_path, monkeypatch, ray_session):
     """State written before integer columns kept their type holds an

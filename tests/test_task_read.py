@@ -2,10 +2,10 @@
 
 - parity: ``step.read_table`` returns what the ``pyarrow.dataset``
   scanner returned for the same files and forced schema;
-- one open per file: in each epoch a window or route step opens every
-  input and state file exactly once, the epoch driver opens none, and
-  nothing reads a footer through ``read_metadata``/``read_schema`` or
-  scans through ``pyarrow.dataset``;
+- one open per file: in each small epoch a window, route or stitch step
+  opens every input and state file exactly once, the epoch driver opens
+  none, and nothing reads a footer through ``read_metadata``/
+  ``read_schema`` or scans through ``pyarrow.dataset``;
 - a file that cannot be opened fails the epoch with an error naming it;
 - a carried state file whose footer disagrees with the rows its lineage
   recorded fails the next epoch.
@@ -27,7 +27,7 @@ import pytest
 from vaero_ray.dsl import Vaero
 from vaero_ray.sources.transcripts import make_transcripts
 from vaero_ray.stages.windows import AggSpec
-from vaero_ray.streaming import job as window_job, step, transform_job
+from vaero_ray.streaming import step
 from vaero_ray.streaming.job import StreamingWindowedJob
 from vaero_ray.streaming.stitch_job import StreamingStitchJob
 from vaero_ray.streaming.transform_job import StreamingTransformJob
@@ -129,7 +129,7 @@ def _forbidden(name: str):
     return fn
 
 
-@pytest.mark.parametrize("name", ["windowed", "route"])
+@pytest.mark.parametrize("name", ["windowed", "route", "stitch"])
 def test_each_file_is_opened_once_by_the_step(name, turns_dir, tmp_path, monkeypatch):
     opens: list[tuple[int | None, str]] = []  # (epoch of the running step or None, path)
     running: list[int] = []
@@ -140,24 +140,23 @@ def test_each_file_is_opened_once_by_the_step(name, turns_dir, tmp_path, monkeyp
             opens.append((running[-1] if running else None, str(source)))
             super().__init__(source, *a, **kw)
 
-    mod, attr = (window_job, "window_step") if name == "windowed" else (transform_job, "route_step")
-    real_step = getattr(mod, attr)
+    job = _job(name, turns_dir, str(tmp_path))
+    real_step = type(job).epoch_step
 
-    def marked(**kw):
-        running.append(kw["epoch"])
+    def marked(self, c):
+        running.append(c.epoch)
         try:
-            return real_step(**kw)
+            return real_step(self, c)
         finally:
             running.pop()
 
-    monkeypatch.setattr(mod, attr, marked)
+    monkeypatch.setattr(type(job), "epoch_step", marked)
     monkeypatch.setattr(pq, "ParquetFile", Counted)
     for mod, attr in ((pq, "read_metadata"), (pq, "read_schema"), (pads, "dataset")):
         monkeypatch.setattr(mod, attr, _forbidden(attr))
 
-    job = _job(name, turns_dir, str(tmp_path))
     manifests = job.run()
-    assert len(manifests) == N_CHUNKS + (name == "windowed")  # the windowed run ends with a finalize epoch
+    assert len(manifests) == N_CHUNKS + (name != "route")  # the windowed and stitch runs end with a finalize epoch
     assert [e for e, _ in opens if e is None] == []  # run_epoch itself opens nothing
     state_read = 0
     for m in manifests:
@@ -166,7 +165,7 @@ def test_each_file_is_opened_once_by_the_step(name, turns_dir, tmp_path, monkeyp
         state_read += len(want) - len(m.input_files)
         assert sorted(p for e, p in opens if e == m.epoch) == sorted(want)
     assert len(opens) == sum(len(m.input_files) for m in manifests) + state_read
-    assert (state_read > 0) == (name == "windowed")
+    assert (state_read > 0) == (name != "route")
 
 
 @pytest.mark.parametrize("name", ["windowed", "route", "stitch"])

@@ -921,9 +921,6 @@ def q_streaming_dedup_events(sf_dir: str):
         size_s=3600,
         allowed_lateness_s=0,
         num_partitions=4,
-        # 5 partial columns keyed by event id: the native per-column
-        # Ray aggregate would pay its fixed cost 5x per epoch
-        merge_backend="bucketed",
         transform=_value_to_cents,
     )
     job.run()
@@ -13933,10 +13930,6 @@ def q_streaming_window_auc(sf_dir: str):
         size_s=3600,
         allowed_lateness_s=0,
         num_partitions=4,
-        # (window, user) keys are high-cardinality: the bucketed merge
-        # backend exists for exactly this shape (native Ray aggregate
-        # costs seconds per column over many tiny partial blocks)
-        merge_backend="bucketed",
         transform=pre,
     )
     job.run()

@@ -349,7 +349,7 @@ def _canon_us_tbl(tbl: pa.Table) -> pa.Table:
 def merge_partial_tables(tables: list[pa.Table], group_cols: list[str], aggs: list[AggSpec]) -> pa.Table:
     """Pure-table phase 2: merge partial tables (associative: sum of sums,
     min of mins, max of maxes, sum of partial counts). The streaming
-    one-task step (streaming/job.py window_step) merges live partials
+    windowed job's reduce tasks (streaming/job.py) merge live partials
     with carried state through it."""
     pa_aggs_dedup, need_count = _plan_partials(list(aggs))
     plan: list[tuple[str, str]] = []
@@ -370,7 +370,7 @@ def merge_partial_tables(tables: list[pa.Table], group_cols: list[str], aggs: li
 def finalize_table(tbl: pa.Table, group_cols: list[str], aggs: list[AggSpec]) -> pa.Table:
     """Pure-table phase 3: partial columns -> user-facing aliases; mean =
     sum/count; timestamps normalized to us. Used by the Dataset wrapper
-    below and directly by the streaming one-task step."""
+    below and directly by the streaming windowed job's reduce tasks."""
     cols: dict[str, pa.ChunkedArray | pa.Array] = {c: tbl.column(c) for c in group_cols}
     for a in aggs:
         if a.fn == "count":

@@ -29,17 +29,19 @@ epoch's ``metrics.jsonl`` record from its manifest.
 
 A job subclasses ``EpochDriver`` (a plain class: the job's dataclass
 fields and their order are its own) and supplies ``op`` and
-``epoch_step``. The stitch, session, fold and join jobs build their step
-from sources, a watermark rule and ``per_task`` (``KeyedStep``: map and
-reduce tasks over pyarrow, run in the job's process when the epoch is
-one of each). A reduce task calls ``per_task`` once on its whole Arrow
-table and writes the tables it returns one file per hash bucket, with
-the writer the windowed job uses (``step.write_partitions``).
+``epoch_step``. Every job but a route job with a relational branch
+builds its step from sources, a watermark rule and ``per_task``
+(``KeyedStep``: map and reduce tasks over pyarrow, run in the job's
+process when the epoch is one of each), at every epoch size. A reduce
+task calls ``per_task`` once on its whole Arrow table and writes what it
+returns: a ``Write`` as one file per hash bucket, as many buckets as the
+row rule ``file_partitions`` gives.
 """
 
 from __future__ import annotations
 
 import glob
+import itertools
 import os
 import time
 from collections import Counter
@@ -53,10 +55,11 @@ import ray
 import ray.data as rd
 
 from vaero_ray.io import read_parquet
-from vaero_ray.stages.keyed import BUCKET_COL, hash_bucket
+from vaero_ray.stages.keyed import hash_bucket
 from vaero_ray.stages.windows import US
 from vaero_ray.streaming import step
 from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
+from vaero_ray.streaming.sink import ROW_GROUP_ROWS
 
 WM_FINAL = 1 << 62  # watermark value marking end-of-stream finalization
 WM_MIN = -(1 << 62)  # watermark before the first epoch
@@ -261,31 +264,14 @@ class EpochDriver:
 
 
 # -- the keyed step: map and reduce tasks over pyarrow -------------------
-@dataclass
-class Source:
-    """Files a keyed step reads, and how its map tasks prepare their rows.
-    A live source (``ts_col`` set) runs ``transform``, then drops and
-    counts its late rows (event time at or below the previous watermark;
-    a null time is late) and reports its maximum event time. Every source
-    then runs ``prep``."""
-
-    files: list[str]
-    prep: Callable[[pa.Table], pa.Table] | None = None
-    ts_col: str | None = None
-    transform: Callable[[pa.Table], pa.Table] | None = None
-    columns: list[str] | None = None
-
-
-class Write(NamedTuple):
-    """A table ``per_task`` returns. Its reduce task writes it as one
-    file per hash bucket of its first column, the key, at
-    ``base_dir/part-{bucket}``, under the manifest key ``prefix`` +
-    bucket."""
-
-    kind: str  # "out" or "state"
-    table: pa.Table
-    base_dir: str
-    prefix: str = ""
+def file_partitions(rows_in: int, lineage_rows: dict, num_partitions: int) -> int:
+    """How many hash-bucket files hold each table an epoch writes: one
+    per ``ROW_GROUP_ROWS`` rows of input (``rows_in``, from the footers)
+    plus carried state (``lineage_rows``, path -> rows), at least one, at
+    most ``num_partitions``. ``KeyedStep`` knows both before reading any
+    data, so the split never depends on the task counts."""
+    rows = rows_in + sum(lineage_rows.values())
+    return min(num_partitions, max(1, -(-rows // ROW_GROUP_ROWS)))
 
 
 def event_us(col: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -295,65 +281,123 @@ def event_us(col: pa.ChunkedArray) -> pa.ChunkedArray:
     return pc.cast(col, pa.int64())
 
 
+def event_rows(ts_col: str, transform: Callable[[pa.Table], pa.Table] | None = None) -> Callable:
+    """A ``Source.live`` function for rows with an event time: run
+    ``transform``, take the maximum of ``ts_col``, then drop and count the
+    late rows (event time at or below the previous watermark; a null time
+    is late)."""
+
+    def live(tbl: pa.Table, prev_wm: int) -> tuple[pa.Table, int, int | None]:
+        if transform is not None:
+            tbl = transform(tbl)
+        ts = event_us(tbl.column(ts_col))
+        kept = tbl.filter(pc.fill_null(pc.greater(ts, prev_wm), False))
+        return kept, tbl.num_rows - kept.num_rows, pc.max(ts).as_py()
+
+    return live
+
+
+@dataclass
+class Source:
+    """Files a keyed step reads, and how its map tasks prepare their rows.
+    A live source runs ``live(tbl, prev_wm) -> (rows kept, late count,
+    maximum event time or None)`` (``event_rows`` for most jobs); every
+    source then runs ``prep``. A map task reads and prepares each file on
+    its own, so a prep that combines rows (session fragments) gives the
+    same rows however files are grouped into tasks, or, with ``per_file``
+    False, all of its files of the source at once."""
+
+    files: list[str]
+    prep: Callable[[pa.Table], pa.Table] | None = None
+    live: Callable[[pa.Table, int], tuple[pa.Table, int, int | None]] | None = None
+    columns: list[str] | None = None
+    per_file: bool = True
+
+
+class Write(NamedTuple):
+    """A table ``per_task`` returns. Its reduce task writes it as one
+    file per hash bucket of ``key`` (default: its first column), at
+    ``base_dir/part-{bucket}``, under the manifest key ``prefix`` +
+    bucket."""
+
+    kind: str  # "out" or "state"
+    table: pa.Table
+    base_dir: str
+    prefix: str = ""
+    key: str | None = None
+
+    def write(self, epoch: int, n_files: int) -> list[tuple[str, str, dict]]:
+        """Write the files; returns (kind, manifest key, lineage entry)
+        per file."""
+        key = self.key or self.table.column_names[0]
+        lineage = step.write_partitions(self.table, self.base_dir, epoch, key, n_files)
+        return [(self.kind, self.prefix + bucket, entry) for bucket, entry in lineage.items()]
+
+
+def _batches(sources: list[Source], files: list[tuple]) -> list[tuple[int, list]]:
+    """``files`` ((source index, file) pairs, in source order) as the
+    (source index, files) batches a map task reads at once."""
+    out = []
+    for i, group in itertools.groupby(files, key=lambda f: f[0]):
+        fs = [f for _, f in group]
+        out += [(i, [f]) for f in fs] if sources[i].per_file else [(i, fs)]
+    return out
+
+
 def _map_task(
-    sources: list[Source], files: list[tuple[int, str]], prev_wm: int, key: str, num_partitions: int, n_reduce: int
+    sources: list[Source], files: list[tuple], prev_wm: int, key: str, n_files: int, n_reduce: int
 ) -> tuple:
-    """Read and prepare ``files`` (source index, path) one file at a time,
-    so a prep that combines rows (session fragments) gives the same rows
-    however the files are grouped into tasks; split the rows by hash
-    bucket into one piece per reduce task. Returns ((per-file source
+    """Read and prepare ``files`` ((source index, path or opened file))
+    batch by batch (``_batches``); split the rows into one piece per
+    reduce task by ``hash_bucket(key, n_files) % n_reduce``, so each
+    file's rows reach exactly one reduce task. Returns ((per-batch source
     index, late rows, maximum event time), phase seconds), *pieces."""
     timer = step.PhaseTimer()
     stats, parts = [], []
-    for i, f in files:
+    for i, batch in _batches(sources, files):
         src = sources[i]
         with timer("read_s"):
-            tbl = step.read_table([f], src.columns)
+            tbl = step.read_table(batch, src.columns)
         with timer("compute_s"):
             late, mx = 0, None
-            if src.ts_col is not None:
-                if src.transform is not None:
-                    tbl = src.transform(tbl)
-                ts = event_us(tbl.column(src.ts_col))
-                mx = pc.max(ts).as_py()
-                kept = tbl.filter(pc.fill_null(pc.greater(ts, prev_wm), False))
-                late, tbl = tbl.num_rows - kept.num_rows, kept
+            if src.live is not None:
+                tbl, late, mx = src.live(tbl, prev_wm)
             if src.prep is not None:
                 tbl = src.prep(tbl)
             parts.append(tbl.replace_schema_metadata(None))
         stats.append((i, late, mx))
     with timer("compute_s"):
         tbl = pa.concat_tables(parts, promote_options="permissive")
-        buckets = np.asarray(hash_bucket(tbl.column(key), num_partitions))
-        tbl = tbl.append_column(BUCKET_COL, pa.array(buckets))
-        pieces = [tbl.filter(pa.array(buckets % n_reduce == r)) for r in range(n_reduce)]
+        if n_reduce == 1:
+            pieces = [tbl]
+        else:
+            buckets = np.asarray(hash_bucket(tbl.column(key), n_files)) % n_reduce
+            pieces = [tbl.filter(pa.array(buckets == r)) for r in range(n_reduce)]
     return (stats, timer.report()), *pieces
 
 
-def _reduce_task(per_task: Callable, watermark_us: int, epoch: int, num_partitions: int, *pieces: pa.Table) -> tuple:
+def _reduce_task(per_task: Callable, watermark_us: int, epoch: int, n_files: int, *pieces: pa.Table) -> tuple:
     """Concatenate one reduce task's pieces, call ``per_task(tbl,
-    watermark_us)`` once on them, and write each table it returns one
-    file per hash bucket. Returns (lineage records, phase seconds)."""
+    watermark_us)`` once on them, and write each table it returns
+    (``Write.write``). Returns (lineage records, phase seconds)."""
     timer = step.PhaseTimer()
     records = []
     with timer("compute_s"):
-        tbl = pa.concat_tables(pieces, promote_options="permissive").drop_columns([BUCKET_COL])
-        writes = per_task(tbl, watermark_us)
+        writes = per_task(pa.concat_tables(pieces, promote_options="permissive"), watermark_us)
     with timer("write_s"):
         for w in writes:
-            lineage = step.write_partitions(w.table, w.base_dir, epoch, w.table.column_names[0], num_partitions)
-            records += [(w.kind, w.prefix + bucket, entry) for bucket, entry in lineage.items()]
+            records += w.write(epoch, n_files)
     return records, timer.report()
 
 
-def _task_groups(sources: list[Source], lineage_rows: dict) -> tuple[list[list[tuple[int, str]]], dict]:
+def _task_groups(sources: list[Source], lineage_rows: dict) -> tuple[list[list[tuple]], dict]:
     """The sources' files, in order, cut into map-task groups of at most
     ``step.SMALL_EPOCH_BYTES`` footer bytes (a larger file is a group of
     its own). Opens each footer once, checking carried state files
-    against ``lineage_rows``; returns (groups of (source index, path),
-    ``StepResult`` footer counts: ``rows_in`` and ``bytes_in`` of the
-    live sources, ``state_bytes_in`` of the others)."""
-    groups: list[list[tuple[int, str]]] = []
+    against ``lineage_rows``; returns (groups of (source index, path,
+    opened file), ``StepResult`` footer counts: ``rows_in`` and
+    ``bytes_in`` of the live sources, ``state_bytes_in`` of the others)."""
+    groups: list[list[tuple]] = []
     counts = dict.fromkeys(("rows_in", "bytes_in", "state_bytes_in"), 0)
     size = 0
     for i, src in enumerate(sources):
@@ -362,9 +406,9 @@ def _task_groups(sources: list[Source], lineage_rows: dict) -> tuple[list[list[t
             if not groups or size + nbytes > step.SMALL_EPOCH_BYTES:
                 groups.append([])
                 size = 0
-            groups[-1].append((i, f))
+            groups[-1].append((i, f, pf))
             size += nbytes
-            if src.ts_col is None:
+            if src.live is None:
                 counts["state_bytes_in"] += nbytes
             else:
                 counts["rows_in"] += rows
@@ -377,33 +421,41 @@ class KeyedStep:
     as tasks). Constructing it runs the map tasks (``_map_task``); only
     their small stats reach the driver: ``maxima``, each source's maximum
     event time (None without rows), and ``rows_late``. The job computes
-    its watermark from them and calls ``reduce``. Task counts come from
-    the footer bytes, which the job's process reads once per file
-    (``_task_groups``): a map task reads at most
-    ``step.SMALL_EPOCH_BYTES``, and the epoch's bytes over that budget
-    set the number of reduce tasks, up to ``num_partitions``. A small
-    epoch is one map and one reduce task, and the job's process calls
-    both itself; a larger one runs them as Ray tasks. Every reduce task
-    holds all rows of its keys, so ``per_task`` sees whole keys, and
-    each bucket's files are the same however many tasks ran."""
+    its watermark from them and calls ``reduce``.
 
-    def __init__(self, c: Claim, sources: list[Source], key: str, num_partitions: int):
-        groups, self.counts = _task_groups(sources, c.lineage_rows())
+    Everything is sized from the footers, which the job's process reads
+    once per file (``_task_groups``): a map task reads at most
+    ``step.SMALL_EPOCH_BYTES``; each written table is split into
+    ``file_partitions`` hash-bucket files (its rows are the live rows,
+    times ``fanout`` for a job whose rows multiply, plus the carried
+    state rows); the epoch's bytes over the map budget set the number of
+    reduce tasks, up to that file count. A small epoch is one map and one
+    reduce task, and the job's process calls both itself on the files it
+    opened; a larger one runs them as Ray tasks. Every reduce task holds
+    all rows of its keys, so ``per_task`` sees whole keys, and each file
+    has one writer and the same bytes however many tasks ran."""
+
+    def __init__(self, c: Claim, sources: list[Source], key: str, num_partitions: int, fanout: int = 1):
+        t0 = time.perf_counter()
+        lineage_rows = c.lineage_rows()
+        groups, self.counts = _task_groups(sources, lineage_rows)
+        self._phases: Counter = Counter(read_s=time.perf_counter() - t0)
         total = self.counts["bytes_in"] + self.counts["state_bytes_in"]
-        self.epoch, self.num_partitions = c.epoch, num_partitions
-        self.n_reduce = max(1, min(num_partitions, -(-total // max(step.SMALL_EPOCH_BYTES, 1))))
+        self.epoch = c.epoch
+        self.n_files = file_partitions(self.counts["rows_in"] * fanout, lineage_rows, num_partitions)
+        self.n_reduce = max(1, min(self.n_files, -(-total // max(step.SMALL_EPOCH_BYTES, 1))))
         # a task round trip buys nothing when there is one task per stage
         self._inline = len(groups) <= 1 and self.n_reduce == 1
+        args = (c.prev_wm, key, self.n_files, self.n_reduce)
         if self._inline:
-            self._maps = [_map_task(sources, g, c.prev_wm, key, num_partitions, 1) for g in groups]
+            self._maps = [_map_task(sources, [(i, pf) for i, _, pf in g], *args) for g in groups]
             map_stats = [m[0] for m in self._maps]
         else:
             map_task = step.remote(_map_task).options(num_returns=self.n_reduce + 1)
-            self._maps = [map_task.remote(sources, g, c.prev_wm, key, num_partitions, self.n_reduce) for g in groups]
+            self._maps = [map_task.remote(sources, [(i, f) for i, f, _ in g], *args) for g in groups]
             map_stats = ray.get([m[0] for m in self._maps])
         self.maxima: list[int | None] = [None] * len(sources)
         self.rows_late = 0
-        self._phases: Counter = Counter()
         for stats, phases in map_stats:
             self._phases.update(phases)
             for i, late, mx in stats:
@@ -425,7 +477,7 @@ class KeyedStep:
             step="task",
         )
         args = [
-            (per_task, watermark_us, self.epoch, self.num_partitions, *[m[1 + r] for m in self._maps])
+            (per_task, watermark_us, self.epoch, self.n_files, *[m[1 + r] for m in self._maps])
             for r in (range(self.n_reduce) if self._maps else ())
         ]
         if self._inline:

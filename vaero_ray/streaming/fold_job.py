@@ -17,6 +17,8 @@ Model (the epoch loop, claim, commit and metrics are driver.py's):
   accumulator always meet in the same reduce task, which folds its
   mature events (seeded by the carried accumulator) in numpy, writes
   the new buf/fold state files in-task, and returns lineage only;
+- a live row without a value cannot fold: it is dropped and counted
+  with the late rows;
 - rows are emitted at FINALIZE (wm = infinity folds everything and the
   per-key accumulators become the output — exactly the batch
   ``cep.ordered_ewma`` rows, giving stream == batch parity). A live
@@ -45,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from vaero_ray.streaming import step
 from vaero_ray.streaming.driver import (
@@ -55,6 +58,7 @@ from vaero_ray.streaming.driver import (
     StepResult,
     Write,
     advance_watermark,
+    event_rows,
 )
 
 _EV_COLS = ["key", "tsus", "tie", "v"]
@@ -153,9 +157,17 @@ class StreamingFoldJob(EpochDriver):
             }
             return _union_rows(0, pa.table(columns))
 
+        timed = event_rows(tc, self.transform)
+
+        def valued(tbl: pa.Table, prev_wm: int) -> tuple[pa.Table, int, int | None]:
+            # a row without a value cannot fold: dropped and counted as late
+            tbl, late, mx = timed(tbl, prev_wm)
+            kept = tbl.filter(pc.is_valid(tbl.column(vc)))
+            return kept, late + tbl.num_rows - kept.num_rows, mx
+
         # state partitions: "b{bucket}" buffered events, "f{bucket}" folds
         sources = [
-            Source(c.files, events, tc, self.transform, step.task_read_columns(self.extra_read_kw)),
+            Source(c.files, events, valued, step.task_read_columns(self.extra_read_kw)),
             Source(c.state_files("b"), partial(_union_rows, 0)),
             Source(c.state_files("f"), partial(_union_rows, 1)),
         ]

@@ -4,43 +4,43 @@ checkpointed sink.
 
 Model (SURVEY.md §2b, §3.4): the stream is a growing directory of Parquet
 files. Each epoch deterministically claims the next unconsumed files
-(sorted order) and runs one step —
+(sorted order) and runs one keyed step (driver.py ``KeyedStep``) keyed
+on the first key —
 
-  read(epoch files)
-    -> stateless transform              (row-preserving table function)
-    -> partials                         (mergeable: one row per key x window)
-    -> union(carried state) -> merge
-    -> split late/closed/open on the previous and new watermark
-         closed -> finalize -> deterministic per-partition Parquet + lineage
-         open   -> state snapshot (same deterministic writer)
-    -> fsync'd atomic manifest commit   (driver.py, in the job's process)
+  map      read(epoch files) -> stateless transform (row-preserving
+           table function) -> partials (mergeable: one row per key x
+           window; sliding windows expand pane partials) -> drop late
+           windows; read(carried state partials)
+  reduce   union -> merge -> split closed/open on the new watermark
+             closed -> finalize -> deterministic hash-bucket files + lineage
+             open   -> state snapshot (same deterministic writer)
+  commit   fsync'd atomic manifest (driver.py, in the job's process)
 
-A small epoch runs the step over pyarrow tables in the job's own
-process (``window_step``, see step.py), which opens each input and state
-file once and returns before reading any data when their footers exceed
-the budget; such an epoch then runs as a Ray Data plan
-(``_dataset_step``: per-block partials, a merge shuffle,
-hash-partitioned writes). Both write the same bytes.
+The map tasks run the transform and the partials once per task over all
+of its input files, not once per file: partials merge to the same rows
+however the files are grouped. A small epoch is one map and one reduce
+task, called in the job's own process; a larger one runs its tasks as
+Ray tasks, and the task counts never change the bytes written.
 
 Watermark: wm_k = max(wm_{k-1}, max event ts in epoch k - allowed_lateness).
-A window [s, s+size) closes when wm >= s+size; rows arriving for an
-already-closed window are LATE and dropped (counted in metrics) — the
-exactly-once contract is over non-late data, matching the north_star
+A window [s, s+size) closes when wm >= s+size. A row is LATE when its
+window has already closed (ended at or before the previous watermark):
+it is dropped and counted in metrics, once per late window it falls in.
+The exactly-once contract is over non-late data, matching the north_star
 ("for the same input stream and watermark").
 
 Determinism / resume: the epoch loop, claim, commit and metrics are
 driver.py's, shared by every streaming job; this module supplies the
 windowed step.
 
-Scale: the Dataset plan's shuffles move PARTIALS (one row per key x
-window per block), not events. Open-window state is Parquet re-read each
-epoch. An epoch's closed-window output and its open-window state are
-each hash-partitioned on the first key into ``file_partitions`` files:
-one per ``sink.ROW_GROUP_ROWS`` rows of input plus carried state, at most
-``num_partitions`` (one output file and one state file for any epoch
-under 2^20 rows). An epoch under ``step.SMALL_EPOCH_BYTES`` holds its
-rows in the job's process; a larger one leaves them in the Ray Data
-plan's blocks.
+Scale: the exchange moves PARTIALS (one row per key x window per map
+task), not events. Open-window state is Parquet re-read each epoch. An
+epoch's closed-window output and its open-window state are each
+hash-partitioned on the first key into ``driver.file_partitions`` files:
+one per ``sink.ROW_GROUP_ROWS`` rows of input (times ``size_s/slide_s``
+for sliding windows) plus carried state, at most ``num_partitions``
+(one output file and one state file for any tumbling epoch under 2^20
+rows).
 """
 
 from __future__ import annotations
@@ -51,25 +51,33 @@ from typing import Callable
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
 
-from vaero_ray.io import read_parquet as _read_pq
-
+# _read_pq, partial_aggregate and write_deterministic are unused here:
+# perfbench's tracer wraps them by name, and a traced run fails on a missing one
+from vaero_ray.io import read_parquet as _read_pq  # noqa: F401
 from vaero_ray.stages.windows import (
     AggSpec,
     US,
     expand_pane_partials,
-    finalize_partials,
     finalize_table,
     merge_partial_tables,
-    merge_partials,
-    partial_aggregate,
+    partial_aggregate,  # noqa: F401
     partial_table,
 )
 from vaero_ray.streaming import step
-from vaero_ray.streaming.checkpoint import lineage_entry
-from vaero_ray.streaming.driver import WM_FINAL, WM_MIN, Claim, EpochDriver, StepResult, advance_watermark
-from vaero_ray.streaming.sink import ROW_GROUP_ROWS, write_deterministic
+from vaero_ray.streaming.driver import (
+    WM_FINAL,
+    WM_MIN,
+    Claim,
+    EpochDriver,
+    KeyedStep,
+    Source,
+    StepResult,
+    Write,
+    advance_watermark,
+    event_us,
+)
+from vaero_ray.streaming.sink import write_deterministic  # noqa: F401
 
 
 def windows_ending_in(tbl: pa.Table, window_col: str, size_us: int, lo_us: int, hi_us: int) -> pa.Table:
@@ -80,117 +88,13 @@ def windows_ending_in(tbl: pa.Table, window_col: str, size_us: int, lo_us: int, 
     return tbl.filter(pc.and_(pc.greater(wend, lo_us), pc.less_equal(wend, hi_us)))
 
 
-def file_partitions(rows_in: int, lineage_rows: dict, num_partitions: int) -> int:
-    """How many hash partitions hold an epoch's closed-window output, and
-    how many its open-window state: one per ``ROW_GROUP_ROWS`` rows of
-    input (``rows_in``, from the footers) plus carried state
-    (``lineage_rows``, path -> rows), at least one, at most
-    ``num_partitions``. Both steps know these counts before reading any
-    data, so they split output and state alike and write the same files."""
-    rows = rows_in + sum(lineage_rows.values())
-    return min(num_partitions, max(1, -(-rows // ROW_GROUP_ROWS)))
-
-
-def _unified_partials(parts: list[pa.Table]) -> list[pa.Table]:
-    # a state file written before the canonical writer kept integer types
-    # holds an integer partial with nulls as float64 where the live
-    # partials or another state file hold int64; promote all of them to
-    # the common type, as the Dataset step's merge shuffle does
-    schema = pa.unify_schemas([p.schema for p in parts], promote_options="permissive")
-    return [p.cast(pa.schema([schema.field(n) for n in p.column_names])) for p in parts]
-
-
 def _int64_partials(tbl: pa.Table, group_cols: list[str]) -> pa.Table:
-    # the native merge (Ray's Sum/Min/Max) widens integer partials to
-    # int64, the bucketed one (pandas) keeps their type; the table merge
-    # must emit the same types for the two steps to write the same bytes
+    # merged integer partials are int64, whatever integer type the input
+    # column had
     for i, f in enumerate(tbl.schema):
         if f.name not in group_cols and pa.types.is_integer(f.type) and f.type != pa.int64():
             tbl = tbl.set_column(i, f.name, tbl.column(i).cast(pa.int64()))
     return tbl
-
-
-def window_step(
-    *,
-    epoch: int,
-    files: list[str],
-    state_files: list[str],
-    lineage_rows: dict,
-    prev_wm: int,
-    finalize: bool,
-    state_path: str,
-    budget: int,
-    keys: list[str],
-    aggs: list[AggSpec],
-    state_aggs: list[AggSpec],
-    ts_col: str,
-    size_s: int,
-    slide_s: int | None,
-    window_col: str,
-    allowed_lateness_s: int,
-    merge_backend: str,
-    num_partitions: int,
-    out_dir: str,
-    columns: list[str] | None,
-    transform: "Callable[[pa.Table], pa.Table] | None",
-) -> StepResult | None:
-    """One windowed epoch over pyarrow tables in one process (step.py):
-    read -> transform -> partials -> union previous state -> merge ->
-    late/closed/open split -> finalize -> hash-partitioned writes. Returns
-    None, having read no data, when the footers of ``files`` and
-    ``state_files`` exceed ``budget`` bytes."""
-    group_cols = list(keys) + [window_col]
-    timer = step.PhaseTimer()
-    with timer("read_s"):
-        live, state = step.open_files(files), step.open_files(state_files, lineage_rows)
-        counts = step.footer_counts(live, state)
-        if counts["bytes_in"] + counts["state_bytes_in"] > budget:
-            return None
-        live = step.read_table(live, columns) if live else None
-        state = [step.read_table([pf]) for pf in state]  # each file keeps its own types
-    with timer("compute_s"):
-        parts = []
-        if live is not None:
-            if transform is not None:
-                live = transform(live)
-            if slide_s is None:
-                parts.append(partial_table(live, keys, state_aggs, ts_col, size_s, window_col))
-            else:
-                panes = partial_table(live, keys, state_aggs, ts_col, slide_s, "__pane")
-                parts.append(expand_pane_partials(panes, slide_s, size_s // slide_s, window_col=window_col))
-        parts.extend(state)
-    if not parts:
-        wm = advance_watermark(prev_wm, None, allowed_lateness_s, finalize)
-        return StepResult(wm, **counts, step="task", phases=timer.report())
-    with timer("compute_s"):
-        if merge_backend == "native":
-            parts = [_int64_partials(p, group_cols) for p in parts]
-        merged = merge_partial_tables(_unified_partials(parts), group_cols, state_aggs)
-        mx = pc.max(merged.column(f"{ts_col}_max"))
-        epoch_max_ts = mx.cast(pa.int64()).as_py() if mx.is_valid else None
-        new_wm = advance_watermark(prev_wm, epoch_max_ts, allowed_lateness_s, finalize)
-        split = partial(windows_ending_in, merged, window_col, size_s * US)
-        late = split(WM_MIN, prev_wm)
-        closed = finalize_table(split(prev_wm, new_wm), group_cols, aggs)
-        open_ = split(new_wm, WM_FINAL).select(sorted(merged.column_names))
-    with timer("write_s"):
-        n_files = file_partitions(counts["rows_in"], lineage_rows, num_partitions)
-        partitions = step.write_partitions(closed, out_dir, epoch, keys[0], n_files)
-        state_lineage = step.write_partitions(open_, state_path, epoch, keys[0], n_files)
-    return StepResult(
-        new_wm,
-        partitions,
-        state_lineage,
-        rows_late=pc.sum(late.column("__pcount")).as_py() or 0,
-        **counts,
-        epoch_max_ts=epoch_max_ts,
-        step="task",
-        phases=timer.report(),
-    )
-
-
-def _lineage(tbl: pa.Table) -> dict:
-    return {str(r["partition"]): lineage_entry(r["rows"], r["path"], r["sha256"]) for r in tbl.to_pylist()}
 
 
 @dataclass
@@ -212,17 +116,10 @@ class StreamingWindowedJob(EpochDriver):
     # collapsing/expanding rows corrupts rows_late silently.
     transform: Callable[[pa.Table], pa.Table] | None = None
     # upper bound on the hash partitions of each epoch's output (closed
-    # windows) and of its open-window state (``file_partitions``)
+    # windows) and of its open-window state (``driver.file_partitions``)
     num_partitions: int = 8
     max_files_per_epoch: int = 1
-    extra_read_kw: dict = field(default_factory=dict)
-    # phase-2 merge: "native" (Ray aggregate — right for 1-2 agg
-    # columns over few keys) or "bucketed" (one keyed.bucketed_keyed_agg
-    # hash exchange — right for many partial columns / high-cardinality
-    # keys, e.g. dedup-by-id jobs; see windows.merge_partials). Epochs
-    # small enough for the pyarrow step (step.py) merge in pyarrow and
-    # keep the chosen backend's output types.
-    merge_backend: str = "native"
+    extra_read_kw: dict = field(default_factory=dict)  # only "columns"
     # called at the top of every epoch (reference re-checks secret
     # staleness each poll, execute.go:84-96); from_graph wires this to
     # SecretResolver.maybe_refresh so rotated credentials are re-resolved
@@ -248,34 +145,7 @@ class StreamingWindowedJob(EpochDriver):
         self._group_cols = list(self.keys) + [self.window_col]
         if self.slide_s is not None and self.size_s % self.slide_s != 0:
             raise ValueError("size_s must be a multiple of slide_s")
-
-    def _live_partials(self, ds: rd.Dataset) -> rd.Dataset:
-        """Window assignment + phase-1 partials for this job's window kind.
-        Tumbling: assignment inside partial_aggregate. Sliding: stateless
-        flat-map (one row per overlapping window) first, then the window
-        column acts as an extra group key — the close/late arithmetic
-        (window_end = window_start + size) is identical."""
-        if self.slide_s is None:
-            return partial_aggregate(
-                ds, self.keys, self._state_aggs, self.ts_col, self.size_s, self.window_col
-            )
-        # pane-based sliding: per-block partials on the SLIDE pane, then a
-        # stateless expansion of each pane partial to its k containing
-        # windows — replicates partials, never events (windows.py
-        # sliding_windowed_aggregate rationale)
-        panes = partial_aggregate(
-            ds, self.keys, self._state_aggs, self.ts_col, self.slide_s, "__pane"
-        )
-        return panes.map_batches(
-            partial(
-                expand_pane_partials,
-                slide_s=self.slide_s,
-                k=self.size_s // self.slide_s,
-                window_col=self.window_col,
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+        step.task_read_columns(self.extra_read_kw)
 
     @classmethod
     def from_graph(
@@ -315,91 +185,38 @@ class StreamingWindowedJob(EpochDriver):
 
     # -- one epoch ------------------------------------------------------
     def epoch_step(self, c: Claim) -> StepResult:
-        spec = dict(
-            epoch=c.epoch, files=c.files, state_files=c.state_files(), lineage_rows=c.lineage_rows(),
-            prev_wm=c.prev_wm, finalize=c.finalize, state_path=self.store.state_path_for(c.epoch),
-        )
-        if not step.task_reads(self.extra_read_kw):
-            return self._dataset_step(**spec)
-        res = window_step(
-            **spec,
-            budget=step.SMALL_EPOCH_BYTES,
-            keys=self.keys,
-            aggs=self.aggs,
-            state_aggs=self._state_aggs,
-            ts_col=self.ts_col,
-            size_s=self.size_s,
-            slide_s=self.slide_s,
-            window_col=self.window_col,
-            allowed_lateness_s=self.allowed_lateness_s,
-            merge_backend=self.merge_backend,
-            num_partitions=self.num_partitions,
-            out_dir=self.out_dir,
-            columns=self.extra_read_kw.get("columns"),
-            transform=self.transform,
-        )
-        return self._dataset_step(**spec) if res is None else res
+        keys, aggs, state_aggs, group_cols = self.keys, self.aggs, self._state_aggs, self._group_cols
+        ts_col, size_s, slide_s, window_col = self.ts_col, self.size_s, self.slide_s, self.window_col
+        transform, prev_wm = self.transform, c.prev_wm
+        split = partial(windows_ending_in, window_col=window_col, size_us=size_s * US)
 
-    def _dataset_step(
-        self, epoch: int, files: list[str], state_files: list[str], lineage_rows: dict, prev_wm: int,
-        finalize: bool, state_path: str,
-    ) -> StepResult:
-        """window_step as a Ray Data plan: the form that scales past one
-        worker's heap."""
-        counts = step.footer_counts(files, step.open_files(state_files, lineage_rows))
-        parts: list[rd.Dataset] = []
-        if files:
-            ds = _read_pq(files, **self.extra_read_kw)
-            if self.transform is not None:
-                ds = ds.map_batches(self.transform, batch_format="pyarrow", zero_copy_batch=True)
-            parts.append(self._live_partials(ds))
-        if state_files:
-            parts.append(_read_pq(state_files))
-        if not parts:
-            return StepResult(advance_watermark(prev_wm, None, self.allowed_lateness_s, finalize), **counts)
+        def live(tbl: pa.Table, prev_wm: int) -> tuple[pa.Table, int, int | None]:
+            """Transform, partials (pane partials expanded to their
+            windows when sliding), then drop and count late windows."""
+            if transform is not None:
+                tbl = transform(tbl)
+            if slide_s is None:
+                parts = partial_table(tbl, keys, state_aggs, ts_col, size_s, window_col)
+            else:
+                panes = partial_table(tbl, keys, state_aggs, ts_col, slide_s, "__pane")
+                parts = expand_pane_partials(panes, slide_s, size_s // slide_s, window_col=window_col)
+            late = split(parts, lo_us=WM_MIN, hi_us=prev_wm)
+            mx = pc.max(event_us(parts.column(f"{ts_col}_max"))).as_py()
+            return split(parts, lo_us=prev_wm, hi_us=WM_FINAL), pc.sum(late.column("__pcount")).as_py() or 0, mx
 
-        # normalize column order so union of state + live partials is valid
-        cols = sorted(parts[0].schema().names)
-        parts = [p.select_columns(cols) for p in parts]
-        unioned = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-        merged = merge_partials(
-            unioned, self._group_cols, self._state_aggs, None,
-            backend=self.merge_backend, num_buckets=self.num_partitions,
-        )
-        # the bucketed (pandas) merge holds an integer partial with nulls
-        # as float64: cast to the types the task step's merge gives
-        empty = unioned.schema().base_schema.empty_table()
-        if self.merge_backend == "native":
-            empty = _int64_partials(empty, self._group_cols)
-        schema = merge_partial_tables([empty], self._group_cols, self._state_aggs).schema
-        merged = merged.map_batches(
-            lambda t: t.cast(pa.schema([schema.field(n) for n in t.column_names])), batch_format="pyarrow"
-        )
-        # materialize ONCE: everything below consumes these small partial
-        # blocks repeatedly (late/closed/open splits + watermark max)
-        merged = merged.materialize()
-        mx = merged.max(f"{self.ts_col}_max")
-        epoch_max_ts = None if mx is None else int(pa.scalar(mx).cast(pa.int64()).as_py())
-        new_wm = advance_watermark(prev_wm, epoch_max_ts, self.allowed_lateness_s, finalize)
+        sources = [
+            Source(c.files, live=live, columns=step.task_read_columns(self.extra_read_kw), per_file=False),
+            Source(c.state_files()),
+        ]
+        fanout = 1 if slide_s is None else size_s // slide_s
+        ks = KeyedStep(c, sources, keys[0], self.num_partitions, fanout)
+        new_wm = advance_watermark(prev_wm, ks.maxima[0], self.allowed_lateness_s, c.finalize)
+        out_dir, state_dir = self.out_dir, self.store.state_path_for(c.epoch)
 
-        def split(lo_us: int, hi_us: int) -> rd.Dataset:
-            fn = partial(
-                windows_ending_in, window_col=self.window_col, size_us=self.size_s * US, lo_us=lo_us, hi_us=hi_us
-            )
-            return merged.map_batches(fn, batch_format="pyarrow")
+        def per_task(tbl: pa.Table, wm: int) -> list[Write]:
+            merged = merge_partial_tables([_int64_partials(tbl, group_cols)], group_cols, state_aggs)
+            closed = finalize_table(split(merged, lo_us=prev_wm, hi_us=wm), group_cols, aggs)
+            open_ = split(merged, lo_us=wm, hi_us=WM_FINAL).select(sorted(merged.column_names))
+            return [Write("out", closed, out_dir, key=keys[0]), Write("state", open_, state_dir, key=keys[0])]
 
-        final = finalize_partials(split(prev_wm, new_wm), self._group_cols, self.aggs, None)
-        rows_late = int(split(WM_MIN, prev_wm).sum("__pcount") or 0)
-        n_files = file_partitions(counts["rows_in"], lineage_rows, self.num_partitions)
-        return StepResult(
-            new_wm,
-            _lineage(write_deterministic(final, self.out_dir, epoch, self.keys[0], n_files)),
-            _lineage(
-                write_deterministic(
-                    split(new_wm, WM_FINAL).select_columns(cols), state_path, epoch, self.keys[0], n_files
-                )
-            ),
-            rows_late,
-            **counts,
-            epoch_max_ts=epoch_max_ts,
-        )
+        return ks.reduce(per_task, new_wm)

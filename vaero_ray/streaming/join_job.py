@@ -65,6 +65,7 @@ from vaero_ray.streaming.driver import (
     StepResult,
     Write,
     advance_watermark,
+    event_rows,
     event_us,
     input_files,
 )
@@ -202,7 +203,7 @@ class StreamingJoinJob(EpochDriver):
             all_cols = all_cols + ["__matched"]
             types["__matched"] = pa.int8()
         columns = step.task_read_columns(self.extra_read_kw)
-        sources = [Source(f, self._pad(side, 0, all_cols, types), self.ts_col, None, columns)
+        sources = [Source(f, self._pad(side, 0, all_cols, types), event_rows(self.ts_col), columns)
                    for side, f in enumerate((lf, rf))]
         sources += [Source(f, self._pad(side, 1, all_cols, types)) for side, f in enumerate((state_l, state_r))]
         ks = KeyedStep(c, sources, self.key, self.num_partitions)

@@ -55,6 +55,7 @@ from vaero_ray.streaming.driver import (
     StepResult,
     Write,
     advance_watermark,
+    event_rows,
     event_us,
 )
 
@@ -231,7 +232,9 @@ class StreamingSessionJob(EpochDriver):
         fragments = partial(self._fragments, ts_aliases=ts_aliases)
         # extent mode's ts_col is the extent START: the watermark advances
         # on it (an extent's end is not its event time)
-        live = Source(c.files, fragments, self.ts_col, self.transform, step.task_read_columns(self.extra_read_kw))
+        live = Source(
+            c.files, fragments, event_rows(self.ts_col, self.transform), step.task_read_columns(self.extra_read_kw)
+        )
         ks = KeyedStep(c, [live, Source(state_files, methodcaller("select", cols))], self.key, self.num_partitions)
         new_wm = advance_watermark(c.prev_wm, ks.maxima[0], self.allowed_lateness_s, c.finalize)
         gap_us, out_dir, state_dir = self.gap_s * US, self.out_dir, self.store.state_path_for(c.epoch)

@@ -24,9 +24,11 @@ The canonical form (``canonical_table``) is computed in pyarrow:
 - the schema carries no metadata and every field is nullable.
 
 ``write_deterministic`` runs the writer as ``groupby(bucket).map_groups``
-over pyarrow batches — each partition's file is written INSIDE the Ray
-task that holds its rows (no driver round-trip); only the tiny lineage
-table (partition, rows, path, sha256) is collected.
+over a Ray Dataset — each partition's file is written INSIDE the Ray
+task that holds its rows; only the tiny lineage table (partition, rows,
+path, sha256) is collected. No streaming job calls it any more (they
+write through ``step.write_partitions`` in their reduce tasks); it stays
+because perfbench's tracer wraps it by name.
 """
 
 from __future__ import annotations

@@ -1,41 +1,33 @@
-"""Task steps: an epoch as plain pyarrow work, run in the job's process.
+"""Task steps: an epoch as plain pyarrow work in map and reduce tasks.
 
-A windowed or route epoch runs either as a Ray Data plan (several
-executions and shuffles; the only form that scales past one process's
-heap) or, when the epoch is small, as one step (``window_step``,
-``route_step``) called in the job's own process that runs the same
-kernels — the compiled transform chain, the window partial/merge/finalize
-functions, ``hash_bucket`` and the canonical writer — over pyarrow
-tables. For a few thousand rows the Ray Data plan is almost all fixed
-cost: each execution and each shuffle costs more than the data it moves,
-and even one Ray task round trip (ship the spec, schedule, block on the
-result) costs more CPU than a small epoch's reads and writes.
+Every windowed and keyed epoch, and every route epoch of a graph without
+relational steps, runs as ``driver.KeyedStep``: map tasks read the
+claimed input and carried state files and prepare their rows, reduce
+tasks call the job's kernel once on one Arrow table and write what it
+returns. The kernels are the compiled transform chain, the window
+partial/merge/finalize functions, ``hash_bucket`` and the canonical
+writer, over pyarrow tables. For a few thousand rows a Ray Data plan is
+almost all fixed cost: each execution and each shuffle costs more than
+the data it moves, and even one Ray task round trip (ship the spec,
+schedule, block on the result) costs more CPU than a small epoch's reads
+and writes.
 
-The step decides whether its epoch is small: it opens each claimed input
-file and carried state file once, on the calling thread, and sums the
-uncompressed row-group sizes from those footers. When they exceed the
-``budget`` the driver passed (``SMALL_EPOCH_BYTES``, read when the epoch
-starts) it returns None before reading any data, and the driver runs the
-Ray Data plan. The files the step opened are the ones it reads, and
-their footers give the epoch's ``rows_in``, ``bytes_in`` and
-``state_bytes_in``. Both forms write byte-identical files, so an epoch
-may take either one and a resume may switch between them
-(tests/test_small_step.py). The step receives a plain spec (file lists,
-watermark, epoch, plan, budget) — never the job object or its
-checkpoint store — and returns lineage, counters and its phase times;
-the epoch driver (driver.py) commits. The keyed jobs run as
-``driver.KeyedStep``: there ``SMALL_EPOCH_BYTES`` budgets a map task,
-an epoch of one map and one reduce task runs both in the job's process,
-and a larger one fans out to Ray tasks (``remote``). A keyed reduce task
-calls its job's kernel once on one Arrow table and writes every table
-the kernel returns through ``write_partitions``.
+So the step sizes itself from the footers: the job's process opens each
+claimed input file and carried state file once (``open_files``) and
+sums their uncompressed row-group sizes (``footer_stats``).
+``SMALL_EPOCH_BYTES`` (read when the epoch starts) budgets one map task;
+an epoch of one map and one reduce task runs both in the job's process
+on the files it opened, and a larger one fans out to Ray tasks
+(``remote``). The task counts never change the bytes written, so a
+resume may switch them. A step receives plain data (file lists,
+watermark, epoch, the job's kernels) — never the job's checkpoint store
+— and returns lineage, counters and its phase times; the epoch driver
+(driver.py) commits.
 
 ``write_partitions`` writes one canonical file per non-empty hash
-partition: ``num_partitions`` of them for every keyed job's output and
-state, and ``job.file_partitions`` for window output and open-window
-state alike, a count both forms take from the footers and the lineage
-before reading data, so they split output and state alike. A count of
-one writes the whole table as ``part-0`` without hashing it.
+partition, as many partitions as ``driver.file_partitions`` gives for
+the epoch's rows. A count of one writes the whole table as ``part-0``
+without hashing it.
 """
 
 from __future__ import annotations
@@ -53,13 +45,13 @@ from vaero_ray.stages.keyed import hash_bucket
 from vaero_ray.streaming.checkpoint import lineage_entry
 from vaero_ray.streaming.sink import write_partition_file
 
-# upper bound on an epoch's input + carried state (uncompressed parquet
-# bytes) for the one-step form, and on a keyed map task's input; ~3x
-# that is resident at peak in the process that runs it
+# upper bound on a map task's input (uncompressed parquet bytes), and the
+# share of an epoch's input + carried state per reduce task; ~3x that is
+# resident at peak in the process that runs it
 SMALL_EPOCH_BYTES = 64 << 20
 
-# phases a task step times for the epoch's metrics record; the Dataset
-# step runs read, compute and write as one fused plan and records None
+# phases a task step times for the epoch's metrics record; a relational
+# route epoch's Dataset plan fuses them and records None
 PHASES = ("read_s", "compute_s", "write_s")
 
 
@@ -115,21 +107,6 @@ def footer_stats(files: list) -> tuple[int, int]:
     return rows, nbytes
 
 
-def footer_counts(files: list, state_files: list = ()) -> dict:
-    """``StepResult``'s footer counts of the input ``files`` and carried
-    ``state_files`` (paths or opened ``ParquetFile``s): ``rows_in``,
-    ``bytes_in`` and ``state_bytes_in``."""
-    rows_in, bytes_in = footer_stats(files)
-    return dict(rows_in=rows_in, bytes_in=bytes_in, state_bytes_in=footer_stats(state_files)[1])
-
-
-def task_reads(read_kw: dict) -> bool:
-    """Whether a task step honours ``read_kw``. Read options other than
-    ``columns`` are Ray Data ``read_parquet`` arguments, which only the
-    Dataset plan honours."""
-    return set(read_kw) <= {"columns"}
-
-
 def task_read_columns(read_kw: dict) -> list[str] | None:
     """The ``columns`` read option of ``read_kw``: the only one a task
     read honours, so any other key raises ``ValueError``."""
@@ -145,12 +122,13 @@ def read_table(files: list, columns: list[str] | None = None) -> pa.Table:
     footer schema, metadata stripped and pruned to ``columns``, is forced
     onto every file — a missing column is null-filled, another type is
     cast, an extra column is dropped. Each file is read on the calling
-    thread."""
+    thread. The table holds one chunk per column: the kernels that run
+    on it pay a cost per chunk, more than the copy costs."""
     pfs = _opened(files)
     schema = pfs[0].schema_arrow.remove_metadata()
     if columns:
         schema = pa.schema([schema.field(c) for c in columns])
-    return pa.concat_tables([_read_as(pf, schema) for pf in pfs])
+    return pa.concat_tables([_read_as(pf, schema) for pf in pfs]).combine_chunks()
 
 
 def _read_as(pf: pq.ParquetFile, schema: pa.Schema) -> pa.Table:

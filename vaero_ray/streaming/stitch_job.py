@@ -47,6 +47,7 @@ from vaero_ray.streaming.driver import (
     StepResult,
     Write,
     advance_watermark,
+    event_rows,
     event_us,
 )
 
@@ -110,7 +111,7 @@ class StreamingStitchJob(EpochDriver):
 
     def epoch_step(self, c: Claim) -> StepResult:
         turns = methodcaller("select", TURN_COLS)
-        live = Source(c.files, turns, "ts", self.transform, step.task_read_columns(self.extra_read_kw))
+        live = Source(c.files, turns, event_rows("ts", self.transform), step.task_read_columns(self.extra_read_kw))
         ks = KeyedStep(c, [live, Source(c.state_files(), turns)], "conv_id", self.num_partitions)
         # the watermark advances on the live rows only: state maxima are
         # <= prev_wm + gap by construction and can't advance the clock

@@ -12,11 +12,14 @@ a crash here reruns the epoch byte-identically and the manifest is the
 commit point (driver.py owns the epoch loop, claim, commit and metrics;
 this module supplies the route step).
 
-An epoch whose input footers fit ``step.SMALL_EPOCH_BYTES`` runs
-``route_step`` over pyarrow tables in the job's own process, with no Ray
-task; a larger epoch, a relational branch (window/join/dedup) or a read
-option besides ``columns`` runs the Ray Data plan (``_dataset_step``).
-Both write the same bytes.
+Every epoch of a graph without relational steps is one keyed step
+(driver.py ``KeyedStep``) at any size: map tasks read the epoch's files
+once and run every branch's chain and sink prefix over them, and the
+rows meet by (branch, prefix) in reduce tasks, which write one file per
+(branch, prefix). A small epoch runs both in the job's own process, with
+no Ray task. A graph with a relational branch (window/join/dedup) runs
+each epoch as a Ray Data plan (``_dataset_step``, ``runner.apply_steps``
+per branch).
 
 Batch-vs-time sink flushing (batch_max_bytes / batch_max_time,
 sinkNode.go:105-131) degenerates naturally: an epoch IS the flush unit —
@@ -27,18 +30,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
 from vaero_ray.io import read_parquet as _read_pq
-
 from vaero_ray.planner import Branch, Plan, Planner, RelStep
 from vaero_ray.sinks.parquet_sink import PREFIX_COL, derive_prefix
 from vaero_ray.streaming import step
 from vaero_ray.streaming.checkpoint import EpochManifest, lineage_entry
-from vaero_ray.streaming.driver import Claim, EpochDriver, StepResult, read_committed
+from vaero_ray.streaming.driver import Claim, EpochDriver, KeyedStep, Source, StepResult, read_committed
 from vaero_ray.streaming.sink import write_canonical_file
 
 
@@ -82,31 +85,64 @@ def _partitions(lineage: list) -> dict:
     return {f"{bkey}/{r['partition']}": lineage_entry(r["rows"], r["path"], r["sha256"]) for bkey, r in lineage}
 
 
-def route_step(
-    *, epoch: int, files: list[str], budget: int, columns: list[str] | None, routes: list, out_dir: str
-) -> StepResult | None:
-    """One route epoch over pyarrow tables in one process (step.py):
-    read -> each branch's compiled chain -> sink prefix -> one file per
-    (branch, prefix). ``routes`` holds (branch key, chain, timestamp_key,
-    prefix format) per branch. Returns None, having read no data, when
-    the footers of ``files`` exceed ``budget`` bytes."""
-    timer = step.PhaseTimer()
-    with timer("read_s"):
-        pfs = step.open_files(files)
-        counts = step.footer_counts(pfs)
-        if counts["bytes_in"] > budget:
-            return None
-        tbl = step.read_table(pfs, columns)
-    lineage = []
-    for bkey, fused, ts_key, fmt in routes:
-        with timer("compute_s"):
+# the (branch key, prefix) a route map task tags each row with
+ROUTE_COL = "__route"
+# the most reduce tasks a route epoch fans out to; the row rule
+# (``driver.file_partitions``) bounds them further
+MAX_REDUCE_TASKS = 8
+
+
+class PrefixWrite(NamedTuple):
+    """A branch's rows of one sink prefix, as a route reduce task
+    returns them: written as one file (``write_prefix_file``) under the
+    manifest key "{branch key}/{prefix}"."""
+
+    table: pa.Table
+    bkey: str
+    bdir: str
+
+    def write(self, epoch: int, n_files: int) -> list[tuple[str, str, dict]]:
+        lineage = _partitions([(self.bkey, write_prefix_file(self.table, self.bdir, epoch))])
+        return [("out", key, entry) for key, entry in lineage.items()]
+
+
+def _route_rows(routes: list) -> Callable:
+    """A ``Source.live`` function running every branch's chain and sink
+    prefix over one table. ``routes`` holds (branch key, chain,
+    timestamp_key, prefix format) per branch. The branches' rows go into
+    one table, each branch's columns named "{branch key}:{column}", with
+    the (branch, prefix) a row is written under in ``ROUTE_COL``."""
+
+    def live(tbl: pa.Table, prev_wm: int) -> tuple[pa.Table, int, None]:
+        parts = []
+        for bkey, fused, ts_key, fmt in routes:
             staged = derive_prefix(fused(tbl), ts_key, fmt)
-            prefix = staged.column(PREFIX_COL)
-            values = pc.unique(prefix)
-            groups = [staged] if len(values) == 1 else [staged.filter(pc.equal(prefix, p)) for p in values.to_pylist()]
-        with timer("write_s"):
-            lineage.extend((bkey, write_prefix_file(g, os.path.join(out_dir, bkey), epoch)) for g in groups)
-    return StepResult(0, _partitions(lineage), **counts, step="task", phases=timer.report())
+            route = pc.binary_join_element_wise(bkey, staged.column(PREFIX_COL), "/")
+            staged = staged.rename_columns([f"{bkey}:{c}" for c in staged.column_names])
+            parts.append(staged.append_column(ROUTE_COL, route))
+        return pa.concat_tables(parts, promote_options="permissive"), 0, None
+
+    return live
+
+
+def _route_files(out_dir: str) -> Callable:
+    """A route reduce task's ``per_task``: each (branch, prefix) of its
+    rows as a ``PrefixWrite`` of the branch's own columns."""
+
+    def per_task(tbl: pa.Table, wm: int) -> list[PrefixWrite]:
+        route = tbl.column(ROUTE_COL)
+        values = pc.unique(route).to_pylist()
+        writes = []
+        for r in values:
+            bkey = r.split("/", 1)[0]
+            cols = [c for c in tbl.column_names if c.startswith(bkey + ":")]
+            rows = tbl.select(cols).rename_columns([c[len(bkey) + 1 :] for c in cols])
+            if len(values) > 1:
+                rows = rows.filter(pc.equal(route, r))
+            writes.append(PrefixWrite(rows, bkey, os.path.join(out_dir, bkey)))
+        return writes
+
+    return per_task
 
 
 @dataclass
@@ -116,12 +152,13 @@ class StreamingTransformJob(EpochDriver):
     ckpt_dir: str
     graph: list  # Vaero task-graph IR (the DSL's Vaero.start() output)
     max_files_per_epoch: int = 1
-    extra_read_kw: dict = field(default_factory=dict)
+    extra_read_kw: dict = field(default_factory=dict)  # only "columns"
 
     op = "transform"
 
     def __post_init__(self):
         super().__post_init__()
+        step.task_read_columns(self.extra_read_kw)
         self.plan: Plan = Planner(self.graph).plan
         for i, branch in enumerate(self.plan.branches):
             _, ts_key, _ = _sink_route(i, branch)
@@ -148,26 +185,26 @@ class StreamingTransformJob(EpochDriver):
         return super().run(max_epochs, finalize=False)
 
     def epoch_step(self, c: Claim) -> StepResult:
-        # relational branches (window/join/dedup steps) and read options
-        # other than columns run as Dataset plans, so their epochs take
-        # the Dataset step
-        if step.task_reads(self.extra_read_kw) and not any(b.has_rel for b in self.plan.branches):
-            routes = []
-            for i, branch in enumerate(self.plan.branches):
-                bkey, ts_key, fmt = _sink_route(i, branch)
-                routes.append((bkey, branch.compile(), ts_key, fmt))
-            res = route_step(
-                epoch=c.epoch, files=c.files, budget=step.SMALL_EPOCH_BYTES,
-                columns=self.extra_read_kw.get("columns"), routes=routes, out_dir=self.out_dir,
-            )
-            if res is not None:
-                return res
-        counts = step.footer_counts(c.files)
-        return StepResult(0, _partitions(self._dataset_step(c.epoch, c.files)), **counts)
+        if any(b.has_rel for b in self.plan.branches):
+            rows_in, bytes_in = step.footer_stats(c.files)
+            return StepResult(0, _partitions(self._dataset_step(c.epoch, c.files)), rows_in=rows_in, bytes_in=bytes_in)
+        routes = []
+        for i, branch in enumerate(self.plan.branches):
+            bkey, ts_key, fmt = _sink_route(i, branch)
+            routes.append((bkey, branch.compile(), ts_key, fmt))
+        columns = step.task_read_columns(self.extra_read_kw)
+        live = Source(c.files, live=_route_rows(routes), columns=columns, per_file=False)
+        return KeyedStep(c, [live], ROUTE_COL, MAX_REDUCE_TASKS).reduce(_route_files(self.out_dir), 0)
 
     def _dataset_step(self, epoch: int, files: list[str]) -> list:
-        """route_step as Ray Data plans, one prefix-grouped write per
-        branch; the only step for relational branches."""
+        """An epoch of a graph with a relational branch (window/join/dedup
+        steps) as Ray Data plans, one prefix-grouped write per branch.
+        Window semantics here are PER-EPOCH (each poll's batch windows
+        independently — the reference's per-capsule batch model);
+        cross-epoch event-time windows with watermarks and open-window
+        state carry are StreamingWindowedJob (streaming/job.py)."""
+        from vaero_ray.runner import apply_steps
+
         # read_parquet itself takes io.DATASET_BUILD_LOCK (taking it here
         # too would deadlock — threading.Lock is not reentrant).
         # materialize ONCE: every branch below consumes src, and an
@@ -186,20 +223,7 @@ class StreamingTransformJob(EpochDriver):
             def write_prefix(tbl: pa.Table, bdir=bdir) -> pa.Table:
                 return pa.Table.from_pylist([write_prefix_file(tbl, bdir, epoch)])
 
-            if branch.has_rel:
-                # relational branch: the epoch's materialized src IS the
-                # bounded batch; apply the step plan then derive the sink
-                # prefix in its own zero-copy pass. Window semantics here
-                # are PER-EPOCH (each poll's batch windows independently —
-                # the reference's per-capsule batch model); cross-epoch
-                # event-time windows with watermarks and open-window state
-                # carry are StreamingWindowedJob (streaming/job.py).
-                from vaero_ray.runner import apply_steps
-
-                staged = apply_steps(src, branch)
-            else:
-                staged = src.map_batches(branch.compile(), batch_format="pyarrow", zero_copy_batch=True)
-            staged = staged.map_batches(prefix_only, batch_format="pyarrow", zero_copy_batch=True)
+            staged = apply_steps(src, branch).map_batches(prefix_only, batch_format="pyarrow", zero_copy_batch=True)
             lineage = staged.groupby(PREFIX_COL).map_groups(write_prefix, batch_format="pyarrow").take_all()
             out.extend((bkey, r) for r in lineage)
         return out
