@@ -126,11 +126,15 @@ def inputs(tmp_path_factory) -> dict:
     return {d: f"{root}/{d}" for d in os.listdir(root)}
 
 
-def _route_graph() -> list:
+def _route_graph(relational: bool = False) -> list:
+    """Two plain branches; with ``relational``, a third branch with a
+    dataset-level filter, which runs every epoch as a Ray Data plan."""
     Vaero.reset()
     src = Vaero().source("parquet", path="unused")
     src.mask("text", r"user\d+@example\.com", "<email>").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d/%H")
     src.filter_regexp("role", "^tool$").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d")
+    if relational:
+        src.filter_expr("turn_idx >= 2").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d")
     return Vaero.start()
 
 
@@ -159,8 +163,8 @@ def _job(name: str, inputs: dict, base: str, empty: bool = False, **kw) -> Epoch
         return StreamingWindowedJob(
             src("turns"), keys=["conv_id"], size_s=600, allowed_lateness_s=30, **spec
         )
-    if name == "transform":
-        return StreamingTransformJob(src("turns"), graph=_route_graph(), **dirs)
+    if name in ("transform", "transform-relational"):
+        return StreamingTransformJob(src("turns"), graph=_route_graph(name == "transform-relational"), **dirs)
     if name == "stitch":
         return StreamingStitchJob(src("turns"), gap_s=1800, allowed_lateness_s=60, **dirs)
     if name == "session-point":
@@ -186,7 +190,7 @@ def _job(name: str, inputs: dict, base: str, empty: bool = False, **kw) -> Epoch
     raise ValueError(name)
 
 
-JOBS = ["windowed", "transform", "stitch", "session-point", "session-extent", "fold", "join"]
+JOBS = ["windowed", "transform", "transform-relational", "stitch", "session-point", "session-extent", "fold", "join"]
 KEYED = ["stitch", "session-point", "session-extent", "fold", "join", "join-outer"]
 # every job at every size runs on KeyedStep but a route job with a relational branch
 STEPPED = KEYED + ["windowed", "windowed-sliding", "windowed-transform", "transform"]
@@ -317,6 +321,26 @@ def test_kill_resume_is_byte_identical(name, kill, inputs, clean_runs, tmp_path,
     assert sorted(got) == sorted(want)
     assert [p for p in want if got[p] != want[p]] == []
     _assert_one_record_per_epoch(resumed)
+
+
+def test_a_relational_branch_keeps_the_plain_branches_files(clean_runs, ray_session):
+    """A route graph with a relational branch runs each epoch as a Ray
+    Data plan; its plain branches commit the paths, manifest keys and
+    bytes that the task step commits for them in a graph without it."""
+
+    def files(base: str) -> set:
+        store = checkpoint.CheckpointStore(f"{base}/ckpt")
+        return {
+            (e, key, os.path.relpath(f, base), sha)
+            for e in store.committed_epochs()
+            for key, p in store.load(e).partitions.items()
+            for f, sha in zip(p["files"], p["sha256"])
+        }
+
+    plain, mixed = clean_runs("transform"), clean_runs("transform-relational")
+    assert {r["step"] for r in _metrics(f"{mixed}/ckpt")} == {"dataset"}
+    relational = {f for f in files(mixed) if f[1].startswith("b2_")}
+    assert relational and files(plain) == files(mixed) - relational
 
 
 @pytest.mark.parametrize("name", ["windowed", "transform", "stitch", "session-point", "fold", "join"])

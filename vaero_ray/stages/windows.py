@@ -264,7 +264,9 @@ def partial_table(
     if need_count or not gb_aggs:
         # every row, a null key's too (a count of a key column skips nulls)
         gb_aggs.append(([], "count_all"))
-    out = tbl.group_by(group_cols).aggregate(gb_aggs)
+    # single-threaded: a threaded float sum adds its rows in a grouping
+    # that depends on the CPU count, and the partials are committed state
+    out = tbl.group_by(group_cols, use_threads=False).aggregate(gb_aggs)
     if need_count or not pa_aggs_dedup:
         out = out.rename_columns([c if c != "count_all" else "__pcount" for c in out.column_names])
     # canonical us timestamps in partials (stable across state round-trips)
@@ -358,7 +360,7 @@ def merge_partial_tables(tables: list[pa.Table], group_cols: list[str], aggs: li
         plan.append(("__pcount", "sum"))
     cols = group_cols + [p for p, _ in plan]
     tbl = pa.concat_tables([t.select(cols) for t in tables], promote_options="default")
-    out = tbl.group_by(group_cols).aggregate(plan)
+    out = tbl.group_by(group_cols, use_threads=False).aggregate(plan)  # as in partial_table
     out = out.rename_columns(group_cols + [p for p, _ in plan])
     for i, name in enumerate(out.column_names):
         if pa.types.is_timestamp(out.column(i).type):

@@ -6,7 +6,6 @@ from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
 from vaero_ray.streaming.driver import WM_FINAL
 from vaero_ray.streaming.fold_job import StreamingFoldJob
 from vaero_ray.streaming.job import StreamingWindowedJob
-from vaero_ray.streaming.sink import write_deterministic
 from vaero_ray.streaming.session_job import StreamingSessionJob
 from vaero_ray.streaming.stitch_job import StreamingStitchJob
 
@@ -18,5 +17,4 @@ __all__ = [
     "StreamingStitchJob",
     "StreamingWindowedJob",
     "WM_FINAL",
-    "write_deterministic",
 ]

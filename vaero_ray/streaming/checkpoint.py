@@ -3,7 +3,7 @@
 Layout (all under the job's checkpoint dir)::
 
   manifests/epoch-00000042.json   <- THE commit point (atomic rename)
-  state/epoch-00000042/p=*/...    <- open-window partial state snapshot
+  state/epoch-00000042/...        <- the epoch's state files (sink.Write)
   metrics.jsonl                   <- one line per committed epoch
 
 Exactly-once protocol (SURVEY.md §2b): an epoch's output files and state
@@ -34,6 +34,25 @@ from dataclasses import asdict, dataclass, field
 def lineage_entry(rows: int, path: str, sha256: str) -> dict:
     """One partition's manifest lineage: ``{"rows", "files", "sha256"}``."""
     return {"rows": rows, "files": [path], "sha256": [sha256]}
+
+
+def write_json_durably(path: str, doc: dict, tmp_suffix: str = ".tmp") -> None:
+    """Commit ``doc`` as JSON at ``path``: write ``path + tmp_suffix``,
+    fsync it, rename it over ``path``, then fsync the directory. File
+    fsync + rename alone do not order dirent durability: without the
+    directory fsync a crash could persist a later commit while losing
+    this rename."""
+    tmp = path + tmp_suffix
+    with open(tmp, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    dfd = os.open(os.path.dirname(path), os.O_RDONLY)
+    try:
+        os.fsync(dfd)
+    finally:
+        os.close(dfd)
 
 
 @dataclass
@@ -118,23 +137,11 @@ class CheckpointStore:
         return os.path.join(self.state_dir, f"epoch-{epoch:08d}")
 
     def commit(self, m: EpochManifest) -> None:
-        """THE commit point: fsync'd atomic rename of the manifest."""
-        tmp = self._mpath(m.epoch) + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(asdict(m), fh, indent=1, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._mpath(m.epoch))
-        # fsync the manifests DIRECTORY too: file fsync + rename alone do
-        # not order dirent durability, so a crash could persist epoch k+1
-        # while losing epoch k's rename — resume would then re-ingest
-        # epoch k's input files (duplicate aggregation). The dir fsync
-        # makes the rename itself durable before commit returns.
-        dfd = os.open(self.manifest_dir, os.O_RDONLY)
-        try:
-            os.fsync(dfd)
-        finally:
-            os.close(dfd)
+        """THE commit point: fsync'd atomic rename of the manifest. The
+        directory fsync matters: a crash that persisted epoch k+1 but lost
+        epoch k's rename would make resume re-ingest epoch k's input
+        files (duplicate aggregation)."""
+        write_json_durably(self._mpath(m.epoch), asdict(m))
         self._cache[m.epoch] = m
         # prune state snapshots older than the previous epoch (resume needs
         # only epoch-1's state; keep one extra for debugging)

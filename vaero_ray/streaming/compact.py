@@ -35,7 +35,7 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from vaero_ray.streaming.checkpoint import CheckpointStore
+from vaero_ray.streaming.checkpoint import CheckpointStore, write_json_durably
 from vaero_ray.streaming.sink import write_canonical_file
 
 SIDECAR = "compaction.json"
@@ -132,23 +132,10 @@ def compact_committed_output(store: CheckpointStore, out_dir: str,
             meta.setdefault("through", prior["through_epoch"])
             merged.setdefault(b, meta)
     sidecar = {"through_epoch": through, "partitions": merged}
-    # pid-suffixed tmp so a concurrent compaction can't interleave writes
-    # into the same tmp file and commit a torn sidecar (same reason as
-    # write_canonical_file's tmp naming in sink.py)
-    tmp = _sidecar_path(out_dir) + f".tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, _sidecar_path(out_dir))
-    # fsync the directory so the rename dirent is durable before anyone
-    # may GC the replaced files — file fsync + rename alone do not order
-    # dirent durability (mirrors CheckpointStore.commit, checkpoint.py).
-    dfd = os.open(out_dir, os.O_RDONLY)
-    try:
-        os.fsync(dfd)
-    finally:
-        os.close(dfd)
+    # durable before anyone may GC the replaced files; the pid-suffixed
+    # tmp keeps a concurrent compaction from interleaving writes into the
+    # same tmp file and committing a torn sidecar
+    write_json_durably(_sidecar_path(out_dir), sidecar, f".tmp{os.getpid()}")
     return sidecar
 
 
@@ -176,11 +163,8 @@ def compacted_output_files(store: CheckpointStore, out_dir: str) -> list[str]:
     files = store.committed_output_files()
     if not side:
         return files
-    # part -> [(epoch, file), ...] across committed epochs
-    by_part: dict[str, list[tuple[int, str]]] = {}
-    for e in store.committed_epochs():
-        for part, meta in store.load(e).partitions.items():
-            by_part.setdefault(str(part), []).extend((e, f) for f in meta["files"])
+    # every entry's own through is at most the sidecar's
+    by_part = _partition_files(store, side["through_epoch"])
     add, drop = [], set()
     for b, meta in side["partitions"].items():
         add.append(meta["file"])

@@ -5,16 +5,16 @@ of Parquet files — the reference's single ``RunJob`` loop
 (reference ``execute/execute.go:35-47``) with an exactly-once commit.
 One epoch is:
 
-  claim     the next unconsumed input files in sorted order, a pure
-            function of the committed manifests
+  claim     the next unconsumed input files of each input directory
+            in sorted order, a pure function of the committed manifests
   previous  the last manifest: next epoch number, watermark, and the
             exact state files to restore (its lineage, never a glob)
   step      the job's own work (``EpochDriver.epoch_step``): read,
-            compute, and write every output and state file at a path
-            derived from (epoch, partition) only. The step that opens
-            the input and state files reports their footer counts
-            (``rows_in``, ``bytes_in``, ``state_bytes_in``); the loop
-            itself opens no Parquet file
+            compute, and write every output and state file through
+            ``sink.Write``, at a path derived from (epoch, partition)
+            only. The step that opens the input and state files reports
+            their footer counts (``rows_in``, ``bytes_in``,
+            ``state_bytes_in``); the loop itself opens no Parquet file
   commit    the manifest, fsync'd and atomically renamed into place
             (checkpoint.py) — THE commit point
   metrics   one ``metrics.jsonl`` record per committed epoch
@@ -33,9 +33,13 @@ fields and their order are its own) and supplies ``op`` and
 builds its step from sources, a watermark rule and ``per_task``
 (``KeyedStep``: map and reduce tasks over pyarrow, run in the job's
 process when the epoch is one of each), at every epoch size. A reduce
-task calls ``per_task`` once on its whole Arrow table and writes what it
-returns: a ``Write`` as one file per hash bucket, as many buckets as the
-row rule ``file_partitions`` gives.
+task calls ``per_task`` once on its whole Arrow table and writes each
+``sink.Write`` it returns, under the ``Claim``'s output or state dir: as
+one file per hash bucket, as many buckets as the row rule
+``file_partitions`` gives, or one file per sink prefix. The task counts
+do not change the bytes, except that a windowed epoch's float ``sum``
+or ``mean`` may differ in its last bits at another map-task count (its
+map tasks compute partials over all of their files at once).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -79,9 +83,16 @@ class Claim:
     """One epoch as the driver claimed it: what a job's step reads."""
 
     epoch: int
-    files: list[str]  # input files, sorted; none on a finalize epoch
+    inputs: list[list[str]]  # per input directory, its claimed files, sorted; none on a finalize epoch
     last: EpochManifest | None  # the previous committed epoch; its lineage names the state files
     finalize: bool
+    out_dir: str  # where the epoch's "out" writes go
+    state_dir: str  # where its "state" writes go
+
+    @property
+    def files(self) -> list[str]:
+        """Every claimed input file, directory by directory."""
+        return [f for fs in self.inputs for f in fs]
 
     @property
     def prev_wm(self) -> int:
@@ -146,7 +157,7 @@ class EpochDriver:
     they set ``op`` and implement ``epoch_step``. ``extra_read_kw`` is
     checked once, here: its ``columns`` (``read_columns``) is the only
     read option a task read honours. A job with other inputs (join: two
-    input dirs) overrides ``pending_files`` and ``_claim``."""
+    input dirs) overrides ``input_dirs``."""
 
     op: str  # manifest ``extra.op`` and metrics ``op``
     # per-epoch hook (the reference re-checks secret staleness each poll,
@@ -165,16 +176,14 @@ class EpochDriver:
         raise NotImplementedError
 
     # -- epoch planning (pure function of committed manifests) ---------
-    def _unconsumed(self, input_dir: str) -> list[str]:
+    @property
+    def input_dirs(self) -> list[str]:
+        return [self.input_dir]
+
+    def pending_files(self) -> list[list[str]]:
+        """Per input directory, its unconsumed files in sorted order."""
         consumed = self.store.consumed_files()
-        return [f for f in input_files(input_dir) if f not in consumed]
-
-    def pending_files(self) -> list[str]:
-        return self._unconsumed(self.input_dir)
-
-    def _claim(self, finalize: bool) -> list[str]:
-        """The next epoch's input files; a finalize epoch claims none."""
-        return [] if finalize else self.pending_files()[: self.max_files_per_epoch]
+        return [[f for f in input_files(d) if f not in consumed] for d in self.input_dirs]
 
     # -- one epoch ------------------------------------------------------
     def run_epoch(self, finalize: bool = False) -> EpochManifest | None:
@@ -190,22 +199,25 @@ class EpochDriver:
                 self.store.append_metrics(self._metrics_record(last))
         if last is not None and last.watermark_us >= WM_FINAL:
             return None  # stream already finalized
-        files = self._claim(finalize)
-        if not files and not finalize:
+        # a finalize epoch claims no input
+        pending = [[] for _ in self.input_dirs] if finalize else self.pending_files()
+        inputs = [fs[: self.max_files_per_epoch] for fs in pending]
+        if not any(inputs) and not finalize:
             return None  # nothing to do
         epoch = 0 if last is None else last.epoch + 1
-        res = self.epoch_step(Claim(epoch, files, last, finalize))
+        c = Claim(epoch, inputs, last, finalize, self.out_dir, self.store.state_path_for(epoch))
+        res = self.epoch_step(c)
 
         manifest = EpochManifest(
             epoch=epoch,
-            input_files=files,
+            input_files=c.files,
             watermark_us=res.watermark_us,
             rows_in=res.rows_in,
             rows_late=res.rows_late,
             rows_out=sum(p["rows"] for p in res.partitions.values()),
             partitions=res.partitions,
             state_rows=sum(p["rows"] for p in res.state_partitions.values()),
-            state_path=self.store.state_path_for(epoch) if res.state_partitions else None,
+            state_path=c.state_dir if res.state_partitions else None,
             state_partitions=res.state_partitions,
             extra={"op": self.op, **res.extra},
         )
@@ -257,7 +269,7 @@ class EpochDriver:
         # the finalize epoch consumes no input, so it does not count
         # against max_epochs — a stream that drains in EXACTLY
         # max_epochs epochs must still flush its open windows
-        if finalize and not self.pending_files():
+        if finalize and not any(self.pending_files()):
             m = self.run_epoch(finalize=True)
             if m is not None:
                 out.append(m)
@@ -320,26 +332,6 @@ class Source:
     per_file: bool = True
 
 
-class Write(NamedTuple):
-    """A table ``per_task`` returns. Its reduce task writes it as one
-    file per hash bucket of ``key`` (default: its first column), at
-    ``base_dir/part-{bucket}``, under the manifest key ``prefix`` +
-    bucket."""
-
-    kind: str  # "out" or "state"
-    table: pa.Table
-    base_dir: str
-    prefix: str = ""
-    key: str | None = None
-
-    def write(self, epoch: int, n_files: int) -> list[tuple[str, str, dict]]:
-        """Write the files; returns (kind, manifest key, lineage entry)
-        per file."""
-        key = self.key or self.table.column_names[0]
-        lineage = step.write_partitions(self.table, self.base_dir, epoch, key, n_files)
-        return [(self.kind, self.prefix + bucket, entry) for bucket, entry in lineage.items()]
-
-
 def _batches(sources: list[Source], files: list[tuple]) -> list[tuple[int, list]]:
     """``files`` ((source index, file) pairs, in source order) as the
     (source index, files) batches a map task reads at once."""
@@ -382,17 +374,20 @@ def _map_task(
     return (stats, timer.report()), *pieces
 
 
-def _reduce_task(per_task: Callable, watermark_us: int, epoch: int, n_files: int, *pieces: pa.Table) -> tuple:
+def _reduce_task(
+    per_task: Callable, watermark_us: int, epoch: int, n_files: int, dirs: dict, *pieces: pa.Table
+) -> tuple:
     """Concatenate one reduce task's pieces, call ``per_task(tbl,
-    watermark_us)`` once on them, and write each table it returns
-    (``Write.write``). Returns (lineage records, phase seconds)."""
+    watermark_us)`` once on them, and write each ``sink.Write`` it
+    returns under ``dirs[kind]``. Returns (lineage records, phase
+    seconds)."""
     timer = step.PhaseTimer()
     records = []
     with timer("compute_s"):
         writes = per_task(pa.concat_tables(pieces, promote_options="permissive"), watermark_us)
     with timer("write_s"):
         for w in writes:
-            records += w.write(epoch, n_files)
+            records += w.write(dirs[w.kind], epoch, n_files)
     return records, timer.report()
 
 
@@ -439,7 +434,10 @@ class KeyedStep:
     reduce task, and the job's process calls both itself on the files it
     opened; a larger one runs them as Ray tasks. Every reduce task holds
     all rows of its keys, so ``per_task`` sees whole keys, and each file
-    has one writer and the same bytes however many tasks ran."""
+    has one writer and the same bytes however many tasks ran, except
+    for the windowed job: its live source is not ``per_file`` and
+    computes partials over all of a map task's files at once, so a float
+    sum may round otherwise at another map-task count."""
 
     def __init__(self, c: Claim, sources: list[Source], key: str, fanout: int = 1):
         t0 = time.perf_counter()
@@ -447,7 +445,7 @@ class KeyedStep:
         groups, self.counts = _task_groups(sources, lineage_rows)
         self._phases: Counter = Counter(read_s=time.perf_counter() - t0)
         total = self.counts["bytes_in"] + self.counts["state_bytes_in"]
-        self.epoch = c.epoch
+        self.epoch, self.dirs = c.epoch, {"out": c.out_dir, "state": c.state_dir}
         self.n_files = file_partitions(self.counts["rows_in"] * fanout, lineage_rows)
         self.n_reduce = max(1, min(self.n_files, -(-total // max(step.SMALL_EPOCH_BYTES, 1))))
         # a task round trip buys nothing when there is one task per stage
@@ -470,7 +468,7 @@ class KeyedStep:
                     self.maxima[i] = mx
 
     def reduce(self, per_task: Callable, watermark_us: int, extra: dict | None = None) -> StepResult:
-        """Call ``per_task(tbl, watermark_us) -> list[Write]`` once in
+        """Call ``per_task(tbl, watermark_us) -> list[sink.Write]`` once in
         every reduce task, on all of its rows; the task writes the
         tables and only lineage comes back."""
         known = [m for m in self.maxima if m is not None]
@@ -483,7 +481,7 @@ class KeyedStep:
             step="task",
         )
         args = [
-            (per_task, watermark_us, self.epoch, self.n_files, *[m[1 + r] for m in self._maps])
+            (per_task, watermark_us, self.epoch, self.n_files, self.dirs, *[m[1 + r] for m in self._maps])
             for r in (range(self.n_reduce) if self._maps else ())
         ]
         if self._inline:

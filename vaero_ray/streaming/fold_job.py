@@ -40,7 +40,6 @@ fsync'd manifest commit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -55,10 +54,10 @@ from vaero_ray.streaming.driver import (
     KeyedStep,
     Source,
     StepResult,
-    Write,
     advance_watermark,
     event_rows,
 )
+from vaero_ray.streaming.sink import Write
 
 _EV_COLS = ["key", "tsus", "tie", "v"]
 _FOLD_COLS = ["key", "acc", "n"]
@@ -170,7 +169,7 @@ class StreamingFoldJob(EpochDriver):
         ]
         ks = KeyedStep(c, sources, "key")
         new_wm = advance_watermark(c.prev_wm, ks.maxima[0], self.allowed_lateness_s, c.finalize)
-        finalize, out_dir, state_dir = c.finalize, self.out_dir, self.store.state_path_for(c.epoch)
+        finalize = c.finalize
         key_out, val_out = self.key_col, self.out_val
         fold_fn = self._fold_seeded
 
@@ -182,10 +181,10 @@ class StreamingFoldJob(EpochDriver):
             folds = fold_fn({c: col[c][mature] for c in _EV_COLS}, {c: col[c][fold_rows] for c in _FOLD_COLS})
             if finalize:
                 out = pa.table({key_out: folds["key"], "n_events": folds["n"], val_out: folds["acc"]})
-                return [Write("out", out, out_dir)]
+                return [Write("out", out)]
             return [
-                Write("state", pa.table(folds), os.path.join(state_dir, "fold"), "f"),
-                Write("state", tbl.select(_EV_COLS).filter(pa.array(future)), os.path.join(state_dir, "buf"), "b"),
+                Write("state", pa.table(folds), "fold", "f"),
+                Write("state", tbl.select(_EV_COLS).filter(pa.array(future)), "buf", "b"),
             ]
 
         return ks.reduce(per_task, new_wm)

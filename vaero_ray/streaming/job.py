@@ -20,7 +20,9 @@ The map tasks run the transform and the partials once per task over all
 of its input files, not once per file: partials merge to the same rows
 however the files are grouped. A small epoch is one map and one reduce
 task, called in the job's own process; a larger one runs its tasks as
-Ray tasks, and the task counts never change the bytes written.
+Ray tasks. The task counts do not change the bytes written, except for
+a float ``sum`` or ``mean``: at another map-task count its rows are
+added in another grouping, and its last bits may differ.
 
 Watermark: wm_k = max(wm_{k-1}, max event ts in epoch k - allowed_lateness).
 A window [s, s+size) closes when wm >= s+size. A row is LATE when its
@@ -71,11 +73,12 @@ from vaero_ray.streaming.driver import (
     KeyedStep,
     Source,
     StepResult,
-    Write,
     advance_watermark,
     event_us,
 )
-from vaero_ray.streaming.sink import write_deterministic  # noqa: F401
+from vaero_ray.streaming.sink import Write
+
+write_deterministic = Write
 
 
 def windows_ending_in(tbl: pa.Table, window_col: str, size_us: int, lo_us: int, hi_us: int) -> pa.Table:
@@ -205,12 +208,11 @@ class StreamingWindowedJob(EpochDriver):
         fanout = 1 if slide_s is None else size_s // slide_s
         ks = KeyedStep(c, sources, keys[0], fanout)
         new_wm = advance_watermark(prev_wm, ks.maxima[0], self.allowed_lateness_s, c.finalize)
-        out_dir, state_dir = self.out_dir, self.store.state_path_for(c.epoch)
 
         def per_task(tbl: pa.Table, wm: int) -> list[Write]:
             merged = merge_partial_tables([_int64_partials(tbl, group_cols)], group_cols, state_aggs)
             closed = finalize_table(split(merged, lo_us=prev_wm, hi_us=wm), group_cols, aggs)
             open_ = split(merged, lo_us=wm, hi_us=WM_FINAL).select(sorted(merged.column_names))
-            return [Write("out", closed, out_dir, key=keys[0]), Write("state", open_, state_dir, key=keys[0])]
+            return [Write("out", closed, key=keys[0]), Write("state", open_, key=keys[0])]
 
         return ks.reduce(per_task, new_wm)

@@ -46,7 +46,6 @@ buffers, hash-partitioned on the join key.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,12 +61,12 @@ from vaero_ray.streaming.driver import (
     KeyedStep,
     Source,
     StepResult,
-    Write,
     advance_watermark,
     event_rows,
     event_us,
     input_files,
 )
+from vaero_ray.streaming.sink import Write
 
 
 def _key_codes(col: pa.ChunkedArray) -> np.ndarray:
@@ -143,15 +142,9 @@ class StreamingJoinJob(EpochDriver):
                     if c in sch.names and c not in self._types:
                         self._types[c] = sch.field(c).type
 
-    # -- epoch plumbing: two input directories -------------------------
-    def pending_files(self) -> list:
-        return self._unconsumed(self.left_dir) + self._unconsumed(self.right_dir)
-
-    def _claim(self, finalize: bool) -> list:
-        if finalize:
-            return []
-        n = self.max_files_per_epoch
-        return self._unconsumed(self.left_dir)[:n] + self._unconsumed(self.right_dir)[:n]
+    @property
+    def input_dirs(self) -> list[str]:
+        return [self.left_dir, self.right_dir]
 
     def _pad(self, side: int, st: int, all_cols: list, types: dict):
         """Stateless pad-to-union-schema + side/state tags; typed nulls
@@ -179,9 +172,9 @@ class StreamingJoinJob(EpochDriver):
         # partition keys)
         extra = c.last.extra if c.last is not None else {}
         wm_l, wm_r = extra.get("wm_l", WM_MIN), extra.get("wm_r", WM_MIN)
-        lf, rf = _in_dir(c.files, self.left_dir), _in_dir(c.files, self.right_dir)
+        lf, rf = c.inputs
         state_l, state_r = c.state_files("L:"), c.state_files("R:")
-        finalize, epoch = c.finalize, c.epoch
+        finalize = c.finalize
         within_us = self.within_s * US
         outer = self.join_type == "left_outer"
         all_cols = [self.key, self.ts_col] + list(self.left_cols) + list(self.right_cols)
@@ -209,7 +202,6 @@ class StreamingJoinJob(EpochDriver):
 
         key, ts_col = self.key, self.ts_col
         lcols, rcols, left_id_col = list(self.left_cols), list(self.right_cols), self.left_id_col
-        out_dir, state_dir = self.out_dir, self.store.state_path_for(epoch)
 
         def per_task(tbl: pa.Table, new_wm: int) -> list[Write]:
             codes, ts = _key_codes(tbl.column(key)), event_us(tbl.column(ts_col)).to_numpy()
@@ -248,16 +240,10 @@ class StreamingJoinJob(EpochDriver):
             out.update({c: take(c, li) for c in lcols})
             out.update({c: take(c, ri) for c in rcols})
             return [
-                Write("state", pa.table(l_state), os.path.join(state_dir, "L"), "L:"),
-                Write("state", pa.table(state(r_keep, rcols)), os.path.join(state_dir, "R"), "R:"),
-                Write("out", pa.table(out), out_dir),
+                Write("state", pa.table(l_state), "L", "L:"),
+                Write("state", pa.table(state(r_keep, rcols)), "R", "R:"),
+                Write("out", pa.table(out)),
             ]
 
         return ks.reduce(per_task, min(wm_l, wm_r), extra={"wm_l": wm_l, "wm_r": wm_r})
 
-
-def _in_dir(files: list, d: str) -> list:
-    """The files ``_unconsumed(d)`` listed. The glob may spell ``d``
-    otherwise (``a//b`` as ``a/b``), so both sides are normalized."""
-    d = os.path.normpath(d)
-    return [f for f in files if os.path.normpath(os.path.dirname(f)) == d]

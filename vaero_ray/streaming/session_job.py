@@ -49,11 +49,11 @@ from vaero_ray.streaming.driver import (
     KeyedStep,
     Source,
     StepResult,
-    Write,
     advance_watermark,
     event_rows,
     event_us,
 )
+from vaero_ray.streaming.sink import Write
 
 _BASE_COLS = ["start_us", "end_us", "__n"]
 _PT = "__pt_"  # prefix of a partial of a timestamp column, as int64 microseconds
@@ -222,15 +222,14 @@ class StreamingSessionJob(EpochDriver):
         live = Source(c.files, self._fragments, event_rows(self.ts_col, self.transform), self.read_columns)
         ks = KeyedStep(c, [live, Source(c.state_files())], self.key)
         new_wm = advance_watermark(c.prev_wm, ks.maxima[0], self.allowed_lateness_s, c.finalize)
-        gap_us, out_dir, state_dir = self.gap_s * US, self.out_dir, self.store.state_path_for(c.epoch)
-        merge_fn, fin_fn = self._merge_fragments, self._finalize
+        gap_us, merge_fn, fin_fn = self.gap_s * US, self._merge_fragments, self._finalize
 
         def per_task(tbl: pa.Table, wm: int) -> list[Write]:
             merged = merge_fn(tbl)
             closed = pa.array(merged.column("end_us").to_numpy() + gap_us <= wm)
             return [
-                Write("out", fin_fn(merged.filter(closed)), out_dir),
-                Write("state", merged.filter(pc.invert(closed)), state_dir),
+                Write("out", fin_fn(merged.filter(closed))),
+                Write("state", merged.filter(pc.invert(closed))),
             ]
 
         return ks.reduce(per_task, new_wm)

@@ -23,32 +23,30 @@ The canonical form (``canonical_table``) is computed in pyarrow:
   like pandas' mergesort);
 - the schema carries no metadata and every field is nullable.
 
-``write_deterministic`` runs the writer as ``groupby(bucket).map_groups``
-over a Ray Dataset — each partition's file is written INSIDE the Ray
-task that holds its rows; only the tiny lineage table (partition, rows,
-path, sha256) is collected. No streaming job calls it any more (they
-write through ``step.write_partitions`` in their reduce tasks); it stays
-because perfbench's tracer wraps it by name.
+Every epoch file is placed by ``Write``: a job names each table it
+writes by kind (output or state), subdirectory and manifest-key prefix,
+and ``Write.write`` splits it into files, names each file and its
+manifest key from (epoch, partition) only, writes them through
+``write_canonical_file`` and returns their lineage. No job joins a path
+for its writes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
 
-from vaero_ray.stages.keyed import BUCKET_COL, hash_bucket
+from vaero_ray.stages.keyed import hash_bucket
+from vaero_ray.streaming.checkpoint import lineage_entry
 
 # rows per Parquet row group of every canonical file
 ROW_GROUP_ROWS = 1 << 20
-
-LINEAGE_SCHEMA = pa.schema(
-    [("partition", pa.int64()), ("rows", pa.int64()), ("path", pa.string()), ("sha256", pa.string())]
-)
 
 
 def _held_as_objects(t: pa.DataType) -> bool:
@@ -125,40 +123,47 @@ def write_canonical_file(tbl: pa.Table, path: str) -> tuple[str, str, int]:
     return path, hashlib.sha256(data).hexdigest(), rows
 
 
-def write_partition_file(tbl: pa.Table, base_dir: str, bucket: int, epoch: int) -> tuple[str, str, int]:
-    """Canonical in-task write of one partition's epoch file at
-    part-{bucket}/epoch-{k}.parquet -> (path, sha256, rows). Shared by
-    every streaming job's output and state writes."""
-    path = os.path.join(base_dir, f"part-{bucket}", f"epoch-{epoch:08d}.parquet")
-    return write_canonical_file(tbl, path)
+class Write(NamedTuple):
+    """A table an epoch writes, and where. ``kind`` "out" places its
+    files under the job's output dir, "state" under the epoch's state
+    dir; ``subdir`` is below that, and ``prefix`` starts the manifest key
+    of each file. ``write`` splits the table into files:
 
+    - by default, one file per non-empty hash bucket of ``key`` (default:
+      the first column) at ``{subdir}/part-{bucket}/epoch-{k}.parquet``,
+      keyed ``prefix`` + bucket;
+    - with ``by`` (the sink prefix column), one file per value of that
+      column at ``{subdir}/{value}/epoch-{k}.parquet``, keyed ``prefix``
+      + value, with each "/" of the value written as "-" and the column
+      itself not written."""
 
-def write_deterministic(
-    ds: rd.Dataset,
-    base_dir: str,
-    epoch: int,
-    partition_key: str,
-    num_partitions: int,
-) -> pa.Table:
-    """Write ``ds`` as one canonical file per hash-partition of
-    ``partition_key``; returns the lineage table (small: one row per
-    non-empty partition)."""
+    kind: str
+    table: pa.Table
+    subdir: str = ""
+    prefix: str = ""
+    key: str | None = None
+    by: str | None = None
 
-    def tag(tbl: pa.Table) -> pa.Table:
-        return tbl.append_column(BUCKET_COL, pa.array(hash_bucket(tbl.column(partition_key), num_partitions)))
-
-    def write_partition(tbl: pa.Table) -> pa.Table:
-        # dir name has no '=': hive-partition inference would otherwise
-        # resurrect the bucket as a phantom column on read
-        bucket = tbl.column(BUCKET_COL)[0].as_py()
-        path, digest, rows = write_partition_file(tbl.drop_columns([BUCKET_COL]), base_dir, bucket, epoch)
-        return pa.Table.from_pylist(
-            [{"partition": bucket, "rows": rows, "path": path, "sha256": digest}], schema=LINEAGE_SCHEMA
-        )
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-    lineage_ds = tagged.groupby(BUCKET_COL).map_groups(write_partition, batch_format="pyarrow")
-    rows = lineage_ds.take_all()  # tiny: <= num_partitions rows
-    if not rows:
-        return LINEAGE_SCHEMA.empty_table()
-    return pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)
+    def write(self, root: str, epoch: int, n_files: int = 1) -> list[tuple[str, str, dict]]:
+        """Write the files under ``root`` (the dir of ``kind``), in
+        ``n_files`` hash buckets; returns (kind, manifest key, lineage
+        entry) per file."""
+        tbl = self.table
+        if not tbl.num_rows:
+            return []
+        if self.by is not None:
+            col = tbl.column(self.by)
+            tbl = tbl.drop_columns([self.by])
+            parts = [(str(v).replace("/", "-"), pc.equal(col, v)) for v in pc.unique(col).to_pylist()]
+        elif n_files == 1:  # every row hashes to bucket 0
+            parts = [("0", None)]
+        else:
+            buckets = np.asarray(hash_bucket(tbl.column(self.key or tbl.column_names[0]), n_files))
+            parts = [(str(b), pa.array(buckets == b)) for b in np.unique(buckets)]
+        out = []
+        for name, mask in parts:
+            d = name if self.by is not None else f"part-{name}"
+            path = os.path.join(root, self.subdir, d, f"epoch-{epoch:08d}.parquet")
+            path, digest, rows = write_canonical_file(tbl if len(parts) == 1 else tbl.filter(mask), path)
+            out.append((self.kind, self.prefix + name, lineage_entry(rows, path, digest)))
+        return out

@@ -18,16 +18,15 @@ sums their uncompressed row-group sizes (``footer_stats``).
 ``SMALL_EPOCH_BYTES`` (read when the epoch starts) budgets one map task;
 an epoch of one map and one reduce task runs both in the job's process
 on the files it opened, and a larger one fans out to Ray tasks
-(``remote``). The task counts never change the bytes written, so a
-resume may switch them. A step receives plain data (file lists,
-watermark, epoch, the job's kernels) — never the job's checkpoint store
-— and returns lineage, counters and its phase times; the epoch driver
-(driver.py) commits.
-
-``write_partitions`` writes one canonical file per non-empty hash
-bucket, as many buckets as ``driver.file_partitions`` gives for the
-epoch's rows (one per ``sink.ROW_GROUP_ROWS``, with no other bound). A
-count of one writes the whole table as ``part-0`` without hashing it.
+(``remote``). The task counts do not change the bytes written, so a
+resume may switch them, with one exception: a windowed map task
+computes partials over all of its files at once, so a float ``sum`` or
+``mean`` adds its rows in another grouping at another map-task count,
+and its last bits may differ. A step receives plain data (file lists,
+watermark, epoch, the output and state dirs, the job's kernels) — never
+the job's checkpoint store — and returns lineage, counters and its
+phase times; the epoch driver (driver.py) commits. Every file a reduce
+task writes is placed by ``sink.Write``.
 """
 
 from __future__ import annotations
@@ -36,14 +35,9 @@ import contextlib
 import functools
 import time
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
-
-from vaero_ray.stages.keyed import hash_bucket
-from vaero_ray.streaming.checkpoint import lineage_entry
-from vaero_ray.streaming.sink import write_partition_file
 
 # upper bound on a map task's input (uncompressed parquet bytes), and the
 # share of an epoch's input + carried state per reduce task; ~3x that is
@@ -133,24 +127,6 @@ def _read_as(pf: pq.ParquetFile, schema: pa.Schema) -> pa.Table:
             col = tbl.column(f.name)
             cols.append(col if col.type == f.type else col.cast(f.type))
     return pa.Table.from_arrays(cols, schema=schema)
-
-
-def write_partitions(tbl: pa.Table, base_dir: str, epoch: int, key: str, n_files: int) -> dict:
-    """One canonical file per non-empty one of ``n_files`` hash buckets
-    of ``key``, the same bytes ``sink.write_deterministic`` writes;
-    returns the manifest lineage ``{partition: {"rows", "files",
-    "sha256"}}``."""
-    if not tbl.num_rows:
-        return {}
-    if n_files == 1:  # every row hashes to bucket 0
-        path, digest, rows = write_partition_file(tbl, base_dir, 0, epoch)
-        return {"0": lineage_entry(rows, path, digest)}
-    buckets = np.asarray(hash_bucket(tbl.column(key), n_files))
-    out = {}
-    for b in np.unique(buckets):
-        path, digest, rows = write_partition_file(tbl.filter(pa.array(buckets == b)), base_dir, int(b), epoch)
-        out[str(int(b))] = lineage_entry(rows, path, digest)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -44,11 +44,11 @@ from vaero_ray.streaming.driver import (
     KeyedStep,
     Source,
     StepResult,
-    Write,
     advance_watermark,
     event_rows,
     event_us,
 )
+from vaero_ray.streaming.sink import Write
 
 TURN_COLS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 _ROLES = ("user", "assistant", "tool")
@@ -111,7 +111,6 @@ class StreamingStitchJob(EpochDriver):
         # <= prev_wm + gap by construction and can't advance the clock
         new_wm = advance_watermark(c.prev_wm, ks.maxima[0], self.allowed_lateness_s, c.finalize)
         gap_us, emit = self.gap_s * US, self.emitter or stitch_convs
-        out_dir, state_dir = self.out_dir, self.store.state_path_for(c.epoch)
 
         def per_task(tbl: pa.Table, wm: int) -> list[Write]:
             # event_us normalizes to microseconds FIRST: a bare int64
@@ -120,9 +119,9 @@ class StreamingStitchJob(EpochDriver):
             last = last.group_by("conv_id", use_threads=False).aggregate([("ts", "max")])
             done = last.filter(pc.less_equal(pc.add(last.column("ts_max"), gap_us), wm)).column("conv_id")
             closed = pc.is_in(tbl.column("conv_id"), done)
-            writes = [Write("state", tbl.filter(pc.invert(closed)), state_dir)]
+            writes = [Write("state", tbl.filter(pc.invert(closed)))]
             if len(done):
-                writes.append(Write("out", emit(tbl.filter(closed)), out_dir))
+                writes.append(Write("out", emit(tbl.filter(closed))))
             return writes
 
         return ks.reduce(per_task, new_wm)

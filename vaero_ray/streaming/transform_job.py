@@ -15,11 +15,14 @@ this module supplies the route step).
 Every epoch of a graph without relational steps is one keyed step
 (driver.py ``KeyedStep``) at any size: map tasks read the epoch's files
 once and run every branch's chain and sink prefix over them, and the
-rows meet by (branch, prefix) in reduce tasks, which write one file per
-(branch, prefix). A small epoch runs both in the job's own process, with
-no Ray task. A graph with a relational branch (window/join/dedup) runs
-each epoch as a Ray Data plan (``_dataset_step``, ``runner.apply_steps``
-per branch).
+rows meet by (branch, prefix) in reduce tasks. A small epoch runs both
+in the job's own process, with no Ray task. A graph with a relational
+branch (window/join/dedup) runs each epoch as a Ray Data plan
+(``_dataset_step``, ``runner.apply_steps`` per branch) whose rows meet
+by prefix in ``map_groups``. Both write each branch's rows as one
+``sink.Write`` split by the sink prefix: one file per (branch, prefix)
+at ``{branch key}/{prefix}/epoch-{k}.parquet`` under the manifest key
+"{branch key}/{prefix}".
 
 Batch-vs-time sink flushing (batch_max_bytes / batch_max_time,
 sinkNode.go:105-131) degenerates naturally: an epoch IS the flush unit —
@@ -28,9 +31,8 @@ max_files_per_epoch bounds bytes, the poll cadence bounds time.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -42,7 +44,7 @@ from vaero_ray.sinks.parquet_sink import PREFIX_COL, derive_prefix
 from vaero_ray.streaming import step
 from vaero_ray.streaming.checkpoint import EpochManifest, lineage_entry
 from vaero_ray.streaming.driver import Claim, EpochDriver, KeyedStep, Source, StepResult, read_committed
-from vaero_ray.streaming.sink import write_canonical_file
+from vaero_ray.streaming.sink import Write
 
 
 def _sink_route(i: int, branch: Branch) -> tuple[str, str, str]:
@@ -68,39 +70,8 @@ def _known_output_cols(branch: Branch) -> set[str] | None:
     return cols
 
 
-def write_prefix_file(tbl: pa.Table, bdir: str, epoch: int) -> dict:
-    """One prefix group's canonical file, written DIRECTLY at its
-    prefix-derived path (concurrent prefix groups run in separate Ray
-    workers, so no shared intermediate is allowed); returns its lineage
-    row."""
-    pdir_safe = str(tbl.column(PREFIX_COL)[0].as_py()).replace("/", "-")
-    final = os.path.join(bdir, pdir_safe, f"epoch-{epoch:08d}.parquet")
-    _, sha, rows = write_canonical_file(tbl.drop_columns([PREFIX_COL]), final)
-    return {"partition": pdir_safe, "rows": rows, "path": final, "sha256": sha}
-
-
-def _partitions(lineage: list) -> dict:
-    """Manifest lineage keyed "{branch key}/{prefix}" from (branch key,
-    lineage row) pairs."""
-    return {f"{bkey}/{r['partition']}": lineage_entry(r["rows"], r["path"], r["sha256"]) for bkey, r in lineage}
-
-
 # the (branch key, prefix) a route map task tags each row with
 ROUTE_COL = "__route"
-
-
-class PrefixWrite(NamedTuple):
-    """A branch's rows of one sink prefix, as a route reduce task
-    returns them: written as one file (``write_prefix_file``) under the
-    manifest key "{branch key}/{prefix}"."""
-
-    table: pa.Table
-    bkey: str
-    bdir: str
-
-    def write(self, epoch: int, n_files: int) -> list[tuple[str, str, dict]]:
-        lineage = _partitions([(self.bkey, write_prefix_file(self.table, self.bdir, epoch))])
-        return [("out", key, entry) for key, entry in lineage.items()]
 
 
 def _route_rows(routes: list) -> Callable:
@@ -122,24 +93,19 @@ def _route_rows(routes: list) -> Callable:
     return live
 
 
-def _route_files(out_dir: str) -> Callable:
-    """A route reduce task's ``per_task``: each (branch, prefix) of its
-    rows as a ``PrefixWrite`` of the branch's own columns."""
-
-    def per_task(tbl: pa.Table, wm: int) -> list[PrefixWrite]:
-        route = tbl.column(ROUTE_COL)
-        values = pc.unique(route).to_pylist()
-        writes = []
-        for r in values:
-            bkey = r.split("/", 1)[0]
-            cols = [c for c in tbl.column_names if c.startswith(bkey + ":")]
-            rows = tbl.select(cols).rename_columns([c[len(bkey) + 1 :] for c in cols])
-            if len(values) > 1:
-                rows = rows.filter(pc.equal(route, r))
-            writes.append(PrefixWrite(rows, bkey, os.path.join(out_dir, bkey)))
-        return writes
-
-    return per_task
+def _branch_writes(tbl: pa.Table, wm: int) -> list[Write]:
+    """A route reduce task's ``per_task``: each branch's rows, with the
+    branch's own columns, as a ``Write`` split by the sink prefix."""
+    route = tbl.column(ROUTE_COL)
+    bkeys = sorted({r.split("/", 1)[0] for r in pc.unique(route).to_pylist()})
+    writes = []
+    for bkey in bkeys:
+        cols = [c for c in tbl.column_names if c.startswith(bkey + ":")]
+        rows = tbl.select(cols).rename_columns([c[len(bkey) + 1 :] for c in cols])
+        if len(bkeys) > 1:
+            rows = rows.filter(pc.starts_with(route, bkey + "/"))
+        writes.append(Write("out", rows, bkey, bkey + "/", by=PREFIX_COL))
+    return writes
 
 
 @dataclass
@@ -183,21 +149,22 @@ class StreamingTransformJob(EpochDriver):
     def epoch_step(self, c: Claim) -> StepResult:
         if any(b.has_rel for b in self.plan.branches):
             rows_in, bytes_in = step.footer_stats(c.files)
-            return StepResult(0, _partitions(self._dataset_step(c.epoch, c.files)), rows_in=rows_in, bytes_in=bytes_in)
+            return StepResult(0, self._dataset_step(c), rows_in=rows_in, bytes_in=bytes_in)
         routes = []
         for i, branch in enumerate(self.plan.branches):
             bkey, ts_key, fmt = _sink_route(i, branch)
             routes.append((bkey, branch.compile(), ts_key, fmt))
         live = Source(c.files, live=_route_rows(routes), columns=self.read_columns, per_file=False)
-        return KeyedStep(c, [live], ROUTE_COL).reduce(_route_files(self.out_dir), 0)
+        return KeyedStep(c, [live], ROUTE_COL).reduce(_branch_writes, 0)
 
-    def _dataset_step(self, epoch: int, files: list[str]) -> list:
+    def _dataset_step(self, c: Claim) -> dict:
         """An epoch of a graph with a relational branch (window/join/dedup
         steps) as Ray Data plans, one prefix-grouped write per branch.
         Window semantics here are PER-EPOCH (each poll's batch windows
         independently — the reference's per-capsule batch model);
         cross-epoch event-time windows with watermarks and open-window
-        state carry are StreamingWindowedJob (streaming/job.py)."""
+        state carry are StreamingWindowedJob (streaming/job.py). Returns
+        the output lineage."""
         from vaero_ray.runner import apply_steps
 
         # read_parquet itself takes io.DATASET_BUILD_LOCK (taking it here
@@ -206,21 +173,22 @@ class StreamingTransformJob(EpochDriver):
         # un-materialized plan would re-read + re-decode the epoch's
         # files once per branch; one epoch is bounded by
         # max_files_per_epoch and spills if large.
-        src = _read_pq(files, **self.extra_read_kw).materialize()
-        out = []
+        src = _read_pq(c.files, **self.extra_read_kw).materialize()
+        out = {}
         for i, branch in enumerate(self.plan.branches):
             bkey, ts_key, fmt = _sink_route(i, branch)
-            bdir = os.path.join(self.out_dir, bkey)
 
             def prefix_only(tbl: pa.Table, ts_key=ts_key, fmt=fmt) -> pa.Table:
                 return derive_prefix(tbl, ts_key, fmt)
 
-            def write_prefix(tbl: pa.Table, bdir=bdir) -> pa.Table:
-                return pa.Table.from_pylist([write_prefix_file(tbl, bdir, epoch)])
+            def write_prefix(tbl: pa.Table, bkey=bkey, out_dir=c.out_dir, epoch=c.epoch) -> pa.Table:
+                # one prefix per group: one file
+                [(_, key, entry)] = Write("out", tbl, bkey, bkey + "/", by=PREFIX_COL).write(out_dir, epoch)
+                return pa.table({"key": [key], "rows": [entry["rows"]], "path": entry["files"], "sha256": entry["sha256"]})
 
             staged = apply_steps(src, branch).map_batches(prefix_only, batch_format="pyarrow", zero_copy_batch=True)
-            lineage = staged.groupby(PREFIX_COL).map_groups(write_prefix, batch_format="pyarrow").take_all()
-            out.extend((bkey, r) for r in lineage)
+            for r in staged.groupby(PREFIX_COL).map_groups(write_prefix, batch_format="pyarrow").take_all():
+                out[r["key"]] = lineage_entry(r["rows"], r["path"], r["sha256"])
         return out
 
     def committed_output(self, branch_key: str | None = None) -> rd.Dataset:
