@@ -190,7 +190,10 @@ def _job(name: str, inputs: dict, base: str, empty: bool = False, **kw) -> Epoch
     raise ValueError(name)
 
 
-JOBS = ["windowed", "transform", "transform-relational", "stitch", "session-point", "session-extent", "fold", "join"]
+JOBS = [
+    "windowed", "windowed-sliding", "transform", "transform-relational", "stitch", "session-point", "session-extent",
+    "fold", "join",
+]
 KEYED = ["stitch", "session-point", "session-extent", "fold", "join", "join-outer"]
 # every job at every size runs on KeyedStep but a route job with a relational branch
 STEPPED = KEYED + ["windowed", "windowed-sliding", "windowed-transform", "transform"]
@@ -404,8 +407,9 @@ def test_keyed_task_counts_write_identical_bytes(name, inputs, tmp_path, monkeyp
     """One map and one reduce task per epoch, or one map task per file
     and one reduce task per written file: the same bytes. Epochs claim
     two files, and a bound of 40 rows per file splits each table into as
-    many files as the row rule gives for the epoch's live rows (twice
-    over for the sliding windows) and carried state, more than the three
+    many files as the row rule gives for the epoch's live rows and
+    carried state (a sliding epoch's state counts them once, as panes;
+    its output, up to two windows per pane, twice), more than the three
     that ``num_partitions=3`` allowed before the rule stood alone."""
     groups, n_files = [], []
     real_groups, real_files = driver._task_groups, driver.file_partitions
@@ -422,7 +426,7 @@ def test_keyed_task_counts_write_identical_bytes(name, inputs, tmp_path, monkeyp
     monkeypatch.setattr(driver, "_task_groups", recorded)
     monkeypatch.setattr(driver, "file_partitions", counted)
     monkeypatch.setattr(driver, "ROW_GROUP_ROWS", 40)
-    fanout = 2 if name == "windowed-sliding" else 1  # size_s / slide_s
+    per_row = (1, 2) if name == "windowed-sliding" else (1,)  # state, then output (size_s / slide_s)
     got = {}
     for budget in (ONE_TASK, TASK_PER_FILE):
         monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", budget)
@@ -432,7 +436,7 @@ def test_keyed_task_counts_write_identical_bytes(name, inputs, tmp_path, monkeyp
         manifests = job.run()
         got[budget] = _fingerprint(job.ckpt_dir)
         prev_state = [0] + [m.state_rows for m in manifests[:-1]]
-        assert n_files == [max(1, -(-(m.rows_in * fanout + s) // 40)) for m, s in zip(manifests, prev_state)]
+        assert n_files == [max(1, -(-k * (m.rows_in + s) // 40)) for m, s in zip(manifests, prev_state) for k in per_row]
         if budget == ONE_TASK:
             assert max(groups) == 1
         else:

@@ -1,6 +1,7 @@
 """StreamingSessionJob: stream == batch parity, fragment-partial state
 boundedness (kill-resume: test_epoch_driver.py)."""
 
+import json
 import os
 
 import numpy as np
@@ -11,7 +12,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from vaero_ray.stages.windows import AggSpec, session_aggregate
-from vaero_ray.streaming import StreamingSessionJob
+from vaero_ray.streaming import CheckpointStore, StreamingSessionJob
 
 AGGS = [
     AggSpec(None, "count", "n_events"),
@@ -102,7 +103,8 @@ def test_state_is_fragments_not_events(ray_session, tmp_path):
     assert 0 < st.state_rows < 200
     files = st.state_files()
     cols = pq.read_schema(files[0]).names
-    assert {"start_us", "end_us", "__n"} <= set(cols)
+    # the fragment's bounds and the window partials of AGGS
+    assert sorted(cols) == ["__end_max", "__pcount", "__start_min", "ts_max", "ts_min", "user_id", "value_sum"]
 
 
 def test_session_splits_across_gap_boundary_epochs(ray_session, tmp_path):
@@ -259,63 +261,66 @@ def test_extent_mode_rejects_reversed_extents(ray_session, tmp_path):
 
 
 def _by_key(r: dict) -> tuple:
-    return r["k"] is None, r["k"] or "", r["start_us"]
+    return r["k"] is None, r["k"] or "", r["__start_min"]
 
 
-def _merge_loop(rows: list, gap_us: int, pcols: dict) -> list:
-    """Reference fragment merge, one row at a time: rows sorted by (key,
+def _merge_loop(rows: list, gap_us: int) -> list:
+    """Reference session merge, one row at a time: rows sorted by (key,
     start, end) with null keys last chain into the running session
-    while ``start - max(end so far) <= gap``; sums skip NaN (none is 0),
-    min/max skip NaN (none is NaN)."""
-    rows = sorted(rows, key=lambda r: (*_by_key(r), r["end_us"]))
+    while ``start - max(end so far) <= gap``; a sum, min or max skips
+    NaN, and one over no value is None."""
     out = []
-    for r in rows:
-        if out and out[-1]["k"] == r["k"] and r["start_us"] - out[-1]["end_us"] <= gap_us:
+    for r in sorted(rows, key=lambda r: (r["k"] is None, r["k"] or "", r["s"], r["e"])):
+        if out and out[-1]["k"] == r["k"] and r["s"] - out[-1]["__end_max"] <= gap_us:
             s = out[-1]
-            s["end_us"] = max(s["end_us"], r["end_us"])
-            s["__n"] += r["__n"]
-            for c, red in pcols.items():
-                v = r[c]
-                if v == v:
-                    s[c] = v if s[c] != s[c] else {"sum": s[c] + v, "min": min(s[c], v), "max": max(s[c], v)}[red]
         else:
-            out.append({**r, **{c: (0.0 if r[c] != r[c] else r[c]) for c, red in pcols.items() if red == "sum"}})
+            s = {"k": r["k"], "__start_min": r["s"], "__end_max": r["e"], "__pcount": 0, "f": [], "i": []}
+            out.append(s)
+        s["__end_max"] = max(s["__end_max"], r["e"])
+        s["__pcount"] += 1
+        s["f"] += [r["f"]] if r["f"] == r["f"] else []
+        s["i"].append(r["i"])
+    for s in out:
+        f, i = s.pop("f"), s.pop("i")
+        s.update(f_sum=sum(f) if f else None, f_min=min(f, default=None), f_max=max(f, default=None))
+        s.update(i_sum=sum(i), i_max=max(i))
     return out
 
 
 def test_fragment_merge_matches_a_row_loop(tmp_path):
-    """The numpy merge (segmented cummax, ``reduceat``) against a plain
-    loop over random fragments with null keys, NaN values and
-    out-of-order overlap: keys, bounds, counts, ints, min and max equal;
-    float sums within float64 rounding (the order of additions may
-    differ from a compensated sum)."""
+    """Fragments per file (``_fragments``) and their merge (segmented
+    cummax, window partial kernels) against a plain loop over random
+    extents with null keys, NaN values and out-of-order overlap across
+    files: keys, bounds, counts, ints, min and max equal; float sums
+    within float64 rounding (the order of additions may differ)."""
     aggs = [AggSpec(None, "count", "n"), AggSpec("f", "sum", "fs"), AggSpec("f", "min", "fmin"),
             AggSpec("f", "max", "fmax"), AggSpec("i", "sum", "isum"), AggSpec("i", "max", "imax")]
     job = StreamingSessionJob(str(tmp_path / "in"), str(tmp_path / "out"), str(tmp_path / "ckpt"), key="k",
-                              aggs=aggs, gap_s=60)
-    pcols = {"__p_fs": "sum", "__p_fmin": "min", "__p_fmax": "max", "__p_isum": "sum", "__p_imax": "max"}
+                              aggs=aggs, ts_col="s", end_col="e", gap_s=60)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 300))
         start = rng.integers(0, 3600, n) * 1_000_000
         f = rng.normal(size=n) * 10.0 ** rng.integers(-2, 4, n)
         f[rng.random(n) < 0.1] = np.nan
+        f[rng.integers(0, n)] = np.nan
         tbl = pa.table({
             "k": [None if rng.random() < 0.1 else f"u{u}" for u in rng.integers(0, 5, n)],
-            "start_us": start, "end_us": start + rng.integers(0, 300, n) * 1_000_000,
-            "__n": rng.integers(1, 5, n), "__p_fs": f, "__p_fmin": f, "__p_fmax": f,
-            "__p_isum": rng.integers(-100, 100, n), "__p_imax": rng.integers(-100, 100, n),
+            "s": start, "e": start + rng.integers(0, 300, n) * 1_000_000,
+            "f": f, "i": rng.integers(-100, 100, n),
         })
-        got = job._merge_fragments(tbl).to_pylist()
-        want = _merge_loop(tbl.to_pylist(), 60 * 1_000_000, pcols)
-        got, want = sorted(got, key=_by_key), sorted(want, key=_by_key)
-        exact = ["k", "start_us", "end_us", "__n", "__p_fmin", "__p_fmax", "__p_isum", "__p_imax"]
-
-        def cells(rs):
-            return [["nan" if r[c] != r[c] else r[c] for c in exact] for r in rs]
-
-        assert cells(got) == cells(want)
-        np.testing.assert_allclose([r["__p_fs"] for r in got], [r["__p_fs"] for r in want], rtol=1e-12, atol=1e-9)
+        cuts = np.r_[0, np.sort(rng.integers(0, n + 1, 2)), n]
+        frags = pa.concat_tables([job._fragments(tbl.slice(lo, hi - lo)) for lo, hi in zip(cuts[:-1], cuts[1:])])
+        got = sorted(job._merge_fragments(frags).to_pylist(), key=_by_key)
+        want = sorted(_merge_loop(tbl.to_pylist(), 60 * 1_000_000), key=_by_key)
+        exact = ["k", "__start_min", "__end_max", "__pcount", "f_min", "f_max", "i_sum", "i_max"]
+        assert [[r[c] for c in exact] for r in got] == [[r[c] for c in exact] for r in want]
+        assert [r["f_sum"] is None for r in got] == [r["f_sum"] is None for r in want]
+        np.testing.assert_allclose(
+            [r["f_sum"] for r in got if r["f_sum"] is not None],
+            [r["f_sum"] for r in want if r["f_sum"] is not None],
+            rtol=1e-12, atol=1e-9,
+        )
 
 
 def test_a_timestamp_min_skips_nulls(ray_session, tmp_path):
@@ -344,3 +349,88 @@ def test_a_timestamp_min_skips_nulls(ray_session, tmp_path):
         {"user_id": "a", "t2min": as_ts[0], "t2max": as_ts[2]},
         {"user_id": "b", "t2min": None, "t2max": None},
     ]
+
+
+def _strip_slice_mark(ckpt_dir: str) -> None:
+    """Make the last manifest look as an older version wrote it: without
+    the ``extra["state"]`` mark of slice state."""
+    store = CheckpointStore(ckpt_dir)
+    path = store._mpath(store.committed_epochs()[-1])
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert doc["extra"].pop("state") == "slices"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_all_nan_session_commits_null_sum_and_mean(ray_session, tmp_path):
+    """A NaN is a null, as in the window partials: a session whose values
+    are all NaN gets a null sum, min, max and mean (an older version
+    committed sum 0.0 and mean 0.0), and a NaN among values is skipped by
+    all four, the mean's divisor too. The batch sessions agree."""
+    base = pd.Timestamp("2026-01-01").value // 1000
+    tbl = pa.table({
+        "user_id": ["a", "a", "b", "b"],
+        "ts": pa.array(base + np.array([0, 1, 2, 3]) * 1_000_000).cast(pa.timestamp("us")),
+        "value": [np.nan, np.nan, np.nan, 4.0],
+    })
+    ind = str(tmp_path / "in")
+    _write_chunks(tbl, ind, k=2)
+    aggs = [AggSpec("value", "sum", "s"), AggSpec("value", "mean", "m"), AggSpec("value", "min", "lo"),
+            AggSpec("value", "max", "hi")]
+    job = StreamingSessionJob(ind, str(tmp_path / "out"), str(tmp_path / "ck"), key="user_id", aggs=aggs, gap_s=3600)
+    job.run()
+    out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files()).sort_by("user_id")
+    assert out.to_pylist() == [
+        {"user_id": "a", "s": None, "m": None, "lo": None, "hi": None},
+        {"user_id": "b", "s": 4.0, "m": 4.0, "lo": 4.0, "hi": 4.0},
+    ]
+    batch = session_aggregate(rd.from_arrow(tbl), key="user_id", gap_s=3600, aggs=aggs).to_pandas()
+    pd.testing.assert_frame_equal(
+        batch.sort_values("user_id", ignore_index=True)[["user_id", "s", "m", "lo", "hi"]],
+        out.to_pandas()[["user_id", "s", "m", "lo", "hi"]],
+    )
+
+
+def test_extent_without_an_end_is_late(ray_session, tmp_path):
+    """An extent with a null end is dropped and counted late, as a null
+    event time is; it neither fails the epoch nor chains the others."""
+    sec = 1_000_000
+    tbl = pa.table({
+        "user_id": ["a", "a", "a"],
+        "ts": pa.array(np.array([0, 10, 20]) * sec).cast(pa.timestamp("us")),
+        "end_us": pa.array([5 * sec, None, 25 * sec], pa.int64()),
+    })
+    ind = str(tmp_path / "in")
+    os.makedirs(ind)
+    pq.write_table(tbl, os.path.join(ind, "chunk-0000.parquet"))
+    job = StreamingSessionJob(
+        ind, str(tmp_path / "out"), str(tmp_path / "ck"), key="user_id", aggs=IAGGS, end_col="end_us", gap_s=0,
+    )
+    ms = job.run()
+    assert sum(m.rows_late for m in ms) == 1
+    out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files()).sort_by("end_us")
+    assert out.select(["n_merged", "end_us"]).to_pylist() == [
+        {"n_merged": 1, "end_us": 5 * sec}, {"n_merged": 1, "end_us": 25 * sec},
+    ]
+
+
+def test_session_state_of_an_older_layout_is_rejected(ray_session, tmp_path):
+    """Carried state whose manifest lacks the slice mark holds an older
+    version's ``__n``/``__p_*`` fragments: the next epoch fails naming
+    its state file, and commits nothing."""
+    import pytest
+
+    tbl = _make_events(n=400, n_users=8)
+    ind = str(tmp_path / "in")
+    _write_chunks(tbl, ind, k=2)
+    def job():
+        return StreamingSessionJob(ind, str(tmp_path / "out"), str(tmp_path / "ck"), key="user_id", aggs=AGGS)
+
+    m = job().run_epoch()
+    assert m.state_rows > 0 and m.extra["state"] == "slices"
+    _strip_slice_mark(str(tmp_path / "ck"))
+    resumed = job()
+    with pytest.raises(ValueError, match=f"{m.state_files()[0]}: session state in the __n/__p_"):
+        resumed.run_epoch()
+    assert resumed.store.committed_epochs() == [0]

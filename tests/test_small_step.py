@@ -184,19 +184,35 @@ def _rule(monkeypatch) -> list[tuple[int, int]]:
     return counted
 
 
-# windows per input row: a sliding job's bound is as many times 60 rows
-FANOUT = {"tumbling-native": 1, "sliding-native": 36}
+def _per_table(rule: list[tuple[int, int]], per_row: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The row rule's calls of each epoch as (state, output) pairs: a job
+    whose output holds up to ``per_row`` > 1 rows per live and carried
+    row asks the rule a second time, for its output."""
+    return list(zip(rule[::2], rule[1::2])) if per_row > 1 else [(r, r) for r in rule]
 
 
-@pytest.mark.parametrize("name", sorted(FANOUT))
+def _want_rule(manifests, bound: int, per_row: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Per epoch, what the rule gives for its state and its output: one
+    file per ``bound`` rows of input plus carried state, counted
+    ``per_row`` times for the output."""
+    prev_state = [0] + [m.state_rows for m in manifests[:-1]]
+    return [
+        ((r, max(1, -(-(r + s) // bound))), (per_row * r, max(1, -(-per_row * (r + s) // bound))))
+        for r, s in ((m.rows_in, s) for m, s in zip(manifests, prev_state))
+    ]
+
+
+@pytest.mark.parametrize("name", ["sliding-native", "tumbling-native"])
 def test_steps_split_state_alike_past_the_row_bound(name, stream_dir, tmp_path, monkeypatch, ray_session):
     """With a low bound of rows per file, both task counts split the
-    closed and the open hour windows of each ~215-row epoch into the
-    same files: the hash buckets the row rule gives for the epoch's rows
-    and carried state, all of them in some epoch's state; one map task
-    per file feeds one reduce task per file."""
-    fanout = FANOUT[name]
-    bound = 60 * fanout
+    closed hour windows and the open panes of each ~215-row epoch into
+    the same files: the hash buckets the row rule gives for the epoch's
+    rows and carried state, all of them in some epoch's state. A sliding
+    epoch's output, up to 36 windows per pane, gets the buckets the rule
+    gives for 36 times those rows, rounded up to a multiple of the
+    state's. One map task per file feeds one reduce task per file."""
+    bound = 60
+    per_row = 3600 // WINDOW_JOBS[name].get("slide_s", 3600)
     monkeypatch.setattr(driver, "ROW_GROUP_ROWS", bound)  # the rule's bound, not the writer's row groups
     rule = _rule(monkeypatch)
     got = {}
@@ -205,31 +221,36 @@ def test_steps_split_state_alike_past_the_row_bound(name, stream_dir, tmp_path, 
         rule.clear()
         base = f"{tmp_path}/{label}"
         manifests = _window_job(stream_dir, base, size_s=3600, **WINDOW_JOBS[name]).run()
-        prev_state = [0] + [m.state_rows for m in manifests[:-1]]
-        rows = [m.rows_in * fanout for m in manifests]
-        assert rule == [(r, max(1, -(-(r + s) // bound))) for r, s in zip(rows, prev_state)]
-        for m, (_, n_files) in zip(manifests, rule):
-            assert {int(k) for k in (*m.partitions, *m.state_partitions)} <= set(range(n_files))
-        most = max(n for _, n in rule)
+        tables = _per_table(rule, per_row)
+        assert tables == _want_rule(manifests, bound, per_row)
+        n_out = []
+        for m, ((_, n_state), (_, n)) in zip(manifests, tables):
+            n_out.append(n_state * -(-n // n_state))
+            assert {int(k) for k in m.state_partitions} <= set(range(n_state))
+            assert {int(k) for k in m.partitions} <= set(range(n_out[-1]))
+        most = max(n for (_, n), _ in tables)
         assert max(_state_files(f"{base}/ckpt")) == most > 1
-        assert 1 < max(_out_files(f"{base}/ckpt")) <= most
+        assert 1 < max(_out_files(f"{base}/ckpt")) <= max(n_out)
         got[label] = _fingerprint(f"{base}/ckpt")
     assert got["task"] == got["dataset"]
 
 
 def test_sliding_files_hold_at_most_the_row_bound_on_average(stream_dir, tmp_path, monkeypatch, ray_session):
-    """A sliding epoch's rows are its input rows times ``size_s/slide_s``
-    windows: the row rule counts them so, and gives each epoch's output
-    and state enough hash files for at most 60 rows each on average (a
-    hash bucket holds whole keys, so one file may hold more). Counting
-    input rows once gave epoch 0's 313 closed rows 4 files."""
+    """A sliding epoch's state is its open panes, at most its input rows
+    plus its carried panes; its output is the windows those panes close,
+    at most ``size_s/slide_s`` = 36 per pane. The row rule counts each
+    so, and gives each epoch's output and state enough hash files for
+    at most 60 rows each on average (a hash bucket holds whole keys, so
+    one file may hold more). Counting input rows once gave epoch 0's 313
+    closed rows 4 files."""
     monkeypatch.setattr(driver, "ROW_GROUP_ROWS", 60)
     counted = _rule(monkeypatch)
     job = _window_job(stream_dir, str(tmp_path), size_s=3600, slide_s=100)
     manifests = job.run()
-    assert [r for r, _ in counted] == [36 * m.rows_in for m in manifests]
-    for m, (_, n_files) in zip(manifests, counted):
-        assert m.rows_out <= 60 * n_files and m.state_rows <= 60 * n_files
+    tables = _per_table(counted, 36)
+    assert [(s[0], o[0]) for s, o in tables] == [(m.rows_in, 36 * m.rows_in) for m in manifests]
+    for m, ((_, n_state), (_, n_out)) in zip(manifests, tables):
+        assert m.rows_out <= 60 * n_out and m.state_rows <= 60 * n_state
     assert manifests[0].rows_out > 60 * 4
 
 
@@ -306,3 +327,18 @@ def test_an_integer_partial_above_2_pow_53_next_to_a_null(tmp_path, monkeypatch,
     out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files()).sort_by("conv_id")
     assert out.schema.field("max_x").type == pa.int64()
     assert out.column("max_x").to_pylist() == [9007199254740993, None]
+
+
+def test_fingerprint_walks_every_checkpoint_under_a_dir(stream_dir, tmp_path, capsys, ray_session):
+    """``tools/fingerprint.py DIR`` prints every checkpoint under DIR,
+    each epoch labelled by the checkpoint's path relative to DIR."""
+    from tools.fingerprint import main
+
+    for base in ("a", "x/b"):
+        _window_job(stream_dir, f"{tmp_path}/{base}").run(max_epochs=2, finalize=False)
+    assert main([str(tmp_path)]) == 0
+    got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    want = [[label, *e] for label in ("a/ckpt", "x/b/ckpt") for e in _fingerprint(f"{tmp_path}/{label}")]
+    assert got == json.loads(json.dumps(want)) and len(got) == 4
+    assert main([f"{tmp_path}/a/ckpt"]) == 0
+    assert [json.loads(line)[0] for line in capsys.readouterr().out.splitlines()] == [".", "."]

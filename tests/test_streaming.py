@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -322,3 +323,113 @@ def test_resume_from_state_holding_an_integer_aggregate_as_float(bound, tmp_path
         {"conv_id": "a", "n": 2, "max_x": 3, "sum_x": 3},
         {"conv_id": "b", "n": 2, "max_x": 5, "sum_x": 9},
     ]
+
+
+def test_an_all_nan_window_commits_nulls(tmp_path, ray_session):
+    """A NaN is a null in the window partials: a window whose values are
+    all NaN commits a null sum, min, max and mean (an older version
+    committed min +inf and max -inf), and a window's mean skips its NaN
+    and null values, as its sum does (an older version divided by every
+    row). The batch aggregate agrees."""
+    d = f"{tmp_path}/in"
+    os.makedirs(d)
+    ts = pa.array([1, 2, 3, 4, 5, 6], pa.timestamp("s")).cast(pa.timestamp("us"))
+    tbl = pa.table({"k": ["a", "a", "b", "c", "c", "c"], "ts": ts, "v": [np.nan, np.nan, 1.0, np.nan, None, 4.0]})
+    pq.write_table(tbl, f"{d}/chunk-0.parquet")
+    aggs = [AggSpec("v", "sum", "s"), AggSpec("v", "min", "lo"), AggSpec("v", "max", "hi"), AggSpec("v", "mean", "m")]
+    job = StreamingWindowedJob(
+        input_dir=d, out_dir=f"{tmp_path}/out", ckpt_dir=f"{tmp_path}/ckpt", keys=["k"], aggs=aggs, size_s=60
+    )
+    job.run()
+    got = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files()).sort_by("k")
+    assert got.drop_columns(["window_start"]).to_pylist() == [
+        {"k": "a", "s": None, "lo": None, "hi": None, "m": None},
+        {"k": "b", "s": 1.0, "lo": 1.0, "hi": 1.0, "m": 1.0},
+        {"k": "c", "s": 4.0, "lo": 4.0, "hi": 4.0, "m": 4.0},
+    ]
+    batch = windowed_aggregate(rd.from_arrow(tbl), keys=["k"], aggs=aggs, size_s=60).to_pandas()
+    pd.testing.assert_frame_equal(_norm(batch), _norm(got.to_pandas()))
+
+
+def test_a_sliding_late_row_counts_once_per_closed_window(tmp_path, ray_session):
+    """A late row is counted once for each of its windows that had
+    closed, and still counts in its open ones: at watermark 4970 s, 700 s
+    lies in two closed 600 s windows (starts 300 and 600), 4700 s in one
+    closed (4200) and one open (4500)."""
+    d = f"{tmp_path}/in"
+    os.makedirs(d)
+    for i, secs in enumerate([[10, 5000], [700, 4700]]):
+        ts = pa.array(secs, pa.timestamp("s")).cast(pa.timestamp("us"))
+        pq.write_table(pa.table({"k": ["a"] * len(secs), "ts": ts}), f"{d}/chunk-{i}.parquet")
+    job = StreamingWindowedJob(
+        input_dir=d, out_dir=f"{tmp_path}/out", ckpt_dir=f"{tmp_path}/ckpt", keys=["k"],
+        aggs=[AggSpec(None, "count", "n")], size_s=600, slide_s=300, allowed_lateness_s=30,
+    )
+    assert [m.rows_late for m in job.run()] == [0, 3, 0]
+    out = pa.concat_tables(pq.read_table(f) for f in job.store.committed_output_files())
+    got = {r["window_start"].timestamp(): r["n"] for r in out.to_pylist()}
+    assert got == {0: 1, 4500: 2, 4800: 1}
+
+
+def test_sliding_state_holds_open_panes(stream_dir, tmp_path, ray_session):
+    """A sliding job keyed on a sparse key carries one state row per
+    open (key, pane): the distinct (conversation, 60 s pane) pairs of
+    the rows read so far whose last window, ``pane + size``, ends after
+    the epoch's watermark; never one row per open window."""
+    stream_d, _ = stream_dir
+    job = _job(stream_d, str(tmp_path), keys=["conv_id"], size_s=600, slide_s=60, allowed_lateness_s=3600)
+    manifests = job.run()
+    seen = []
+    for m in manifests:
+        seen += [pq.read_table(f, columns=["conv_id", "ts"]) for f in m.input_files]
+        rows = pa.concat_tables(seen)
+        pane = pc.cast(rows.column("ts"), pa.int64()).to_numpy() // 60_000_000 * 60_000_000
+        pairs = zip(rows.column("conv_id").to_pylist(), pane, pane + 600_000_000 > m.watermark_us)
+        assert m.state_rows == len({(c, p) for c, p, live in pairs if live})
+    assert max(m.state_rows for m in manifests) > 30
+
+
+def test_sliding_state_of_an_older_layout_is_rejected(stream_dir, tmp_path, ray_session):
+    """An older version carried window partials for sliding windows,
+    which cannot be split back into panes: a checkpoint whose manifest
+    lacks the slice mark and holds state fails the next epoch with an
+    error naming its state file. A tumbling window is its own pane, so
+    its state needs no mark."""
+    from .test_session_job import _strip_slice_mark
+
+    stream_d, _ = stream_dir
+    m = _job(stream_d, str(tmp_path), slide_s=300).run_epoch()
+    assert m.state_rows > 0 and m.extra["state"] == "slices"
+    _strip_slice_mark(f"{tmp_path}/ckpt")
+    with pytest.raises(ValueError, match=f"{m.state_files()[0]}: sliding state of an older version"):
+        _job(stream_d, str(tmp_path), slide_s=300).run_epoch()
+    tumbling = _job(stream_d, f"{tmp_path}/t")
+    assert "state" not in tumbling.run_epoch().extra
+    assert len(_job(stream_d, f"{tmp_path}/t").run()) == 5
+
+
+def _tlen(tbl: pa.Table) -> pa.Table:
+    return tbl.append_column("tlen", pc.utf8_length(tbl.column("text")))
+
+
+def test_tumbling_state_without_a_mean_count_resumes(stream_dir, tmp_path, ray_session):
+    """A mean carries its column's count of values (``{col}_count``);
+    tumbling state of an older version has none and counted every row.
+    Resumed from such state, with no null among the values, a job
+    commits the clean run's output bytes."""
+    stream_d, _ = stream_dir
+    kw = dict(transform=_tlen, aggs=[AggSpec("tlen", "mean", "m"), AggSpec(None, "count", "n")])
+    ref = _job(stream_d, f"{tmp_path}/ref", **kw)
+    ref.run()
+    job = _job(stream_d, f"{tmp_path}/run", **kw)
+    m = job.run(max_epochs=2, finalize=False)[-1]
+    assert m.state_rows > 0
+    for f in m.state_files():
+        t = pq.read_table(f)
+        assert "tlen_count" in t.column_names
+        pq.write_table(t.drop_columns(["tlen_count"]), f)
+    job.run()
+    out = [job.store.load(e).partitions for e in job.store.committed_epochs()]
+    want = [ref.store.load(e).partitions for e in ref.store.committed_epochs()]
+    assert [{k: e["sha256"] for k, e in p.items()} for p in out] == [{k: e["sha256"] for k, e in p.items()} for p in want]
+    assert sum(len(p) for p in out) > 2

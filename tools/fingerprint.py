@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Print what a streaming job committed, without absolute paths.
+"""Print what streaming jobs committed, without absolute paths.
 
-Usage: python tools/fingerprint.py CKPT_DIR...
+Usage: python tools/fingerprint.py DIR...
 
-For each committed epoch of each checkpoint directory, one JSON line:
-the manifest counters (epoch, watermark, rows in/late/out, state rows),
+For each committed epoch of every checkpoint directory (one holding
+``manifests/``) under each DIR, DIR itself included, one JSON list: the
+checkpoint's path relative to DIR (``.`` for DIR), then the manifest
+counters (epoch, watermark, rows in/late/out, state rows),
 (partition, rows, sha256) of every output and state file, and the
 sha256 of the canonical Parquet bytes of all the epoch's output rows
 (``sink.canonical_bytes``; for a one-file epoch, that file's sha256).
@@ -12,7 +14,10 @@ The counters and per-file entries come from the manifests, so they work
 on checkpoints any version wrote, and two runs wrote the same bytes
 exactly when their lines ``diff`` equal. The rows digest reads the
 epoch's output files, which must still be in place; two runs that split
-the same rows into different files have the same rows digest.
+the same rows into different files have the same rows digest. To compare
+two trees, run the same jobs on each and ``diff`` the tool's output over
+their run directories, e.g. the gates' ``/tmp/vaero_ray_gate/sf0.01``
+after each tree's ``tools/selfcheck.py``.
 """
 
 from __future__ import annotations
@@ -61,13 +66,19 @@ def fingerprint(ckpt_dir: str) -> list:
     return out
 
 
+def checkpoints(root: str) -> list[str]:
+    """Every checkpoint directory under ``root``, ``root`` included, sorted."""
+    return sorted(d for d, subdirs, _ in os.walk(root) if "manifests" in subdirs)
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    for ckpt_dir in argv:
-        for epoch in fingerprint(ckpt_dir):
-            print(json.dumps(epoch))
+    for root in argv:
+        for ckpt_dir in checkpoints(root):
+            for epoch in fingerprint(ckpt_dir):
+                print(json.dumps([os.path.relpath(ckpt_dir, root), *epoch]))
     return 0
 
 

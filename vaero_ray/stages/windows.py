@@ -208,6 +208,8 @@ def session_aggregate(
                 out[a.alias] = g.size().astype("int64")
             elif a.fn == "mean":
                 out[a.alias] = g[a.col].mean()
+            elif a.fn == "sum":  # none but NaN or null: null, as in partial_table
+                out[a.alias] = g[a.col].sum(min_count=1)
             else:
                 out[a.alias] = getattr(g[a.col], a.fn)()
                 if pd.api.types.is_datetime64_any_dtype(df[a.col]):
@@ -228,15 +230,15 @@ class AggSpec:
 
 def _plan_partials(aggs: list[AggSpec]) -> tuple[list[tuple[str, str]], bool]:
     """Partial-column plan: (col, fn) pyarrow group_by aggs + whether a
-    row count must be carried (for count/mean finalization)."""
+    row count must be carried (for count finalization). A mean carries
+    the sum and the count of its column's values."""
     pa_aggs: list[tuple[str, str]] = []
     need_count = False
     for a in aggs:
         if a.fn == "count":
             need_count = True
         elif a.fn == "mean":
-            pa_aggs.append((a.col, "sum"))
-            need_count = True
+            pa_aggs += [(a.col, "sum"), (a.col, "count")]
         else:
             pa_aggs.append((a.col, a.fn))
     return sorted(set(pa_aggs)), need_count
@@ -255,11 +257,16 @@ def partial_table(
     ``group_by``. Partial columns: ``{col}_{fn}`` + ``__pcount``.
     Partials of partials merge associatively (sum of sums, min of mins…) —
     the property the streaming engine uses to carry open-window state
-    across epochs."""
+    across epochs. A NaN is a null: sum, min, max and mean skip both,
+    and a group with no other value gets null."""
     group_cols = list(keys) + ([window_col] if size_s is not None else [])
     pa_aggs_dedup, need_count = _plan_partials(aggs)
     if size_s is not None:
         tbl = assign_tumbling(tbl, ts_col, size_s, window_col)
+    for col in {c for c, _ in pa_aggs_dedup}:
+        v = tbl.column(col)
+        if pa.types.is_floating(v.type):
+            tbl = tbl.set_column(tbl.schema.get_field_index(col), col, pc.if_else(pc.is_nan(v), None, v))
     gb_aggs = list(pa_aggs_dedup)
     if need_count or not gb_aggs:
         # every row, a null key's too (a count of a key column skips nulls)
@@ -316,7 +323,7 @@ def merge_partials(
     if backend == "bucketed":
         from vaero_ray.stages.keyed import bucketed_keyed_agg
 
-        plan = {f"{c}_{fn}": ("sum" if fn == "sum" else fn) for c, fn in pa_aggs_dedup}
+        plan = {f"{c}_{fn}": ("sum" if fn in ("sum", "count") else fn) for c, fn in pa_aggs_dedup}
         if need_count or not pa_aggs_dedup:
             plan["__pcount"] = "sum"
         merged = bucketed_keyed_agg(partials, group_cols, plan, num_buckets=num_buckets)
@@ -324,7 +331,7 @@ def merge_partials(
     ray_aggs = []
     for col, fn in pa_aggs_dedup:
         pname = f"{col}_{fn}"
-        if fn == "sum":
+        if fn in ("sum", "count"):
             ray_aggs.append(Sum(pname, alias_name=pname))
         elif fn == "min":
             ray_aggs.append(Min(pname, alias_name=pname))
@@ -348,14 +355,14 @@ def _canon_us_tbl(tbl: pa.Table) -> pa.Table:
 
 
 def merge_partial_tables(tables: list[pa.Table], group_cols: list[str], aggs: list[AggSpec]) -> pa.Table:
-    """Pure-table phase 2: merge partial tables (associative: sum of sums,
-    min of mins, max of maxes, sum of partial counts). The streaming
+    """Pure-table phase 2: merge partial tables (associative: sum of sums
+    and of counts, min of mins, max of maxes). The streaming
     windowed job's reduce tasks (streaming/job.py) merge live partials
     with carried state through it."""
     pa_aggs_dedup, need_count = _plan_partials(list(aggs))
     plan: list[tuple[str, str]] = []
     for col, fn in pa_aggs_dedup:
-        plan.append((f"{col}_{fn}", "sum" if fn == "sum" else fn))
+        plan.append((f"{col}_{fn}", "sum" if fn in ("sum", "count") else fn))
     if need_count or not pa_aggs_dedup:
         plan.append(("__pcount", "sum"))
     cols = group_cols + [p for p, _ in plan]
@@ -370,8 +377,9 @@ def merge_partial_tables(tables: list[pa.Table], group_cols: list[str], aggs: li
 
 def finalize_table(tbl: pa.Table, group_cols: list[str], aggs: list[AggSpec]) -> pa.Table:
     """Pure-table phase 3: partial columns -> user-facing aliases; mean =
-    sum/count; timestamps normalized to us. Used by the Dataset wrapper
-    below and directly by the streaming windowed job's reduce tasks."""
+    sum/count of the values; timestamps normalized to us. Used by the
+    Dataset wrapper below and directly by the streaming windowed job's
+    reduce tasks."""
     cols: dict[str, pa.ChunkedArray | pa.Array] = {c: tbl.column(c) for c in group_cols}
     for a in aggs:
         if a.fn == "count":
@@ -379,7 +387,7 @@ def finalize_table(tbl: pa.Table, group_cols: list[str], aggs: list[AggSpec]) ->
         elif a.fn == "mean":
             cols[a.alias] = pc.divide(
                 pc.cast(tbl.column(f"{a.col}_sum"), pa.float64()),
-                pc.cast(tbl.column("__pcount"), pa.float64()),
+                pc.cast(tbl.column(f"{a.col}_count"), pa.float64()),
             )
         else:
             cols[a.alias] = tbl.column(f"{a.col}_{a.fn}")

@@ -37,9 +37,8 @@ task calls ``per_task`` once on its whole Arrow table and writes each
 ``sink.Write`` it returns, under the ``Claim``'s output or state dir: as
 one file per hash bucket, as many buckets as the row rule
 ``file_partitions`` gives, or one file per sink prefix. The task counts
-do not change the bytes, except that a windowed epoch's float ``sum``
-or ``mean`` may differ in its last bits at another map-task count (its
-map tasks compute partials over all of their files at once).
+do not change the bytes but for a windowed float ``sum`` or ``mean``
+(``KeyedStep``).
 """
 
 from __future__ import annotations
@@ -292,6 +291,15 @@ def file_partitions(rows_in: int, lineage_rows: dict) -> int:
     return max(1, -(-rows // ROW_GROUP_ROWS))
 
 
+def slice_state(c: Claim, older: str) -> dict:
+    """The manifest ``extra`` marking state as slices (panes, session
+    fragments); carried state without it is ``older``: a ``ValueError``."""
+    files = c.state_files()
+    if files and c.last.extra.get("state") != "slices":
+        raise ValueError(f"{files[0]}: {older}; replay the stream into a new checkpoint directory")
+    return {"state": "slices"}
+
+
 def event_us(col: pa.ChunkedArray) -> pa.ChunkedArray:
     """Event times as int64 microseconds (an integer column already is)."""
     if pa.types.is_timestamp(col.type):
@@ -375,19 +383,19 @@ def _map_task(
 
 
 def _reduce_task(
-    per_task: Callable, watermark_us: int, epoch: int, n_files: int, dirs: dict, *pieces: pa.Table
+    per_task: Callable, watermark_us: int, epoch: int, n_files: dict, dirs: dict, *pieces: pa.Table
 ) -> tuple:
     """Concatenate one reduce task's pieces, call ``per_task(tbl,
     watermark_us)`` once on them, and write each ``sink.Write`` it
-    returns under ``dirs[kind]``. Returns (lineage records, phase
-    seconds)."""
+    returns under ``dirs[kind]`` in ``n_files[kind]`` hash buckets.
+    Returns (lineage records, phase seconds)."""
     timer = step.PhaseTimer()
     records = []
     with timer("compute_s"):
         writes = per_task(pa.concat_tables(pieces, promote_options="permissive"), watermark_us)
     with timer("write_s"):
         for w in writes:
-            records += w.write(dirs[w.kind], epoch, n_files)
+            records += w.write(dirs[w.kind], epoch, n_files[w.kind])
     return records, timer.report()
 
 
@@ -424,29 +432,26 @@ class KeyedStep:
     event time (None without rows), and ``rows_late``. The job computes
     its watermark from them and calls ``reduce``.
 
-    Everything is sized from the footers, which the job's process reads
-    once per file (``_task_groups``): a map task reads at most
-    ``step.SMALL_EPOCH_BYTES``; each written table is split into
-    ``file_partitions`` hash-bucket files (its rows are the live rows,
-    times ``fanout`` for a job whose rows multiply, plus the carried
-    state rows); the epoch's bytes over the map budget set the number of
-    reduce tasks, up to that file count. A small epoch is one map and one
-    reduce task, and the job's process calls both itself on the files it
-    opened; a larger one runs them as Ray tasks. Every reduce task holds
-    all rows of its keys, so ``per_task`` sees whole keys, and each file
-    has one writer and the same bytes however many tasks ran, except
-    for the windowed job: its live source is not ``per_file`` and
+    Everything is sized from the footers, read once per file in the
+    job's process (``_task_groups``): a map task reads at most
+    ``step.SMALL_EPOCH_BYTES``; each table is split into
+    ``file_partitions`` hash-bucket files of the live plus carried rows;
+    the epoch's bytes over the map budget set the reduce tasks, up to
+    that file count. A small epoch's one map and one reduce task run in
+    the job's process, a larger epoch's as Ray tasks. A reduce task
+    holds whole keys, and each file has one writer and the same bytes
+    however many tasks ran, except for the windowed job: its live source
     computes partials over all of a map task's files at once, so a float
     sum may round otherwise at another map-task count."""
 
-    def __init__(self, c: Claim, sources: list[Source], key: str, fanout: int = 1):
+    def __init__(self, c: Claim, sources: list[Source], key: str):
         t0 = time.perf_counter()
-        lineage_rows = c.lineage_rows()
+        self._lineage_rows = lineage_rows = c.lineage_rows()
         groups, self.counts = _task_groups(sources, lineage_rows)
         self._phases: Counter = Counter(read_s=time.perf_counter() - t0)
         total = self.counts["bytes_in"] + self.counts["state_bytes_in"]
         self.epoch, self.dirs = c.epoch, {"out": c.out_dir, "state": c.state_dir}
-        self.n_files = file_partitions(self.counts["rows_in"] * fanout, lineage_rows)
+        self.n_files = file_partitions(self.counts["rows_in"], lineage_rows)
         self.n_reduce = max(1, min(self.n_files, -(-total // max(step.SMALL_EPOCH_BYTES, 1))))
         # a task round trip buys nothing when there is one task per stage
         self._inline = len(groups) <= 1 and self.n_reduce == 1
@@ -467,10 +472,19 @@ class KeyedStep:
                 if mx is not None and (self.maxima[i] is None or mx > self.maxima[i]):
                     self.maxima[i] = mx
 
-    def reduce(self, per_task: Callable, watermark_us: int, extra: dict | None = None) -> StepResult:
+    def reduce(
+        self, per_task: Callable, watermark_us: int, extra: dict | None = None, out_per_row: int = 1
+    ) -> StepResult:
         """Call ``per_task(tbl, watermark_us) -> list[sink.Write]`` once in
         every reduce task, on all of its rows; the task writes the
-        tables and only lineage comes back."""
+        tables and only lineage comes back. Output of up to
+        ``out_per_row`` rows per live and carried row gets the files the
+        row rule gives for that many, rounded up to a multiple of the
+        state's count: each output bucket lies in one reduce task's."""
+        n_files = {"out": self.n_files, "state": self.n_files}
+        if out_per_row > 1:
+            rows = {p: r * out_per_row for p, r in self._lineage_rows.items()}
+            n_files["out"] *= -(-file_partitions(self.counts["rows_in"] * out_per_row, rows) // self.n_files)
         known = [m for m in self.maxima if m is not None]
         res = StepResult(
             watermark_us,
@@ -481,7 +495,7 @@ class KeyedStep:
             step="task",
         )
         args = [
-            (per_task, watermark_us, self.epoch, self.n_files, self.dirs, *[m[1 + r] for m in self._maps])
+            (per_task, watermark_us, self.epoch, n_files, self.dirs, *[m[1 + r] for m in self._maps])
             for r in (range(self.n_reduce) if self._maps else ())
         ]
         if self._inline:
