@@ -1,17 +1,19 @@
 """The epoch driver (streaming/driver.py) under every streaming job.
 
-- kill-resume: each job is killed in its second epoch at four points —
+- kill-resume: each job is killed in its second epoch at five points —
   after the step's output writes (its state files deleted), after the
   output and state writes but before the commit, after the manifest tmp
-  file is written but before its rename, and after the rename but before
-  the metrics append. A fresh job object resumes; every output, state
-  and manifest file must equal a clean run's bytes.
+  file is written but before its rename, after the rename but before
+  the metrics append, and halfway through the metrics append (a torn
+  last line). A fresh job object resumes; every output, state and
+  manifest file must equal a clean run's bytes.
 - metrics: every committed epoch, empty and finalize epochs included,
   has exactly one ``metrics.jsonl`` record with the common keys.
-- keyed step: the windowed, route, stitch, session, fold and join jobs
-  run no Ray Data execution, and write the same bytes whatever their
-  task counts, also when a resume switches them; a keyed checkpoint that
-  holds one state file per hash bucket resumes under the row rule.
+- keyed step: the windowed, route (relational branches included),
+  stitch, session, fold and join jobs run no Ray Data execution, and
+  write the same bytes whatever their task counts, also when a resume
+  switches them; a keyed checkpoint that holds one state file per hash
+  bucket resumes under the row rule.
 - in-process step: a small window, route or keyed epoch starts no Ray
   task; an over-budget keyed epoch fans out to map and reduce tasks.
 - input listing: a directory name with glob characters is read
@@ -55,7 +57,7 @@ from .test_small_step import _fingerprint
 N_CHUNKS = 3
 KILL_EPOCH = 1
 COMMON_KEYS = {
-    "epoch", "op", "step", "rows_in", "bytes_in", "state_bytes_in", "rows_late", "rows_out", "state_rows",
+    "epoch", "op", "rows_in", "bytes_in", "state_bytes_in", "rows_late", "rows_out", "state_rows",
     "watermark_us", "files_written", "read_s", "compute_s", "write_s", "wall_s",
 }
 BASE_US = pd.Timestamp("2026-01-01").value // 1000
@@ -128,13 +130,17 @@ def inputs(tmp_path_factory) -> dict:
 
 def _route_graph(relational: bool = False) -> list:
     """Two plain branches; with ``relational``, a third branch with a
-    dataset-level filter, which runs every epoch as a Ray Data plan."""
+    dataset-level filter and a fourth with a per-epoch window, whose rows
+    meet in one reduce task."""
     Vaero.reset()
     src = Vaero().source("parquet", path="unused")
     src.mask("text", r"user\d+@example\.com", "<email>").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d/%H")
     src.filter_regexp("role", "^tool$").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d")
     if relational:
         src.filter_expr("turn_idx >= 2").sink("s3", timestamp_key="ts", filename_prefix="%Y/%m/%d")
+        src.window(keys=["conv_id"], aggs=[[None, "count", "n"], ["turn_idx", "max", "last_turn"]], size_s=600).sink(
+            "s3", timestamp_key="window_start", filename_prefix="%Y/%m/%d/%H"
+        )
     return Vaero.start()
 
 
@@ -195,8 +201,8 @@ JOBS = [
     "fold", "join",
 ]
 KEYED = ["stitch", "session-point", "session-extent", "fold", "join", "join-outer"]
-# every job at every size runs on KeyedStep but a route job with a relational branch
-STEPPED = KEYED + ["windowed", "windowed-sliding", "windowed-transform", "transform"]
+# every job at every size runs on KeyedStep
+STEPPED = KEYED + ["windowed", "windowed-sliding", "windowed-transform", "transform", "transform-relational"]
 
 
 @pytest.fixture(scope="module")
@@ -291,11 +297,24 @@ def _kill_after_rename(monkeypatch, job_cls):
     monkeypatch.setattr(checkpoint.os, "replace", replace)
 
 
+def _kill_in_metrics_append(monkeypatch, job_cls):
+    """The metrics append writes half of its line, then the job dies."""
+
+    def torn(self, record):
+        line = json.dumps(record, sort_keys=True) + "\n"
+        with open(os.path.join(self.dir, "metrics.jsonl"), "a") as fh:
+            fh.write(line[: len(line) // 2])
+        raise Killed
+
+    monkeypatch.setattr(checkpoint.CheckpointStore, "append_metrics", torn)
+
+
 KILLS = {
     "after-output": _kill_in_step(delete_state=True),
     "before-commit": _kill_in_step(delete_state=False),
     "before-rename": _kill_before_rename,
     "after-rename": _kill_after_rename,
+    "torn-metrics": _kill_in_metrics_append,
 }
 
 
@@ -314,7 +333,7 @@ def test_kill_resume_is_byte_identical(name, kill, inputs, clean_runs, tmp_path,
         KILLS[kill](mp, type(job))
         with pytest.raises(Killed):
             job.run_epoch()
-    assert job.store.committed_epochs() == list(range(KILL_EPOCH + (kill == "after-rename")))
+    assert job.store.committed_epochs() == list(range(KILL_EPOCH + (kill in ("after-rename", "torn-metrics"))))
     if kill == "before-rename":
         assert os.path.exists(f"{base}/ckpt/manifests/epoch-{KILL_EPOCH:08d}.json.tmp")
 
@@ -327,9 +346,9 @@ def test_kill_resume_is_byte_identical(name, kill, inputs, clean_runs, tmp_path,
 
 
 def test_a_relational_branch_keeps_the_plain_branches_files(clean_runs, ray_session):
-    """A route graph with a relational branch runs each epoch as a Ray
-    Data plan; its plain branches commit the paths, manifest keys and
-    bytes that the task step commits for them in a graph without it."""
+    """A route graph with relational branches: its plain branches commit
+    the paths, manifest keys and bytes that they commit in a graph
+    without them."""
 
     def files(base: str) -> set:
         store = checkpoint.CheckpointStore(f"{base}/ckpt")
@@ -341,8 +360,8 @@ def test_a_relational_branch_keeps_the_plain_branches_files(clean_runs, ray_sess
         }
 
     plain, mixed = clean_runs("transform"), clean_runs("transform-relational")
-    assert {r["step"] for r in _metrics(f"{mixed}/ckpt")} == {"dataset"}
-    relational = {f for f in files(mixed) if f[1].startswith("b2_")}
+    assert all(None not in [r[k] for k in step.PHASES] for r in _metrics(f"{mixed}/ckpt"))
+    relational = {f for f in files(mixed) if f[1].startswith(("b2_", "b3_"))}
     assert relational and files(plain) == files(mixed) - relational
 
 
@@ -353,7 +372,6 @@ def test_one_complete_metrics_record_per_epoch(name, inputs, clean_runs, tmp_pat
     _assert_one_record_per_epoch(clean)
     # every epoch of these small streams is a task step, which times its phases
     for rec in _metrics(clean.ckpt_dir):
-        assert rec["step"] == "task"
         assert None not in [rec[k] for k in step.PHASES], rec
 
     # a stream with no input: its only epoch is an empty finalize epoch
@@ -396,9 +414,9 @@ def test_keyed_jobs_run_no_ray_data_execution(name, inputs, tmp_path, monkeypatc
     for budget in (step.SMALL_EPOCH_BYTES, TASK_PER_FILE):
         monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", budget)
         job = _job(name, inputs, f"{tmp_path}/{budget}")
-        assert len(job.run()) == N_CHUNKS + (name != "transform")  # a route job has no finalize epoch
+        assert len(job.run()) == N_CHUNKS + (not name.startswith("transform"))  # a route job has no finalize epoch
         assert sum(m.rows_out for m in (job.store.load(e) for e in job.store.committed_epochs())) > 0
-        assert {r["step"] for r in _metrics(job.ckpt_dir)} == {"task"}
+        assert all(None not in [r[k] for k in step.PHASES] for r in _metrics(job.ckpt_dir))
     assert calls == []
 
 
@@ -493,7 +511,7 @@ def test_resume_from_state_in_one_file_per_bucket(name, inputs, clean_runs, tmp_
     assert max(len(e[6]["out"]) for e in clean) <= 1 and max(len(e[6]["state"]) for e in clean) <= 2
 
 
-@pytest.mark.parametrize("name", ["windowed", "transform", "stitch"])
+@pytest.mark.parametrize("name", ["windowed", "transform", "transform-relational", "stitch"])
 def test_a_small_epoch_starts_no_ray_task(name, inputs, tmp_path, monkeypatch):
     """A window or route step, and a keyed epoch of one map and one reduce
     task, run in the job's process: starting a Ray task fails the run."""
@@ -505,9 +523,9 @@ def test_a_small_epoch_starts_no_ray_task(name, inputs, tmp_path, monkeypatch):
         monkeypatch.setattr(mod, attr, refuse)
     job = _job(name, inputs, str(tmp_path))
     manifests = job.run()
-    assert len(manifests) == N_CHUNKS + (name != "transform")  # windowed and stitch end with a finalize epoch
+    assert len(manifests) == N_CHUNKS + (not name.startswith("transform"))  # windowed and stitch end with a finalize epoch
     assert sum(m.rows_out for m in manifests) > 0
-    assert {r["step"] for r in _metrics(job.ckpt_dir)} == {"task"}
+    assert all(None not in [r[k] for k in step.PHASES] for r in _metrics(job.ckpt_dir))
 
 
 def test_an_over_budget_keyed_epoch_fans_out_to_ray_tasks(inputs, tmp_path, monkeypatch, ray_session):

@@ -87,9 +87,10 @@ def _route_job(stream_d: str, base: str) -> StreamingTransformJob:
     return StreamingTransformJob(stream_d, f"{base}/out", f"{base}/ckpt", graph=Vaero.start())
 
 
-def _steps(ckpt_dir: str) -> list[str]:
+def _timed(ckpt_dir: str) -> list[bool]:
+    """Per metrics record: whether every phase of the step was timed."""
     with open(f"{ckpt_dir}/metrics.jsonl") as fh:
-        return [json.loads(line)["step"] for line in fh]
+        return [None not in [json.loads(line)[k] for k in step.PHASES] for line in fh]
 
 
 def _state_files(ckpt_dir: str) -> list[int]:
@@ -139,7 +140,7 @@ def test_task_and_dataset_steps_write_identical_bytes(name, stream_dir, tmp_path
             assert max(_out_files(f"{base}/ckpt")) == 1
         # one file per epoch: at -1 a windowed epoch's state file is a map task of its own
         assert max(maps) == 1 + (label == "dataset" and name != "route")
-        assert set(_steps(f"{base}/ckpt")) == {"task"}
+        assert set(_timed(f"{base}/ckpt")) == {True}
         got[label] = _fingerprint(f"{base}/ckpt")
     assert sum(e[4] for e in got["task"]) > 0
     assert got["task"] == got["dataset"]
@@ -166,7 +167,7 @@ def test_kill_resume_switching_steps_is_byte_identical(first, stream_dir, tmp_pa
 
     monkeypatch.setattr(step, "SMALL_EPOCH_BYTES", BUDGETS[second])
     _window_job(stream_dir, f"{tmp_path}/run").run()
-    assert _steps(f"{tmp_path}/run/ckpt") == ["task"] * 5
+    assert _timed(f"{tmp_path}/run/ckpt") == [True] * 5
     assert _fingerprint(f"{tmp_path}/run/ckpt") == _fingerprint(f"{tmp_path}/ref/ckpt")
 
 
@@ -267,7 +268,7 @@ def test_resume_from_state_split_per_partition(label, stream_dir, tmp_path, monk
         _window_job(stream_dir, f"{tmp_path}/run", size_s=3600).run(max_epochs=2, finalize=False)
     assert _state_files(f"{tmp_path}/run/ckpt") == _out_files(f"{tmp_path}/run/ckpt") == [4, 4]
     _window_job(stream_dir, f"{tmp_path}/run", size_s=3600).run()
-    assert set(_steps(f"{tmp_path}/run/ckpt")) == {"task"}
+    assert set(_timed(f"{tmp_path}/run/ckpt")) == {True}
     assert _state_files(f"{tmp_path}/run/ckpt")[2:] == _state_files(f"{tmp_path}/ref/ckpt")[2:] == [1, 1, 0]
     ref, run = _fingerprint(f"{tmp_path}/ref/ckpt"), _fingerprint(f"{tmp_path}/run/ckpt")
     assert [e[:6] + (e[7],) for e in run[:2]] == [e[:6] + (e[7],) for e in ref[:2]]

@@ -167,12 +167,11 @@ def test_metrics_written(stream_dir, tmp_path, monkeypatch, ray_session):
     recs = [json.loads(line) for line in lines]
     for rec in recs:
         for field in ("epoch", "rows_in", "rows_late", "rows_out", "state_rows", "watermark_us", "wall_s",
-                      "step", "bytes_in", "state_bytes_in", "read_s", "compute_s", "write_s", "files_written"):
+                      "bytes_in", "state_bytes_in", "read_s", "compute_s", "write_s", "files_written"):
             assert field in rec
-    assert [r["step"] for r in recs] == ["task", "task", "task"]
     # the tasks time their phases from inside, in the job's process or not
     for rec in recs:
-        assert all(rec[p] >= 0 for p in ("read_s", "compute_s", "write_s"))
+        assert all(rec[p] is not None and rec[p] >= 0 for p in ("read_s", "compute_s", "write_s"))
     for rec in recs[:2]:
         assert rec["read_s"] + rec["compute_s"] + rec["write_s"] <= rec["wall_s"]
     for e, rec in enumerate(recs):

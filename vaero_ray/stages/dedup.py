@@ -109,6 +109,16 @@ def with_content_hash(tbl: pa.Table, col: str = "text", out: str = "content_hash
     return tbl.append_column(out, pa.array(h, pa.uint64()))
 
 
+def exact_dedup_table(tbl: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
+    """``exact_dedup``'s rule over one table: per distinct ``text_col`` (a
+    null is one), the row with the least ``id_col`` (nulls last), ties to
+    row order; survivors keep their order."""
+    order = pc.sort_indices(tbl.select([id_col]), sort_keys=[(id_col, "ascending")], null_placement="at_end")
+    ranked = pa.table({"t": tbl.column(text_col).take(order), "i": order})
+    first = ranked.group_by("t", use_threads=False).aggregate([("i", "first")])
+    return tbl.take(np.sort(first.column("i_first").to_numpy()))
+
+
 _DEDUP_HASH_KEY_2 = "vaero-dedup-2nd!"  # 16 bytes: independent siphash key
 
 

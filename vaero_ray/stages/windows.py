@@ -434,6 +434,28 @@ def windowed_aggregate(
     return finalize_partials(merged, keys, aggs, size_s, window_col)
 
 
+def aggregate_table(
+    tbl: pa.Table,
+    keys: list[str],
+    aggs: list[AggSpec],
+    ts_col: str = "ts",
+    size_s: int | None = 60,
+    window_col: str = "window_start",
+) -> pa.Table:
+    """``windowed_aggregate`` over one table: ``partial_table`` then
+    ``finalize_table``, every number widened to 64 bits, as the Dataset
+    version's Ray aggregate returns them."""
+    group = list(keys) + ([window_col] if size_s is not None else [])
+    out = finalize_table(partial_table(tbl, keys, aggs, ts_col, size_s, window_col), group, aggs)
+
+    def wide(t: pa.DataType) -> pa.DataType:
+        if pa.types.is_integer(t) and t.bit_width < 64:
+            return pa.int64()
+        return pa.float64() if pa.types.is_floating(t) else t
+
+    return out.cast(pa.schema([f.with_type(wide(f.type)) for f in out.schema]))
+
+
 def _type_of(v: pa.ChunkedArray | pa.Array) -> pa.DataType:
     return v.type
 

@@ -152,14 +152,23 @@ class CheckpointStore:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def last_metrics_epoch(self) -> int | None:
-        """The epoch of the last ``metrics.jsonl`` record, if any."""
-        last = None
+        """The epoch of the last ``metrics.jsonl`` record, if any. A torn
+        last line (an append cut short: no newline, or not JSON) is
+        truncated away, so the driver back-fills that epoch's record."""
         path = os.path.join(self.dir, "metrics.jsonl")
-        if os.path.exists(path):
-            with open(path) as fh:
-                for last in fh:
+        if not os.path.exists(path):
+            return None
+        with open(path, "rb+") as fh:
+            lines = fh.read().splitlines(keepends=True)
+            while lines:
+                try:
+                    if lines[-1].endswith(b"\n"):
+                        return json.loads(lines[-1])["epoch"]
+                except ValueError:
                     pass
-        return None if last is None else json.loads(last)["epoch"]
+                lines.pop()
+                fh.truncate(sum(map(len, lines)))
+        return None
 
     def metrics_summary(self) -> dict:
         """Live job health: per-partition rows in/out across committed

@@ -23,22 +23,19 @@ Every file a step writes is a canonically sorted pure function of the
 epoch's inputs and the previous state, so a kill anywhere before the
 manifest rename makes the rerun rewrite the same bytes, and a kill after
 it means the epoch is done (tests/test_epoch_driver.py kills every job
-at four points and checks byte identity). After a kill between the
-rename and the metrics append, the next ``run_epoch`` back-fills the
-epoch's ``metrics.jsonl`` record from its manifest.
+at five points and checks byte identity). After a kill between the
+rename and the end of the metrics append, the next ``run_epoch`` cuts
+off a torn last line and back-fills the epoch's record from its
+manifest.
 
 A job subclasses ``EpochDriver`` (a plain class: the job's dataclass
 fields and their order are its own) and supplies ``op`` and
-``epoch_step``. Every job but a route job with a relational branch
-builds its step from sources, a watermark rule and ``per_task``
-(``KeyedStep``: map and reduce tasks over pyarrow, run in the job's
-process when the epoch is one of each), at every epoch size. A reduce
-task calls ``per_task`` once on its whole Arrow table and writes each
+``epoch_step``, built from sources, a watermark rule and ``per_task``
+(``KeyedStep``: map and reduce tasks over pyarrow). A reduce task calls
+``per_task`` once on its whole Arrow table and writes each
 ``sink.Write`` it returns, under the ``Claim``'s output or state dir: as
 one file per hash bucket, as many buckets as the row rule
-``file_partitions`` gives, or one file per sink prefix. The task counts
-do not change the bytes but for a windowed float ``sum`` or ``mean``
-(``KeyedStep``).
+``file_partitions`` gives, or one file per sink prefix.
 """
 
 from __future__ import annotations
@@ -49,20 +46,21 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 
-from vaero_ray.io import read_parquet
 from vaero_ray.stages.keyed import hash_bucket
 from vaero_ray.stages.windows import US
 from vaero_ray.streaming import step
 from vaero_ray.streaming.checkpoint import CheckpointStore, EpochManifest
 from vaero_ray.streaming.sink import ROW_GROUP_ROWS
+
+if TYPE_CHECKING:
+    import ray.data as rd
 
 WM_FINAL = 1 << 62  # watermark value marking end-of-stream finalization
 WM_MIN = -(1 << 62)  # watermark before the first epoch
@@ -126,10 +124,7 @@ class StepResult:
     state_bytes_in: int = 0
     epoch_max_ts: int | None = None  # max event time seen, for watermark_lag_us
     extra: dict = field(default_factory=dict)  # job-specific manifest fields
-    # "task": the pyarrow step, in the job's process or in Ray tasks;
-    # "dataset": a Ray Data plan
-    step: str = "dataset"
-    phases: dict | None = None  # step.PHASES seconds of a task step
+    phases: dict = field(default_factory=dict)  # step.PHASES seconds
 
 
 def input_files(input_dir: str) -> list[str]:
@@ -143,6 +138,8 @@ def _files(lineage: dict) -> int:
 
 
 def read_committed(files: list[str]) -> rd.Dataset:
+    from vaero_ray.io import read_parquet
+
     if not files:
         raise ValueError("no committed output yet")
     return read_parquet(files)
@@ -225,11 +222,10 @@ class EpochDriver:
         self.store.append_metrics(
             self._metrics_record(
                 manifest,
-                step=res.step,
                 bytes_in=res.bytes_in,
                 state_bytes_in=res.state_bytes_in,
                 watermark_lag_us=lag,
-                **(res.phases or {}),
+                **res.phases,
                 wall_s=round(time.perf_counter() - t0, 3),
             )
         )
@@ -241,7 +237,6 @@ class EpochDriver:
         return {
             "epoch": m.epoch,
             "op": self.op,
-            "step": None,
             "rows_in": m.rows_in,
             "bytes_in": None,
             "state_bytes_in": None,
@@ -492,7 +487,6 @@ class KeyedStep:
             **self.counts,
             epoch_max_ts=max(known, default=None),
             extra=extra or {},
-            step="task",
         )
         args = [
             (per_task, watermark_us, self.epoch, n_files, self.dirs, *[m[1 + r] for m in self._maps])

@@ -1,16 +1,11 @@
 """Task steps: an epoch as plain pyarrow work in map and reduce tasks.
 
-Every windowed and keyed epoch, and every route epoch of a graph without
-relational steps, runs as ``driver.KeyedStep``: map tasks read the
+Every streaming epoch runs as ``driver.KeyedStep``: map tasks read the
 claimed input and carried state files and prepare their rows, reduce
 tasks call the job's kernel once on one Arrow table and write what it
-returns. The kernels are the compiled transform chain, the window
-partial/merge/finalize functions, ``hash_bucket`` and the canonical
-writer, over pyarrow tables. For a few thousand rows a Ray Data plan is
-almost all fixed cost: each execution and each shuffle costs more than
-the data it moves, and even one Ray task round trip (ship the spec,
-schedule, block on the result) costs more CPU than a small epoch's reads
-and writes.
+returns. For a few thousand rows a Ray Data plan is almost all fixed
+cost, and even one Ray task round trip costs more CPU than a small
+epoch's reads and writes.
 
 So the step sizes itself from the footers: the job's process opens each
 claimed input file and carried state file once (``open_files``) and
@@ -18,15 +13,12 @@ sums their uncompressed row-group sizes (``footer_stats``).
 ``SMALL_EPOCH_BYTES`` (read when the epoch starts) budgets one map task;
 an epoch of one map and one reduce task runs both in the job's process
 on the files it opened, and a larger one fans out to Ray tasks
-(``remote``). The task counts do not change the bytes written, so a
-resume may switch them, with one exception: a windowed map task
-computes partials over all of its files at once, so a float ``sum`` or
-``mean`` adds its rows in another grouping at another map-task count,
-and its last bits may differ. A step receives plain data (file lists,
-watermark, epoch, the output and state dirs, the job's kernels) — never
-the job's checkpoint store — and returns lineage, counters and its
-phase times; the epoch driver (driver.py) commits. Every file a reduce
-task writes is placed by ``sink.Write``.
+(``remote``). The task counts do not change the bytes written but for a
+windowed float ``sum`` or ``mean`` (``KeyedStep``), so a resume may
+switch them. A step receives plain data (file lists, watermark, epoch,
+the output and state dirs, the job's kernels), never the job's
+checkpoint store, and returns lineage, counters and its phase times;
+the epoch driver (driver.py) commits.
 """
 
 from __future__ import annotations
@@ -44,8 +36,7 @@ import ray
 # resident at peak in the process that runs it
 SMALL_EPOCH_BYTES = 64 << 20
 
-# phases a task step times for the epoch's metrics record; a relational
-# route epoch's Dataset plan fuses them and records None
+# phases a task step times for the epoch's metrics record
 PHASES = ("read_s", "compute_s", "write_s")
 
 

@@ -12,17 +12,17 @@ a crash here reruns the epoch byte-identically and the manifest is the
 commit point (driver.py owns the epoch loop, claim, commit and metrics;
 this module supplies the route step).
 
-Every epoch of a graph without relational steps is one keyed step
-(driver.py ``KeyedStep``) at any size: map tasks read the epoch's files
-once and run every branch's chain and sink prefix over them, and the
-rows meet by (branch, prefix) in reduce tasks. A small epoch runs both
-in the job's own process, with no Ray task. A graph with a relational
-branch (window/join/dedup) runs each epoch as a Ray Data plan
-(``_dataset_step``, ``runner.apply_steps`` per branch) whose rows meet
-by prefix in ``map_groups``. Both write each branch's rows as one
-``sink.Write`` split by the sink prefix: one file per (branch, prefix)
-at ``{branch key}/{prefix}/epoch-{k}.parquet`` under the manifest key
-"{branch key}/{prefix}".
+Every epoch is one keyed step (driver.py ``KeyedStep``) at any size. A
+plain branch runs its chain and sink prefix in the map tasks, and its
+rows meet by (branch, prefix). A branch with relational steps (window,
+join, dedup, ``filter_expr``, limit) sends its input rows under the
+route "{branch key}/" to one reduce task, which runs the steps on Arrow
+with per-epoch semantics, as the reference's per-capsule batches have
+(``_rel_step``), then the sink prefix. Its prefix is known only after
+the steps, so a finer route would give a file two writers. Every
+branch's rows are one ``sink.Write`` split by the sink prefix: one file
+per (branch, prefix) at ``{branch key}/{prefix}/epoch-{k}.parquet``
+under the manifest key "{branch key}/{prefix}".
 
 Batch-vs-time sink flushing (batch_max_bytes / batch_max_time,
 sinkNode.go:105-131) degenerates naturally: an epoch IS the flush unit —
@@ -32,19 +32,24 @@ max_files_per_epoch bounds bytes, the poll cadence bounds time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import Callable
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
+import pyarrow.parquet as pq
 
-from vaero_ray.io import read_parquet as _read_pq
+# _read_pq is unused here: perfbench's tracer wraps it by name, and a
+# traced run fails on a missing one
+from vaero_ray.io import read_parquet as _read_pq  # noqa: F401
 from vaero_ray.planner import Branch, Plan, Planner, RelStep
-from vaero_ray.sinks.parquet_sink import PREFIX_COL, derive_prefix
-from vaero_ray.streaming import step
-from vaero_ray.streaming.checkpoint import EpochManifest, lineage_entry
+from vaero_ray.sinks.parquet_sink import PREFIX_COL, derive_prefix, s3_uri_and_fs
+from vaero_ray.stages.dedup import exact_dedup_table
+from vaero_ray.stages.windows import AggSpec, aggregate_table
+from vaero_ray.streaming.checkpoint import EpochManifest
 from vaero_ray.streaming.driver import Claim, EpochDriver, KeyedStep, Source, StepResult, read_committed
 from vaero_ray.streaming.sink import Write
+from vaero_ray.transforms import TransformFn, compile_chain
 
 
 def _sink_route(i: int, branch: Branch) -> tuple[str, str, str]:
@@ -70,22 +75,68 @@ def _known_output_cols(branch: Branch) -> set[str] | None:
     return cols
 
 
+def _rel_step(s: RelStep) -> TransformFn:
+    """One relational step as a table function, with the per-epoch
+    semantics ``runner.apply_steps`` gives it over one epoch's rows."""
+    a = s.args
+    if s.op == "window":
+        aggs = [AggSpec(*agg) for agg in a["aggs"]]
+        kw = {k: a[k] for k in ("ts_col", "size_s", "window_col") if k in a}
+        return partial(aggregate_table, keys=list(a["keys"]), aggs=aggs, **kw)
+    if s.op == "filter":  # parsed as Dataset.filter(expr=) parses it
+        from ray.data._internal.planner.plan_expression.expression_evaluator import ExpressionEvaluator
+
+        expr = ExpressionEvaluator.get_filters(expression=a["expr"])
+        return lambda t: t.filter(expr)
+    if s.op == "limit":
+        return lambda t: t.slice(0, int(a["n"]))
+    if s.op == "dedup":
+        return partial(exact_dedup_table, text_col=a.get("path", "text"), id_col=a.get("id_path", "doc_id"))
+    if s.op == "join":  # against the side plan, read once per call
+        src = s.right.source
+        path, fs = s3_uri_and_fs(src.args)
+        if src.op not in ("parquet", "s3") or src.args.get("format", "parquet") != "parquet" or not path:
+            raise ValueError(f"join: side source {src.op!r} is not a parquet path; a streaming join reads parquet")
+        side_fn, columns = _rel_fn(s.right.branches[0]), src.args.get("columns")
+        how = a.get("how", "inner").replace("_", " ").split()[0]  # inner/left/right/full
+        how = how if how == "inner" else how + " outer"
+
+        def join(tbl: pa.Table) -> pa.Table:
+            side = side_fn(pq.read_table(path, columns=columns, filesystem=fs))
+            return tbl.join(side, list(a["on"]), join_type=how, right_suffix=a.get("suffix", "_r"))
+
+        return join
+    raise ValueError(f"unsupported rel op: {s.op!r}")
+
+
+def _rel_fn(branch: Branch) -> TransformFn:
+    """A branch's steps, transform chains and relational, as one function."""
+    fns = [_rel_step(s) if isinstance(s, RelStep) else compile_chain(s[1]) for s in branch.steps]
+    return lambda tbl: reduce(lambda t, fn: fn(t), fns, tbl)
+
+
 # the (branch key, prefix) a route map task tags each row with
 ROUTE_COL = "__route"
 
 
 def _route_rows(routes: list) -> Callable:
-    """A ``Source.live`` function running every branch's chain and sink
-    prefix over one table. ``routes`` holds (branch key, chain,
-    timestamp_key, prefix format) per branch. The branches' rows go into
-    one table, each branch's columns named "{branch key}:{column}", with
-    the (branch, prefix) a row is written under in ``ROUTE_COL``."""
+    """A ``Source.live`` function running every plain branch's chain and
+    sink prefix over one table. ``routes`` holds (branch key, compiled
+    steps, timestamp_key, prefix format, relational?) per branch: a
+    relational branch's steps run in a reduce task (``_branch_writes``).
+    The branches' rows go into one table, each branch's columns named
+    "{branch key}:{column}", with the route a row is written under in
+    ``ROUTE_COL``: "{branch key}/{prefix}", or "{branch key}/" for a
+    relational branch's input rows."""
 
     def live(tbl: pa.Table, prev_wm: int) -> tuple[pa.Table, int, None]:
         parts = []
-        for bkey, fused, ts_key, fmt in routes:
-            staged = derive_prefix(fused(tbl), ts_key, fmt)
-            route = pc.binary_join_element_wise(bkey, staged.column(PREFIX_COL), "/")
+        for bkey, fn, ts_key, fmt, rel in routes:
+            if rel:
+                staged, route = tbl, pa.repeat(pa.scalar(bkey + "/"), tbl.num_rows)
+            else:
+                staged = derive_prefix(fn(tbl), ts_key, fmt)
+                route = pc.binary_join_element_wise(bkey, staged.column(PREFIX_COL), "/")
             staged = staged.rename_columns([f"{bkey}:{c}" for c in staged.column_names])
             parts.append(staged.append_column(ROUTE_COL, route))
         return pa.concat_tables(parts, promote_options="permissive"), 0, None
@@ -93,19 +144,28 @@ def _route_rows(routes: list) -> Callable:
     return live
 
 
-def _branch_writes(tbl: pa.Table, wm: int) -> list[Write]:
+def _branch_writes(routes: list) -> Callable:
     """A route reduce task's ``per_task``: each branch's rows, with the
-    branch's own columns, as a ``Write`` split by the sink prefix."""
-    route = tbl.column(ROUTE_COL)
-    bkeys = sorted({r.split("/", 1)[0] for r in pc.unique(route).to_pylist()})
-    writes = []
-    for bkey in bkeys:
-        cols = [c for c in tbl.column_names if c.startswith(bkey + ":")]
-        rows = tbl.select(cols).rename_columns([c[len(bkey) + 1 :] for c in cols])
-        if len(bkeys) > 1:
-            rows = rows.filter(pc.starts_with(route, bkey + "/"))
-        writes.append(Write("out", rows, bkey, bkey + "/", by=PREFIX_COL))
-    return writes
+    branch's own columns (a relational branch's after its steps and sink
+    prefix), as a ``Write`` split by the sink prefix."""
+    rels = {bkey: (fn, ts_key, fmt) for bkey, fn, ts_key, fmt, rel in routes if rel}
+
+    def per_task(tbl: pa.Table, wm: int) -> list[Write]:
+        route = tbl.column(ROUTE_COL)
+        bkeys = sorted({r.split("/", 1)[0] for r in pc.unique(route).to_pylist()})
+        writes = []
+        for bkey in bkeys:
+            cols = [c for c in tbl.column_names if c.startswith(bkey + ":")]
+            rows = tbl.select(cols).rename_columns([c[len(bkey) + 1 :] for c in cols])
+            if len(bkeys) > 1:
+                rows = rows.filter(pc.starts_with(route, bkey + "/"))
+            if bkey in rels:
+                fn, ts_key, fmt = rels[bkey]
+                rows = derive_prefix(fn(rows), ts_key, fmt)
+            writes.append(Write("out", rows, bkey, bkey + "/", by=PREFIX_COL))
+        return writes
+
+    return per_task
 
 
 @dataclass
@@ -122,8 +182,9 @@ class StreamingTransformJob(EpochDriver):
     def __post_init__(self):
         super().__post_init__()
         self.plan: Plan = Planner(self.graph).plan
+        self.routes = []
         for i, branch in enumerate(self.plan.branches):
-            _, ts_key, _ = _sink_route(i, branch)
+            bkey, ts_key, fmt = _sink_route(i, branch)
             cols = _known_output_cols(branch)
             if cols is not None and ts_key not in cols:
                 raise ValueError(
@@ -131,6 +192,8 @@ class StreamingTransformJob(EpochDriver):
                     f"output {sorted(cols)}; a .window() step replaces the event-time column, "
                     "so point the sink's timestamp_key at its window column"
                 )
+            rel = any(isinstance(s, RelStep) for s in branch.steps)
+            self.routes.append((bkey, _rel_fn(branch), ts_key, fmt, rel))
         if self.plan.source is not None and self.plan.source.secret:
             from vaero_ray.secrets import SecretResolver
 
@@ -147,49 +210,8 @@ class StreamingTransformJob(EpochDriver):
         return super().run(max_epochs, finalize=False)
 
     def epoch_step(self, c: Claim) -> StepResult:
-        if any(b.has_rel for b in self.plan.branches):
-            rows_in, bytes_in = step.footer_stats(c.files)
-            return StepResult(0, self._dataset_step(c), rows_in=rows_in, bytes_in=bytes_in)
-        routes = []
-        for i, branch in enumerate(self.plan.branches):
-            bkey, ts_key, fmt = _sink_route(i, branch)
-            routes.append((bkey, branch.compile(), ts_key, fmt))
-        live = Source(c.files, live=_route_rows(routes), columns=self.read_columns, per_file=False)
-        return KeyedStep(c, [live], ROUTE_COL).reduce(_branch_writes, 0)
+        live = Source(c.files, live=_route_rows(self.routes), columns=self.read_columns, per_file=False)
+        return KeyedStep(c, [live], ROUTE_COL).reduce(_branch_writes(self.routes), 0)
 
-    def _dataset_step(self, c: Claim) -> dict:
-        """An epoch of a graph with a relational branch (window/join/dedup
-        steps) as Ray Data plans, one prefix-grouped write per branch.
-        Window semantics here are PER-EPOCH (each poll's batch windows
-        independently — the reference's per-capsule batch model);
-        cross-epoch event-time windows with watermarks and open-window
-        state carry are StreamingWindowedJob (streaming/job.py). Returns
-        the output lineage."""
-        from vaero_ray.runner import apply_steps
-
-        # read_parquet itself takes io.DATASET_BUILD_LOCK (taking it here
-        # too would deadlock — threading.Lock is not reentrant).
-        # materialize ONCE: every branch below consumes src, and an
-        # un-materialized plan would re-read + re-decode the epoch's
-        # files once per branch; one epoch is bounded by
-        # max_files_per_epoch and spills if large.
-        src = _read_pq(c.files, **self.extra_read_kw).materialize()
-        out = {}
-        for i, branch in enumerate(self.plan.branches):
-            bkey, ts_key, fmt = _sink_route(i, branch)
-
-            def prefix_only(tbl: pa.Table, ts_key=ts_key, fmt=fmt) -> pa.Table:
-                return derive_prefix(tbl, ts_key, fmt)
-
-            def write_prefix(tbl: pa.Table, bkey=bkey, out_dir=c.out_dir, epoch=c.epoch) -> pa.Table:
-                # one prefix per group: one file
-                [(_, key, entry)] = Write("out", tbl, bkey, bkey + "/", by=PREFIX_COL).write(out_dir, epoch)
-                return pa.table({"key": [key], "rows": [entry["rows"]], "path": entry["files"], "sha256": entry["sha256"]})
-
-            staged = apply_steps(src, branch).map_batches(prefix_only, batch_format="pyarrow", zero_copy_batch=True)
-            for r in staged.groupby(PREFIX_COL).map_groups(write_prefix, batch_format="pyarrow").take_all():
-                out[r["key"]] = lineage_entry(r["rows"], r["path"], r["sha256"])
-        return out
-
-    def committed_output(self, branch_key: str | None = None) -> rd.Dataset:
+    def committed_output(self, branch_key: str | None = None):
         return read_committed(self.store.committed_output_files("" if branch_key is None else branch_key + "/"))
